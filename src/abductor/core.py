@@ -159,10 +159,6 @@ def assignment_from_values(values: Iterable[int]) -> Assignment:
     return encode_tuple(values)
 
 
-def assignment_get(sigma: Assignment, var: int) -> int:
-    return (sigma >> (var - 1)) & 1
-
-
 def satisfies_vars(sigma: Assignment, vs: Iterable[int]) -> bool:
     return all((sigma >> (v - 1)) & 1 for v in vs)
 
@@ -232,13 +228,18 @@ def conjoin_literals(phi: Formula, lits: Iterable[Literal]) -> Formula:
     return Formula(phi.num_vars, phi.constraints + tuple(extra))
 
 
+def entails(phi: Formula, manifestations: Iterable[int], sat: SatDecider) -> bool:
+    """phi ⊨ M, decided as one unsatisfiability check of phi ∧ ¬m per
+    manifestation m, in the given order and stopping at the first failure."""
+    for m in manifestations:
+        if sat(Formula(phi.num_vars, phi.constraints + (Constraint(BOT, (m,)),))):
+            return False
+    return True
+
+
 def is_explanation(inst: AbductionInstance, lits: Iterable[Literal],
                    sat: SatDecider | None = None) -> bool:
-    """Check the two defining conditions: KB∧E satisfiable and KB∧E entails M.
-
-    Entailment is decomposed into one unsatisfiability check per manifestation
-    (KB ∧ E ∧ ¬m must have no model).
-    """
+    """Check the two defining conditions: KB∧E satisfiable and KB∧E entails M."""
     lits = frozenset(lits)
     for l in lits:
         if abs(l) not in inst.hypotheses:
@@ -248,12 +249,7 @@ def is_explanation(inst: AbductionInstance, lits: Iterable[Literal],
     if not literals_consistent(lits):
         return False
     base = conjoin_literals(inst.kb, lits)
-    if not sat(base):
-        return False
-    for m in inst.manifestations:
-        if sat(Formula(base.num_vars, base.constraints + (Constraint(BOT, (m,)),))):
-            return False
-    return True
+    return sat(base) and entails(base, inst.manifestations, sat)
 
 
 TRIVIALLY_NO = "trivially-no"

@@ -1,7 +1,8 @@
 """Command-line workbench: solve, gen, reduce, verify, bench.
 
-Exit codes for `solve`: 0 = explanation exists, 1 = none, 2 = error.  The
-other commands exit 0 on success and nonzero on failure/disagreement.
+Exit codes for `solve`: 0 = explanation exists, 1 = none, 2 = error (a
+usage error, or an internal error such as a crash of the solver).  The other
+commands exit 0 on success and nonzero on failure/disagreement.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from ..core import FragmentError, StructureError
 from ..reductions import (CnfFormula, abd2cnf_to_cnfsat, abd_to_pabd_4cnf,
@@ -238,6 +240,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # a crash is never an answer: exit 1 would read as "no explanation"
+        traceback.print_exc()
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

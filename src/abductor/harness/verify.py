@@ -20,12 +20,12 @@ from ..reductions import (abd2cnf_to_cnfsat, abd_to_pabd_4cnf, abd_to_simplesat,
                           colorful_clique_exists, eliminate_constants,
                           is_kcnf_formula, is_neg_imp_formula, kcnf_to_nae,
                           negimp_to_pos, qbf_truth)
-from ..satenum import hyp_mask, solve_simple_sat
+from ..satenum import solve_simple_sat
 from ..solvers import (PabdAudit, abd_kcnf_pos, baseline_abd, baseline_pabd,
-                       brute_models, enum_abd, oracle_abd,
+                       enum_abd, model_table, oracle_abd,
                        oracle_full_explanations, oracle_pabd,
                        oracle_positive_explanations, pabd_enum,
-                       pabd_one_valid, pabd_recursive)
+                       pabd_lattice, pabd_one_valid, pabd_recursive)
 from . import generators, io
 
 
@@ -54,42 +54,13 @@ class VerifyReport:
 # ---------------------------------------------------------------------------
 
 def raw_abd_answer(inst: AbductionInstance) -> bool:
-    models = brute_models(inst.kb) if inst.num_vars <= 20 else None
-    assert models is not None
-    hmask = hyp_mask(inst.hypotheses)
-    mman = list(inst.manifestations)
-    good: set[int] = set()
-    bad: set[int] = set()
-    for sigma in models:
-        proj = sigma & hmask
-        if all((sigma >> (m - 1)) & 1 for m in mman):
-            good.add(proj)
-        else:
-            bad.add(proj)
-    return bool(good - bad)
+    count, bad = model_table(inst)
+    return any(p not in bad for p in count)
 
 
 def raw_pabd_answer(inst: AbductionInstance) -> bool:
-    models = brute_models(inst.kb)
-    hyp = sorted(inst.hypotheses)
-    h = len(hyp)
-    f = [0] * (1 << h)
-    g = [0] * (1 << h)
-    for sigma in models:
-        p = 0
-        for i, v in enumerate(hyp):
-            if (sigma >> (v - 1)) & 1:
-                p |= 1 << i
-        f[p] += 1
-        if not all((sigma >> (m - 1)) & 1 for m in inst.manifestations):
-            g[p] += 1
-    for i in range(h):
-        bit = 1 << i
-        for p in range(1 << h):
-            if not p & bit:
-                f[p] += f[p | bit]
-                g[p] += g[p | bit]
-    return any(f[p] > 0 and g[p] == 0 for p in range(1 << h))
+    _hyp, f, g = pabd_lattice(inst)
+    return any(fp > 0 and gp == 0 for fp, gp in zip(f, g))
 
 
 # ---------------------------------------------------------------------------

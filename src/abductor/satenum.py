@@ -1,14 +1,19 @@
 """SAT decision and model enumeration engines.
 
-Four engines share one internal constraint form (tuple-code set + scope):
+decide, enumerate_models and sparse_enumerate share one internal constraint
+form (tuple-code set + scope) and one iterative depth-first search loop,
+whose depth is not bounded by Python's recursion limit, with a pluggable
+branching policy:
 
-  decide                  -- propagation + lowest-index variable branching
+  decide                  -- propagation + lowest-index variable branching,
+                             stopping at the first model
   enumerate_models        -- same search, streaming every total model
   sparse_enumerate        -- per-tuple constraint branching for languages
                              closed under branching (eliminates a whole scope
                              per branch)
-  solve_simple_sat        -- branch-and-reduce for positive-clause/negative-DNF
-                             instances with the (1,...,p) clause branching
+
+solve_simple_sat keeps its own branch-and-reduce procedure for
+positive-clause/negative-DNF instances with the (1,...,p) clause branching.
 
 Stats accounting: branch_nodes counts nodes that opened branches; leaves
 counts terminal paths, where a satisfied node with f unconstrained variables
@@ -22,10 +27,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .core import Formula
-from .langlib import ConstraintLanguage
+from .langlib import ConstraintLanguage, minor
 
 _FS0 = frozenset((0,))
-_FS1 = frozenset((1,))
 
 
 class LanguageContractError(ValueError):
@@ -75,12 +79,18 @@ def _cons_of(phi: Formula) -> list[_Con]:
     return [(frozenset(c.relation.codes), c.scope) for c in phi.constraints]
 
 
-def _assign(codes: frozenset[int], scope: tuple[int, ...], var: int, val: int) -> _Con:
-    keep = [i for i, v in enumerate(scope) if v != var]
-    hit = [i for i, v in enumerate(scope) if v == var]
+def _assign(codes: frozenset[int], scope: tuple[int, ...], values: dict[int, int]) -> _Con:
+    """Restrict a constraint to the values of its variables set in `values`
+    and project those variables away."""
+    keep = [i for i, v in enumerate(scope) if v not in values]
+    hit = want = 0
+    for i, v in enumerate(scope):
+        if v in values:
+            hit |= 1 << i
+            want |= values[v] << i
     out = set()
     for code in codes:
-        if any(((code >> i) & 1) != val for i in hit):
+        if code & hit != want:
             continue
         nc = 0
         for j, i in enumerate(keep):
@@ -89,11 +99,38 @@ def _assign(codes: frozenset[int], scope: tuple[int, ...], var: int, val: int) -
     return frozenset(out), tuple(scope[i] for i in keep)
 
 
-def _propagate(cons: list[_Con], amask: int, vmask: int):
-    """Drop trivial constraints, force unit values, fail on empty relations.
+def _fix(cons: list[_Con], amask: int, vmask: int, values: dict[int, int]):
+    """Set the variables in `values`, in the constraints and the masks."""
+    untouched = values.keys().isdisjoint
+    for v, val in values.items():
+        bit = 1 << (v - 1)
+        amask |= bit
+        if val:
+            vmask |= bit
+    return [c if untouched(c[1]) else _assign(*c, values) for c in cons], amask, vmask
 
-    Returns (cons, amask, vmask) or None on conflict.
-    """
+
+def _expand_free(vmask: int, free: int, stats: EnumStats) -> Iterator[int]:
+    """vmask completed in every way on the variables of the mask `free`, in
+    increasing order."""
+    sub = 0
+    while True:
+        stats.models_emitted += 1
+        stats.leaves += 1
+        yield vmask | sub
+        if sub == free:
+            return
+        sub = (sub - free) & free
+
+
+# A branching policy maps a node's constraints and masks to None on a
+# conflict, or to (live constraints, amask, vmask, branches): each branch is
+# the {var: value} assignment it makes, and no branches means a satisfied node.
+
+def _variable_branching(cons: list[_Con], amask: int, vmask: int):
+    """Drop trivial constraints, force unit values and fail on empty
+    relations until nothing changes; then branch on the lowest-index
+    variable."""
     while True:
         forced: dict[int, int] = {}
         out: list[_Con] = []
@@ -111,103 +148,70 @@ def _propagate(cons: list[_Con], amask: int, vmask: int):
                 continue
             out.append((codes, scope))
         if not forced:
-            return out, amask, vmask
-        for v, val in forced.items():
-            bit = 1 << (v - 1)
-            amask |= bit
-            if val:
-                vmask |= bit
-        nxt: list[_Con] = []
-        for codes, scope in out:
-            for v, val in forced.items():
-                if v in scope:
-                    codes, scope = _assign(codes, scope, v, val)
-            nxt.append((codes, scope))
-        cons = nxt
+            break
+        cons, amask, vmask = _fix(out, amask, vmask, forced)
+    if not out:
+        return out, amask, vmask, ()
+    var = min(min(scope) for _, scope in out)
+    return out, amask, vmask, ({var: 0}, {var: 1})
+
+
+def _tuple_branching(cons: list[_Con], amask: int, vmask: int):
+    """Branch on the tuples of the constraint with the best local base."""
+    live: list[_Con] = []
+    for codes, scope in cons:
+        if not codes:
+            return None
+        if len(codes) != (1 << len(scope)):
+            live.append((codes, scope))
+    if not live:
+        return live, amask, vmask, ()
+    # best local branching base: fewest tuples per eliminated variable
+    pick = min(range(len(live)),
+               key=lambda i: len(live[i][0]) ** (1.0 / len(live[i][1])))
+    codes, scope = live.pop(pick)
+    return live, amask, vmask, [{v: (code >> i) & 1 for i, v in enumerate(scope)}
+                                for code in sorted(codes)]
+
+
+def _search(cons: list[_Con], n: int, policy, stats: EnumStats) -> Iterator[int]:
+    """Depth-first search with an explicit stack, streaming total models.
+
+    A stack entry holds the parent's constraints and masks plus one pending
+    branch; the child's constraints are built only when the entry is popped.
+    Children are pushed in reverse, so branches are explored in policy order.
+    """
+    stack = [(cons, 0, 0, 0, {})]
+    while stack:
+        cons, amask, vmask, depth, branch = stack.pop()
+        cons, amask, vmask = _fix(cons, amask, vmask, branch)
+        if depth > stats.max_depth:
+            stats.max_depth = depth
+        node = policy(cons, amask, vmask)
+        if node is None:
+            stats.leaves += 1
+            continue
+        cons, amask, vmask, branches = node
+        if not branches:
+            yield from _expand_free(vmask, ((1 << n) - 1) & ~amask, stats)
+            continue
+        stats.branch_nodes += 1
+        for branch in reversed(branches):
+            stack.append((cons, amask, vmask, depth + 1, branch))
 
 
 def decide(phi: Formula) -> bool:
     """True iff the formula has a model (free variables are irrelevant)."""
-
-    def rec(cons: list[_Con]) -> bool:
-        r = _propagate(cons, 0, 0)
-        if r is None:
-            return False
-        cons, _, _ = r
-        if not cons:
-            return True
-        var = min(min(scope) for _, scope in cons)
-        for val in (0, 1):
-            branch = [_assign(codes, scope, var, val) if var in scope else (codes, scope)
-                      for codes, scope in cons]
-            if rec(branch):
-                return True
-        return False
-
-    return rec(_cons_of(phi))
-
-
-def _expand_free(vmask: int, free: list[int], stats: EnumStats) -> Iterator[int]:
-    for sub in range(1 << len(free)):
-        out = vmask
-        for j, v in enumerate(free):
-            if (sub >> j) & 1:
-                out |= 1 << (v - 1)
-        stats.models_emitted += 1
-        stats.leaves += 1
-        yield out
+    for _ in _search(_cons_of(phi), phi.num_vars, _variable_branching, EnumStats()):
+        return True
+    return False
 
 
 def enumerate_models(phi: Formula) -> ModelStream:
     """Stream exactly the set of total models over 1..num_vars, each once."""
     stats = EnumStats()
-    n = phi.num_vars
-
-    def rec(cons: list[_Con], amask: int, vmask: int, depth: int) -> Iterator[int]:
-        stats.max_depth = max(stats.max_depth, depth)
-        r = _propagate(cons, amask, vmask)
-        if r is None:
-            stats.leaves += 1
-            return
-        cons, amask, vmask = r
-        if not cons:
-            free = [v for v in range(1, n + 1) if not (amask >> (v - 1)) & 1]
-            yield from _expand_free(vmask, free, stats)
-            return
-        var = min(min(scope) for _, scope in cons)
-        stats.branch_nodes += 1
-        bit = 1 << (var - 1)
-        for val in (0, 1):
-            branch = [_assign(codes, scope, var, val) if var in scope else (codes, scope)
-                      for codes, scope in cons]
-            yield from rec(branch, amask | bit, vmask | (bit if val else 0), depth + 1)
-
-    return ModelStream(rec(_cons_of(phi), 0, 0, 0), stats, UNORDERED)
-
-
-def _collapse_scope(codes: frozenset[int], scope: tuple[int, ...]) -> _Con:
-    """Identification minor for a scope with repeated variables."""
-    first: dict[int, int] = {}
-    keep: list[int] = []
-    for i, v in enumerate(scope):
-        if v not in first:
-            first[v] = len(keep)
-            keep.append(i)
-    if len(keep) == len(scope):
-        return codes, scope
-    out = set()
-    for code in codes:
-        ok = True
-        for i, v in enumerate(scope):
-            if ((code >> i) & 1) != ((code >> keep[first[v]]) & 1):
-                ok = False
-                break
-        if ok:
-            nc = 0
-            for j, i in enumerate(keep):
-                nc |= ((code >> i) & 1) << j
-            out.add(nc)
-    return frozenset(out), tuple(scope[i] for i in keep)
+    return ModelStream(_search(_cons_of(phi), phi.num_vars, _variable_branching, stats),
+                       stats, UNORDERED)
 
 
 def sparse_enumerate(phi: Formula, lang: ConstraintLanguage, r0: int = 1) -> ModelStream:
@@ -230,54 +234,18 @@ def sparse_enumerate(phi: Formula, lang: ConstraintLanguage, r0: int = 1) -> Mod
             raise LanguageContractError(
                 f"relation {con.relation} not in the declared language")
 
-    stats = EnumStats()
-    n = phi.num_vars
     start: list[_Con] = []
-    for codes, scope in _cons_of(phi):
-        codes, scope = _collapse_scope(codes, scope)
-        trivial = len(codes) == (1 << len(scope))
-        if scope and not trivial and (len(scope), tuple(sorted(codes))) not in members:
+    for con in phi.constraints:
+        # the identification minor merges repeated variables of the scope
+        first: dict[int, int] = {}
+        rel = minor(con.relation, [first.setdefault(v, len(first) + 1) for v in con.scope])
+        if first and not rel.is_trivial and (rel.arity, rel.codes) not in members:
             raise LanguageContractError(
                 "identification minor escapes the language; it is not branching-closed")
-        start.append((codes, scope))
-
-    def rec(cons: list[_Con], amask: int, vmask: int, depth: int) -> Iterator[int]:
-        stats.max_depth = max(stats.max_depth, depth)
-        live: list[_Con] = []
-        for codes, scope in cons:
-            if not codes:
-                stats.leaves += 1
-                return
-            if len(codes) == (1 << len(scope)):
-                continue
-            live.append((codes, scope))
-        if not live:
-            free = [v for v in range(1, n + 1) if not (amask >> (v - 1)) & 1]
-            yield from _expand_free(vmask, free, stats)
-            return
-        # best local branching base: fewest tuples per eliminated variable
-        pick = min(range(len(live)),
-                   key=lambda i: len(live[i][0]) ** (1.0 / len(live[i][1])))
-        codes, scope = live.pop(pick)
-        stats.branch_nodes += 1
-        for code in sorted(codes):
-            namask, nvmask = amask, vmask
-            values = {}
-            for i, v in enumerate(scope):
-                b = (code >> i) & 1
-                values[v] = b
-                namask |= 1 << (v - 1)
-                if b:
-                    nvmask |= 1 << (v - 1)
-            branch: list[_Con] = []
-            for ocodes, oscope in live:
-                for v, b in values.items():
-                    if v in oscope:
-                        ocodes, oscope = _assign(ocodes, oscope, v, b)
-                branch.append((ocodes, oscope))
-            yield from rec(branch, namask, nvmask, depth + 1)
-
-    return ModelStream(rec(start, 0, 0, 0), stats, UNORDERED)
+        start.append((frozenset(rel.codes), tuple(first)))
+    stats = EnumStats()
+    return ModelStream(_search(start, phi.num_vars, _tuple_branching, stats),
+                       stats, UNORDERED)
 
 
 def weight(sigma: int, hmask: int) -> int:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .core import (AbductionInstance, Constraint, Explanation, FragmentError,
-                   Formula, TRIVIALLY_NO, BOT,
-                   conjoin_literals, evaluate, make_explanation, preprocess,
-                   satisfies_vars, SatDecider)
+from .core import (AbductionInstance, Explanation, FragmentError, Formula,
+                   TRIVIALLY_NO, conjoin_literals, entails, evaluate,
+                   make_explanation, preprocess, satisfies_vars, SatDecider)
 from .langlib import ConstraintLanguage, is_one_valid
 from .satenum import (EnumStats, ModelStream, WEIGHT_ORDERED, decide,
                       enumerate_models, enumerate_weight_ordered, hyp_mask,
@@ -57,8 +56,13 @@ def _proj_literals(proj: int, hyp: Iterable[int]) -> frozenset[int]:
     return frozenset(h if (proj >> (h - 1)) & 1 else -h for h in hyp)
 
 
-def _pos_literals(mask: int, n: int) -> frozenset[int]:
-    return frozenset(v for v in range(1, n + 1) if (mask >> (v - 1)) & 1)
+def _maximal(patterns: Iterable[int]) -> list[int]:
+    """The subset-maximal bit patterns, widest first."""
+    maximal: list[int] = []
+    for p in sorted(patterns, key=lambda q: -bin(q).count("1")):
+        if not any(q != p and q & p == p for q in maximal):
+            maximal.append(p)
+    return maximal
 
 
 # ---------------------------------------------------------------------------
@@ -71,20 +75,59 @@ def brute_models(phi: Formula) -> tuple[int, ...]:
     return tuple(s for s in range(1 << phi.num_vars) if evaluate(phi, s))
 
 
-def brute_sat(phi: Formula) -> bool:
-    return any(evaluate(phi, s) for s in range(1 << phi.num_vars))
-
-
-def _check_caps(inst: AbductionInstance, cap_n: int, cap_h: int) -> None:
+def model_table(inst: AbductionInstance, cap_n: int = 20,
+                cap_h: int = 16) -> tuple[dict[int, int], dict[int, int]]:
+    """The models of KB counted per H-projection sigma & hmask: (all models,
+    models violating M).  Exhaustive and without preprocessing, so the raw
+    audits of preprocess use it as it is."""
     if inst.num_vars > cap_n:
         raise OracleCapError(f"n={inst.num_vars} exceeds oracle cap {cap_n}")
     if len(inst.hypotheses) > cap_h:
         raise OracleCapError(f"|H|={len(inst.hypotheses)} exceeds oracle cap {cap_h}")
+    hmask = hyp_mask(inst.hypotheses)
+    count: dict[int, int] = {}
+    bad: dict[int, int] = {}
+    for sigma in brute_models(inst.kb):
+        proj = sigma & hmask
+        count[proj] = count.get(proj, 0) + 1
+        if not satisfies_vars(sigma, inst.manifestations):
+            bad[proj] = bad.get(proj, 0) + 1
+    return count, bad
 
 
-def _oracle_stats(phi: Formula, models: tuple[int, ...]) -> EnumStats:
+def pabd_lattice(inst: AbductionInstance, cap_n: int = 20,
+                 cap_h: int = 16) -> tuple[list[int], list[int], list[int]]:
+    """Superset-summed (sat-count, bad-count) tables over the H-subset lattice,
+    indexed by subsets of the sorted hypotheses."""
+    count, bad = model_table(inst, cap_n, cap_h)
+    hyp = sorted(inst.hypotheses)
+    h = len(hyp)
+    f = [0] * (1 << h)
+    g = [0] * (1 << h)
+    for proj, c in count.items():
+        p = 0
+        for i, v in enumerate(hyp):
+            if (proj >> (v - 1)) & 1:
+                p |= 1 << i
+        f[p] += c
+        g[p] += bad.get(proj, 0)
+    for i in range(h):
+        bit = 1 << i
+        for p in range(1 << h):
+            if not p & bit:
+                f[p] += f[p | bit]
+                g[p] += g[p | bit]
+    return hyp, f, g
+
+
+def _unpack(p: int, hyp: list[int]) -> frozenset[int]:
+    """The hypotheses at the set bits of the lattice index p."""
+    return frozenset(h for i, h in enumerate(hyp) if (p >> i) & 1)
+
+
+def _oracle_stats(phi: Formula, models: int) -> EnumStats:
     return EnumStats(branch_nodes=0, leaves=1 << phi.num_vars,
-                     models_emitted=len(models), max_depth=0)
+                     models_emitted=models, max_depth=0)
 
 
 def oracle_abd(inst: AbductionInstance, cap_n: int = 20, cap_h: int = 16) -> AbdResult:
@@ -98,22 +141,13 @@ def oracle_abd(inst: AbductionInstance, cap_n: int = 20, cap_h: int = 16) -> Abd
     if pre.verdict == TRIVIALLY_NO:
         return _no("oracle-abd")
     inst = pre.instance
-    _check_caps(inst, cap_n, cap_h)
-    models = brute_models(inst.kb)
-    hyp = sorted(inst.hypotheses)
-    hmask = hyp_mask(hyp)
-    count: dict[int, int] = {}
-    bad: set[int] = set()
-    for sigma in models:
-        proj = sigma & hmask
-        count[proj] = count.get(proj, 0) + 1
-        if not satisfies_vars(sigma, inst.manifestations):
-            bad.add(proj)
+    count, bad = model_table(inst, cap_n, cap_h)
     good = [p for p in count if p not in bad]
-    stats = _oracle_stats(inst.kb, models)
+    stats = _oracle_stats(inst.kb, sum(count.values()))
     if not good:
         return _no("oracle-abd", stats)
-    wit = make_explanation(_proj_literals(min(good), hyp), inst.hypotheses)
+    wit = make_explanation(_proj_literals(min(good), sorted(inst.hypotheses)),
+                           inst.hypotheses)
     return AbdResult(True, wit, stats, "oracle-abd")
 
 
@@ -123,41 +157,9 @@ def oracle_full_explanations(inst: AbductionInstance,
     if pre.verdict == TRIVIALLY_NO:
         return frozenset()
     inst = pre.instance
-    _check_caps(inst, cap_n, cap_h)
+    count, bad = model_table(inst, cap_n, cap_h)
     hyp = sorted(inst.hypotheses)
-    hmask = hyp_mask(hyp)
-    count: dict[int, int] = {}
-    bad: set[int] = set()
-    for sigma in brute_models(inst.kb):
-        proj = sigma & hmask
-        count[proj] = count.get(proj, 0) + 1
-        if not satisfies_vars(sigma, inst.manifestations):
-            bad.add(proj)
     return frozenset(_proj_literals(p, hyp) for p in count if p not in bad)
-
-
-def _pabd_lattice(inst: AbductionInstance) -> tuple[list[int], list[int], list[int]]:
-    """Superset-summed (sat-count, bad-count) tables over the H-subset lattice."""
-    hyp = sorted(inst.hypotheses)
-    h = len(hyp)
-    pos = {v: i for i, v in enumerate(hyp)}
-    f = [0] * (1 << h)
-    g = [0] * (1 << h)
-    for sigma in brute_models(inst.kb):
-        p = 0
-        for v, i in pos.items():
-            if (sigma >> (v - 1)) & 1:
-                p |= 1 << i
-        f[p] += 1
-        if not satisfies_vars(sigma, inst.manifestations):
-            g[p] += 1
-    for i in range(h):
-        bit = 1 << i
-        for p in range(1 << h):
-            if not p & bit:
-                f[p] += f[p | bit]
-                g[p] += g[p | bit]
-    return hyp, f, g
 
 
 def oracle_pabd(inst: AbductionInstance, cap_n: int = 20, cap_h: int = 16) -> AbdResult:
@@ -168,18 +170,14 @@ def oracle_pabd(inst: AbductionInstance, cap_n: int = 20, cap_h: int = 16) -> Ab
     if pre.verdict == TRIVIALLY_NO:
         return _no("oracle-pabd")
     inst = pre.instance
-    _check_caps(inst, cap_n, cap_h)
-    hyp, f, g = _pabd_lattice(inst)
-    stats = _oracle_stats(inst.kb, brute_models(inst.kb))
-    best = -1
-    for p in range(1 << len(hyp)):
-        if f[p] > 0 and g[p] == 0:
-            if best < 0 or bin(p).count("1") > bin(best).count("1"):
-                best = p
-    if best < 0:
+    hyp, f, g = pabd_lattice(inst, cap_n, cap_h)
+    stats = _oracle_stats(inst.kb, f[0])  # f[0] sums over every model
+    ok = [p for p in range(1 << len(hyp)) if f[p] > 0 and g[p] == 0]
+    if not ok:
         return _no("oracle-pabd", stats)
-    lits = frozenset(hyp[i] for i in range(len(hyp)) if (best >> i) & 1)
-    return AbdResult(True, make_explanation(lits, inst.hypotheses), stats, "oracle-pabd")
+    best = max(ok, key=lambda p: bin(p).count("1"))
+    return AbdResult(True, make_explanation(_unpack(best, hyp), inst.hypotheses),
+                     stats, "oracle-pabd")
 
 
 def oracle_positive_explanations(inst: AbductionInstance, cap_n: int = 20,
@@ -190,19 +188,10 @@ def oracle_positive_explanations(inst: AbductionInstance, cap_n: int = 20,
     if pre.verdict == TRIVIALLY_NO:
         return frozenset(), frozenset()
     inst = pre.instance
-    _check_caps(inst, cap_n, cap_h)
-    hyp, f, g = _pabd_lattice(inst)
+    hyp, f, g = pabd_lattice(inst, cap_n, cap_h)
     all_ok = [p for p in range(1 << len(hyp)) if f[p] > 0 and g[p] == 0]
-    maximal: list[int] = []
-    for p in sorted(all_ok, key=lambda q: -bin(q).count("1")):
-        if not any(q != p and q & p == p for q in maximal):
-            maximal.append(p)
-
-    def unpack(p: int) -> frozenset[int]:
-        return frozenset(hyp[i] for i in range(len(hyp)) if (p >> i) & 1)
-
-    return (frozenset(unpack(p) for p in all_ok),
-            frozenset(unpack(p) for p in maximal))
+    return (frozenset(_unpack(p, hyp) for p in all_ok),
+            frozenset(_unpack(p, hyp) for p in _maximal(all_ok)))
 
 
 def oracle_abd_general(inst: AbductionInstance, cap_h: int = 10) -> bool:
@@ -226,14 +215,14 @@ def oracle_abd_general(inst: AbductionInstance, cap_h: int = 10) -> bool:
                   for p, m in states for c in (0, 1, 2)]
     for pos, neg in states:
         sat_seen = False
-        entails = True
+        holds = True
         for sigma in models:
             if sigma & pos == pos and sigma & neg == 0:
                 sat_seen = True
                 if not satisfies_vars(sigma, inst.manifestations):
-                    entails = False
+                    holds = False
                     break
-        if sat_seen and entails:
+        if sat_seen and holds:
             return True
     return False
 
@@ -242,56 +231,40 @@ def oracle_abd_general(inst: AbductionInstance, cap_h: int = 10) -> bool:
 # baselines (Theorem-3 style exhaustive candidate enumeration)
 # ---------------------------------------------------------------------------
 
-def _entails_all(phi: Formula, manifestations: Iterable[int], sat: SatDecider) -> bool:
-    for m in manifestations:
-        if sat(Formula(phi.num_vars, phi.constraints + (Constraint(BOT, (m,)),))):
-            return False
-    return True
+def _baseline(inst: AbductionInstance, sat: SatDecider, algorithm: str,
+              candidate: Callable[[int, list[int]], frozenset[int]]) -> AbdResult:
+    """Try candidate(pattern, sorted H) for the 2^|H| patterns in binary
+    counting order."""
+    pre = preprocess(inst)
+    stats = EnumStats()
+    if pre.verdict == TRIVIALLY_NO:
+        return _no(algorithm, stats)
+    inst = pre.instance
+    hyp = sorted(inst.hypotheses)
+    for pattern in range(1 << len(hyp)):
+        stats.branch_nodes += 1
+        lits = candidate(pattern, hyp)
+        base = conjoin_literals(inst.kb, lits)
+        stats.leaves += 1
+        if not sat(base):
+            continue
+        stats.leaves += len(inst.manifestations)
+        if entails(base, inst.manifestations, sat):
+            return AbdResult(True, make_explanation(lits, inst.hypotheses),
+                             stats, algorithm)
+    return _no(algorithm, stats)
 
 
 def baseline_abd(inst: AbductionInstance, sat: SatDecider = decide) -> AbdResult:
     """Try all 2^|H| full candidates; per candidate one satisfiability check
     and one unsatisfiability check per manifestation."""
-    pre = preprocess(inst)
-    stats = EnumStats()
-    if pre.verdict == TRIVIALLY_NO:
-        return _no("baseline-abd", stats)
-    inst = pre.instance
-    hyp = sorted(inst.hypotheses)
-    for pattern in range(1 << len(hyp)):
-        stats.branch_nodes += 1
-        lits = frozenset(h if (pattern >> i) & 1 else -h for i, h in enumerate(hyp))
-        base = conjoin_literals(inst.kb, lits)
-        stats.leaves += 1
-        if not sat(base):
-            continue
-        stats.leaves += len(inst.manifestations)
-        if _entails_all(base, inst.manifestations, sat):
-            return AbdResult(True, make_explanation(lits, inst.hypotheses),
-                             stats, "baseline-abd")
-    return _no("baseline-abd", stats)
+    return _baseline(inst, sat, "baseline-abd", lambda pattern, hyp: frozenset(
+        h if (pattern >> i) & 1 else -h for i, h in enumerate(hyp)))
 
 
 def baseline_pabd(inst: AbductionInstance, sat: SatDecider = decide) -> AbdResult:
     """As baseline_abd but over the 2^|H| positive subsets E ⊆ H."""
-    pre = preprocess(inst)
-    stats = EnumStats()
-    if pre.verdict == TRIVIALLY_NO:
-        return _no("baseline-pabd", stats)
-    inst = pre.instance
-    hyp = sorted(inst.hypotheses)
-    for pattern in range(1 << len(hyp)):
-        stats.branch_nodes += 1
-        lits = frozenset(h for i, h in enumerate(hyp) if (pattern >> i) & 1)
-        base = conjoin_literals(inst.kb, lits)
-        stats.leaves += 1
-        if not sat(base):
-            continue
-        stats.leaves += len(inst.manifestations)
-        if _entails_all(base, inst.manifestations, sat):
-            return AbdResult(True, make_explanation(lits, inst.hypotheses),
-                             stats, "baseline-pabd")
-    return _no("baseline-pabd", stats)
+    return _baseline(inst, sat, "baseline-pabd", _unpack)
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +360,13 @@ def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
             audit.visited.add(e)
         g = frozenset(e) | frozenset(-x for x in hyp if x not in e)
         base_g = conjoin_literals(inst.kb, g)
-        for m in man:
-            if sat(Formula(base_g.num_vars, base_g.constraints + (Constraint(BOT, (m,)),))):
-                stats.leaves += 1
-                return False
+        if not entails(base_g, man, sat):
+            stats.leaves += 1
+            return False
         if sat(base_g):
             base_e = conjoin_literals(inst.kb, e)
             stats.leaves += 1
-            if _entails_all(base_e, man, sat):
+            if entails(base_e, man, sat):
                 witness.append(e)
                 return True
             return False  # a superset pattern violates M: whole subtree dead
@@ -463,10 +435,7 @@ def pabd_enum(inst: AbductionInstance,
                 p ^= bit
     survivors = [e for e in potential
                  if not any(e & b == e for b in bad_patterns)]
-    maximal: list[int] = []
-    for e in sorted(survivors, key=lambda q: -bin(q).count("1")):
-        if not any(q != e and q & e == e for q in maximal):
-            maximal.append(e)
+    maximal = _maximal(survivors)
     hyp = sorted(inst.hypotheses)
     exps = frozenset(frozenset(h for h in hyp if (p >> (h - 1)) & 1) for p in maximal)
     eset = ExplanationSet(exps, SUBSET_MAXIMAL_POSITIVE)
@@ -496,7 +465,7 @@ def pabd_one_valid(inst: AbductionInstance, sat: SatDecider = decide) -> AbdResu
     inst = pre.instance
     base = conjoin_literals(inst.kb, inst.hypotheses)
     stats.leaves = len(inst.manifestations)
-    if _entails_all(base, inst.manifestations, sat):
+    if entails(base, inst.manifestations, sat):
         return AbdResult(True, make_explanation(frozenset(inst.hypotheses), inst.hypotheses),
                          stats, "one-valid")
     return _no("one-valid", stats)

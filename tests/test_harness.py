@@ -8,7 +8,7 @@ from abductor.core import AbductionInstance, Relation, formula, preprocess
 from abductor.langlib import one_in_k
 from abductor.satenum import EnumStats
 from abductor.solvers import AbdResult
-from abductor.harness import bench, generators, io, verify
+from abductor.harness import bench, cli, generators, io, verify
 from abductor.harness.cli import main as cli_main
 
 from test_core import example1_instance
@@ -190,6 +190,17 @@ class TestCli:
         io.write(generators.gen_nae3(5, 0), str(path))
         code = self.run("solve", str(path), "--algo", "simplesat", "--mode", "abd")
         assert code == 2
+
+    def test_solve_internal_error_exit_two(self, tmp_path, capsys, monkeypatch):
+        def crash(inst):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli.SOLVERS, ("abd", "oracle"), crash)
+        path = tmp_path / "x.abd"
+        io.write(generators.gen_xsat(4, 0), str(path))
+        assert self.run("solve", str(path), "--algo", "oracle", "--mode", "abd") == 2
+        err = capsys.readouterr().err
+        assert err.rstrip().endswith("error: internal: RuntimeError: boom")
 
     def test_solve_inapplicable_combo(self, tmp_path):
         path = tmp_path / "x.abd"

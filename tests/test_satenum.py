@@ -5,7 +5,7 @@ import pytest
 
 from abductor.core import Relation, evaluate, formula
 from abductor.langlib import (aff, branching_closure, clause_relation,
-                              equations_family, nae, one_in_k, parity,
+                              equations_family, imp, nae, one_in_k, parity,
                               xsat_family)
 from abductor.satenum import (LanguageContractError, SimpleSatInstance,
                               WEIGHT_ORDERED, decide, enumerate_models,
@@ -84,6 +84,16 @@ class TestEnumerate:
             st = stream.stats
             assert 0 <= st.models_emitted <= st.leaves
             assert st.branch_nodes >= 0 and st.max_depth >= 0
+
+
+class TestDeepSearch:
+    def test_long_implication_chain_does_not_overflow(self):
+        # one branching level per variable: a recursive search would exceed
+        # Python's default recursion limit long before depth 1200
+        n = 1200
+        kb = formula(n, [(imp(), (i, i + 1)) for i in range(1, n)])
+        assert decide(kb)
+        assert next(iter(enumerate_models(kb))) == 0
 
 
 class TestSparseEnumerate:
