@@ -8,12 +8,13 @@ commands exit 0 on success and nonzero on failure/disagreement.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
 import traceback
 
-from ..core import FragmentError, StructureError
+from ..core import FragmentError, StructureError, preprocess
 from ..reductions import (CnfFormula, abd2cnf_to_cnfsat, abd_to_pabd_4cnf,
                           abd_to_simplesat, cnfsat_to_abd_lb,
                           eliminate_constants, kcnf_to_nae, negimp_to_pos)
@@ -38,6 +39,9 @@ SOLVERS = {
     ("pabd", "one-valid"): pabd_one_valid,
 }
 
+GEN_INT_FLAGS = ("n", "m", "k", "colors", "per_color", "num_x", "num_y",
+                 "terms", "clauses", "width")
+
 
 def _default_seed() -> int:
     return int(os.environ.get("ABD_SEED", "0"))
@@ -55,7 +59,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     record = io.result_record(
         answer=res.answer,
         witness=res.witness.literals if res.witness else None,
-        algorithm=res.algorithm, mode=args.mode, stats=res.stats, wall_ms=watch.ms)
+        algorithm=res.algorithm, mode=args.mode, stats=res.stats, wall_ms=watch.ms,
+        reduction_report=io.report_dict(res.report) if res.report else None)
     print(io.to_json(record))
     return 0 if res.answer else 1
 
@@ -65,13 +70,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
         print(f"error: unknown family '{args.family}' "
               f"(known: {', '.join(sorted(generators.FAMILIES))})", file=sys.stderr)
         return 2
-    params = {k: v for k, v in (
-        ("n", args.n), ("m", args.m), ("k", args.k),
-        ("colors", args.colors), ("per_color", args.per_color),
-        ("edge_prob", args.edge_prob), ("num_x", args.num_x),
-        ("num_y", args.num_y), ("terms", args.terms),
-        ("clauses", args.clauses), ("width", args.width)) if v is not None}
-    inst = generators.FAMILIES[args.family](seed=args.seed, **params)
+    family = generators.FAMILIES[args.family]
+    params = {k: getattr(args, k) for k in GEN_INT_FLAGS + ("edge_prob",)
+              if getattr(args, k) is not None}
+    unused = [k for k in params if k not in inspect.signature(family).parameters]
+    if unused:
+        print(f"error: family '{args.family}' does not use "
+              f"{', '.join('--' + k.replace('_', '-') for k in unused)}", file=sys.stderr)
+        return 2
+    inst = family(seed=args.seed, **params)
     text = io.write_text(inst)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -116,7 +123,6 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         out, report = abd2cnf_to_cnfsat(io.parse(args.input))
         _write_dimacs(out, args.output)
     elif name == "abd-to-simplesat":
-        from ..core import preprocess
         simple, report = abd_to_simplesat(preprocess(io.parse(args.input)).instance)
         blob = {
             "num_vars": simple.num_vars, "p": simple.p,
@@ -128,7 +134,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             fh.write("\n")
     else:
         transforms = {
-            "negimp-to-pos": lambda i: negimp_to_pos(i, mode=args.mode),
+            "negimp-to-pos": negimp_to_pos,
             "abd-to-pabd-4cnf": abd_to_pabd_4cnf,
             "eliminate-constants": eliminate_constants,
             "kcnf-to-nae": kcnf_to_nae,
@@ -202,15 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--out")
     p.add_argument("--seed", type=int, default=_default_seed())
-    for flag in ("n", "m", "k", "colors", "per-color", "num-x", "num-y",
-                 "terms", "clauses", "width"):
-        p.add_argument(f"--{flag}", type=int, default=None)
+    for flag in GEN_INT_FLAGS:
+        p.add_argument(f"--{flag.replace('_', '-')}", type=int, default=None)
     p.add_argument("--edge-prob", type=float, default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("reduce", help="apply a reduction construction")
     p.add_argument("--reduction", required=True)
-    p.add_argument("--mode", choices=["abd", "pabd"], default="abd")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_reduce)

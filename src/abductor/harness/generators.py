@@ -18,6 +18,11 @@ from ..reductions import (CnfFormula, ColoredGraph, IMP_REL, QbfInstance,
                           clique_to_abd, cnfsat_to_abd_lb, qbf_to_abd4cnf)
 
 
+# widest constraint of the equations/aff families, largest equations modulus
+MAX_K = 3
+MAX_P = 4
+
+
 def _rng(*key) -> random.Random:
     return random.Random(":".join(str(k) for k in key))
 
@@ -35,14 +40,15 @@ def _blocks(rng: random.Random, n: int, sizes: tuple[int, ...]) -> list[list[int
     return out
 
 
-def _pick_hm(rng: random.Random, n: int, m_size: int | None = None,
-             h_frac: float = 0.5) -> tuple[frozenset[int], frozenset[int]]:
+def _pick_hm(rng: random.Random, n: int,
+             m_size: int | None = None) -> tuple[frozenset[int], frozenset[int]]:
+    """M of m_size (random if None) and H of half the rest, at least one."""
     vs = list(range(1, n + 1))
     rng.shuffle(vs)
     m_size = m_size if m_size is not None else rng.choice((1, 1, 2))
     man = frozenset(vs[:m_size])
     rest = vs[m_size:]
-    h_size = max(1, int(len(rest) * h_frac))
+    h_size = max(1, len(rest) // 2)
     hyp = frozenset(rest[:h_size])
     return hyp, man
 
@@ -57,17 +63,17 @@ def gen_xsat_chain(m: int) -> AbductionInstance:
     return AbductionInstance(Formula(n, tuple(cons)), hyp, man)
 
 
-def gen_xsat(n: int, seed: int, overlap: int = 1) -> AbductionInstance:
+def gen_xsat(n: int, seed: int) -> AbductionInstance:
+    """Exactly-one blocks plus one exactly-one constraint across them."""
     rng = _rng("xsat", n, seed)
     cons = []
     for block in _blocks(rng, n, (2, 2, 3)):
         k = len(block)
         rel = one_in_k(k) if (k > 1 or rng.random() < 0.5) else all_zero(1)
         cons.append(Constraint(rel, tuple(block)))
-    for _ in range(overlap):
-        k = rng.choice((2, 3))
-        scope = tuple(rng.sample(range(1, n + 1), min(k, n)))
-        cons.append(Constraint(one_in_k(len(scope)), scope))
+    k = rng.choice((2, 3))
+    scope = tuple(rng.sample(range(1, n + 1), min(k, n)))
+    cons.append(Constraint(one_in_k(len(scope)), scope))
     hyp, man = _pick_hm(rng, n)
     return AbductionInstance(Formula(n, tuple(cons)), hyp, man)
 
@@ -80,12 +86,12 @@ def gen_xsat_disjoint(n: int, seed: int) -> AbductionInstance:
     return AbductionInstance(Formula(n, tuple(cons)), hyp, man)
 
 
-def gen_equations(n: int, seed: int, max_k: int = 3, max_p: int = 4) -> AbductionInstance:
+def gen_equations(n: int, seed: int) -> AbductionInstance:
     rng = _rng("equations", n, seed)
     cons = []
-    for block in _blocks(rng, n, tuple(range(2, max_k + 1)) or (2,)):
+    for block in _blocks(rng, n, tuple(range(2, MAX_K + 1))):
         k = len(block)
-        p = rng.randint(2, min(k + 1, max_p))
+        p = rng.randint(2, min(k + 1, MAX_P))
         q = rng.randrange(p)
         cons.append(Constraint(equations(k, p, q), tuple(block)))
     k = min(2, n)
@@ -95,25 +101,24 @@ def gen_equations(n: int, seed: int, max_k: int = 3, max_p: int = 4) -> Abductio
     return AbductionInstance(Formula(n, tuple(cons)), hyp, man)
 
 
-def gen_aff(n: int, seed: int, max_k: int = 3) -> AbductionInstance:
+def gen_aff(n: int, seed: int) -> AbductionInstance:
     rng = _rng("aff", n, seed)
     cons = []
-    for block in _blocks(rng, n, tuple(range(1, max_k + 1))):
+    for block in _blocks(rng, n, tuple(range(1, MAX_K + 1))):
         cons.append(Constraint(parity(len(block), rng.randrange(2)), tuple(block)))
     for _ in range(2):
-        k = rng.randint(2, min(max_k, n))
+        k = rng.randint(2, min(MAX_K, n))
         scope = tuple(rng.sample(range(1, n + 1), k))
         cons.append(Constraint(parity(k, rng.randrange(2)), scope))
     hyp, man = _pick_hm(rng, n)
     return AbductionInstance(Formula(n, tuple(cons)), hyp, man)
 
 
-def gen_kcnf_pos(n: int, seed: int, k: int = 3, clauses: int | None = None) -> AbductionInstance:
+def gen_kcnf_pos(n: int, seed: int, k: int = 3) -> AbductionInstance:
     rng = _rng("kcnf+", n, seed, k)
-    clauses = clauses if clauses is not None else max(2, n)
     cons = []
     covered: set[int] = set()
-    for _ in range(clauses):
+    for _ in range(max(2, n)):
         j = rng.randint(2, min(k, n))
         scope = tuple(sorted(rng.sample(range(1, n + 1), j)))
         cons.append(Constraint(clause_relation((0,) * j, f"OR{j}"), scope))
@@ -236,19 +241,20 @@ def gen_cnfsat_lb(num_vars: int, num_clauses: int, width: int, seed: int) -> Abd
     return inst
 
 
+# each family takes exactly the keyword parameters it reads
 FAMILIES: dict[str, Callable[..., AbductionInstance]] = {
-    "xsat-chain": lambda seed=0, m=3, **_: gen_xsat_chain(m),
-    "xsat": lambda seed=0, n=10, **_: gen_xsat(n, seed),
-    "equations": lambda seed=0, n=10, **_: gen_equations(n, seed),
-    "aff": lambda seed=0, n=10, **_: gen_aff(n, seed),
-    "kcnf-pos": lambda seed=0, n=10, k=3, **_: gen_kcnf_pos(n, seed, k),
-    "kcnf-neg-imp": lambda seed=0, n=10, k=2, **_: gen_kcnf_neg_imp(n, seed, k),
-    "nae": lambda seed=0, n=9, **_: gen_nae3(n, seed),
-    "2cnf": lambda seed=0, n=8, **_: gen_2cnf(n, seed),
-    "clique": lambda seed=0, colors=3, per_color=3, edge_prob=0.5, **_:
+    "xsat-chain": lambda seed=0, m=3: gen_xsat_chain(m),
+    "xsat": lambda seed=0, n=10: gen_xsat(n, seed),
+    "equations": lambda seed=0, n=10: gen_equations(n, seed),
+    "aff": lambda seed=0, n=10: gen_aff(n, seed),
+    "kcnf-pos": lambda seed=0, n=10, k=3: gen_kcnf_pos(n, seed, k),
+    "kcnf-neg-imp": lambda seed=0, n=10, k=2: gen_kcnf_neg_imp(n, seed, k),
+    "nae": lambda seed=0, n=9: gen_nae3(n, seed),
+    "2cnf": lambda seed=0, n=8: gen_2cnf(n, seed),
+    "clique": lambda seed=0, colors=3, per_color=3, edge_prob=0.5:
         gen_clique(colors, per_color, seed, edge_prob),
-    "qbf4cnf": lambda seed=0, num_x=3, num_y=2, terms=3, **_:
+    "qbf4cnf": lambda seed=0, num_x=3, num_y=2, terms=3:
         gen_qbf4cnf(num_x, num_y, terms, seed),
-    "cnfsat-lb": lambda seed=0, n=4, clauses=6, width=3, **_:
+    "cnfsat-lb": lambda seed=0, n=4, clauses=6, width=3:
         gen_cnfsat_lb(n, clauses, width, seed),
 }

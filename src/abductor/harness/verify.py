@@ -9,17 +9,20 @@ kernelization device and is not answer-preserving on all inputs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from ..core import (AbductionInstance, Constraint, Formula, Relation,
                     BOT, TOP, is_explanation, preprocess)
-from ..langlib import (ConstraintLanguage, clause_relation, is_complement_invariant,
-                       is_one_valid, nae, one_in_k, parity)
-from ..reductions import (abd2cnf_to_cnfsat, abd_to_pabd_4cnf, abd_to_simplesat,
+from ..langlib import (ConstraintLanguage, clause_relation, derive_inequality,
+                       is_complement_invariant, is_one_valid, nae, one_in_k,
+                       parity)
+from ..reductions import (IMP_REL, abd2cnf_to_cnfsat, abd_to_pabd_4cnf,
+                          abd_to_simplesat, clique_to_abd, cnfsat_to_abd_lb,
                           colorful_clique_exists, eliminate_constants,
                           is_kcnf_formula, is_neg_imp_formula, kcnf_to_nae,
-                          negimp_to_pos, qbf_truth)
+                          negimp_to_pos, qbf_to_abd4cnf, qbf_truth)
 from ..satenum import solve_simple_sat
 from ..solvers import (PabdAudit, abd_kcnf_pos, baseline_abd, baseline_pabd,
                        enum_abd, model_table, oracle_abd,
@@ -27,6 +30,9 @@ from ..solvers import (PabdAudit, abd_kcnf_pos, baseline_abd, baseline_pabd,
                        oracle_positive_explanations, pabd_enum,
                        pabd_lattice, pabd_one_valid, pabd_recursive)
 from . import generators, io
+
+# reduction outputs above this many variables are not checked by the oracles
+REDUCTION_OUT_CAP = 14
 
 
 @dataclass
@@ -110,7 +116,7 @@ def check_solvers(inst: AbductionInstance) -> list[Finding]:
         bad("pabd-enum-set", f"maximal-positive set mismatch "
             f"({sorted(map(sorted, pset.explanations))} vs {sorted(map(sorted, max_pos))})")
 
-    if is_kcnf_formula(inst.kb, polarity="pos") and pre.is_normalized():
+    if is_kcnf_formula(inst.kb, positive=True) and pre.is_normalized():
         check_result("simplesat", abd_kcnf_pos(inst), truth_abd)
     if is_one_valid(ConstraintLanguage(frozenset(inst.kb.relations()))):
         check_result("one-valid", pabd_one_valid(inst), truth_pabd)
@@ -121,7 +127,7 @@ def _oracle_pair(inst: AbductionInstance) -> tuple[bool, bool]:
     return oracle_abd(inst).answer, oracle_pabd(inst).answer
 
 
-def check_reductions(inst: AbductionInstance, out_cap: int = 14) -> tuple[list[Finding], list[Finding]]:
+def check_reductions(inst: AbductionInstance) -> tuple[list[Finding], list[Finding]]:
     text = io.write_text(inst)
     fails: list[Finding] = []
     logged: list[Finding] = []
@@ -129,13 +135,15 @@ def check_reductions(inst: AbductionInstance, out_cap: int = 14) -> tuple[list[F
     pre = preprocess(inst).instance
 
     if is_neg_imp_formula(inst.kb):
-        for mode, truth in (("abd", in_abd), ("pabd", in_pabd)):
-            out, _rep = negimp_to_pos(inst, mode=mode)
-            if out.num_vars <= out_cap and oracle_abd(out).answer != truth:
-                fails.append(Finding(f"negimp-to-pos/{mode}",
-                                     f"answer flipped (input {truth})", text))
+        out, _rep = negimp_to_pos(inst)
+        if out.num_vars <= REDUCTION_OUT_CAP:
+            out_abd = oracle_abd(out).answer
+            for mode, truth in (("abd", in_abd), ("pabd", in_pabd)):
+                if out_abd != truth:
+                    fails.append(Finding(f"negimp-to-pos/{mode}",
+                                         f"answer flipped (input {truth})", text))
 
-    if is_kcnf_formula(inst.kb, polarity="pos") and pre.is_normalized():
+    if is_kcnf_formula(inst.kb, positive=True) and pre.is_normalized():
         simple, _rep = abd_to_simplesat(pre)
         model, _stats = solve_simple_sat(simple)
         if (model is not None) != in_abd:
@@ -144,13 +152,13 @@ def check_reductions(inst: AbductionInstance, out_cap: int = 14) -> tuple[list[F
 
     if is_kcnf_formula(inst.kb, k=4):
         out, _rep = abd_to_pabd_4cnf(pre)
-        if out.num_vars <= out_cap and oracle_pabd(out).answer != in_abd:
+        if out.num_vars <= REDUCTION_OUT_CAP and oracle_pabd(out).answer != in_abd:
             fails.append(Finding("abd-to-pabd-4cnf",
                                  f"positive answer vs symmetric input {in_abd}", text))
 
     if is_kcnf_formula(inst.kb):
         out, _rep = kcnf_to_nae(pre)
-        if out.num_vars <= out_cap:
+        if out.num_vars <= REDUCTION_OUT_CAP:
             o_abd, o_pabd = _oracle_pair(out)
             if o_abd != in_abd or o_pabd != in_pabd:
                 fails.append(Finding("kcnf-to-nae",
@@ -160,14 +168,13 @@ def check_reductions(inst: AbductionInstance, out_cap: int = 14) -> tuple[list[F
                                         if r not in (BOT, TOP)))
     if lang.relations and is_complement_invariant(lang):
         try:
-            from ..langlib import derive_inequality
             derive_inequality(lang)
         except Exception:
             pass
         else:
             probe = _with_constants(pre)
             out, _rep = eliminate_constants(probe, lang)
-            if out.num_vars <= out_cap:
+            if out.num_vars <= REDUCTION_OUT_CAP:
                 p_abd, p_pabd = _oracle_pair(probe)
                 o_abd, o_pabd = _oracle_pair(out)
                 if (o_abd, o_pabd) != (p_abd, p_pabd):
@@ -217,9 +224,9 @@ def _exhaustive_pool() -> list[Constraint]:
         Constraint(one_in_k(2), (1, 2)),
         Constraint(clause_relation((0, 0), "OR2"), (1, 3)),
         Constraint(clause_relation((1, 1), "NOR2"), (2, 3)),
-        Constraint(Relation(2, (0, 2, 3), "IMP"), (1, 2)),
-        Constraint(Relation(2, (0, 2, 3), "IMP"), (2, 3)),
-        Constraint(Relation(2, (0, 2, 3), "IMP"), (3, 1)),
+        Constraint(IMP_REL, (1, 2)),
+        Constraint(IMP_REL, (2, 3)),
+        Constraint(IMP_REL, (3, 1)),
         Constraint(BOT, (1,)),
         Constraint(TOP, (3,)),
     ]
@@ -228,8 +235,6 @@ def _exhaustive_pool() -> list[Constraint]:
 
 def exhaustive_instances() -> Iterator[AbductionInstance]:
     """Every KB of <= 3 pool constraints over n=3, with every H/M split."""
-    import itertools
-
     atoms = _exhaustive_pool()
     kbs: list[tuple[Constraint, ...]] = []
     for size in (1, 2, 3):
@@ -245,12 +250,10 @@ def exhaustive_instances() -> Iterator[AbductionInstance]:
 def preprocess_audit_instances() -> Iterator[AbductionInstance]:
     """Small KBs over variables 1..2 inside a 4-variable universe, so variables
     3 and 4 exercise the outside-KB normalization rules."""
-    import itertools
-
     atoms = [
         Constraint(one_in_k(2), (1, 2)),
         Constraint(clause_relation((0, 0), "OR2"), (1, 2)),
-        Constraint(Relation(2, (0, 2, 3), "IMP"), (1, 2)),
+        Constraint(IMP_REL, (1, 2)),
         Constraint(BOT, (1,)),
         Constraint(TOP, (2,)),
     ]
@@ -264,12 +267,12 @@ def preprocess_audit_instances() -> Iterator[AbductionInstance]:
 
 
 RANDOM_FAMILIES: dict[str, Callable[[int, int], AbductionInstance]] = {
-    "xsat": lambda n, seed: generators.gen_xsat(n, seed),
-    "equations": lambda n, seed: generators.gen_equations(n, seed, max_k=3, max_p=4),
-    "aff": lambda n, seed: generators.gen_aff(n, seed, max_k=3),
+    "xsat": generators.gen_xsat,
+    "equations": generators.gen_equations,
+    "aff": generators.gen_aff,
     "kcnf-pos": lambda n, seed: generators.gen_kcnf_pos(n, seed, k=2 + (seed % 2)),
     "kcnf-neg-imp": lambda n, seed: generators.gen_kcnf_neg_imp(n, seed, k=2),
-    "nae": lambda n, seed: generators.gen_nae3(n, seed),
+    "nae": generators.gen_nae3,
 }
 
 
@@ -288,7 +291,6 @@ def generator_level_checks(count: int = 50, seed: int = 0) -> list[Finding]:
     for i in range(count):
         g = generators.gen_colored_graph(2 + i % 2, 2 + (i // 2) % 2, seed + i,
                                          edge_prob=0.3 + 0.15 * (i % 4))
-        from ..reductions import clique_to_abd
         inst, _rep = clique_to_abd(g)
         want = colorful_clique_exists(g)
         if oracle_abd(inst).answer != want or oracle_pabd(inst).answer != want:
@@ -296,7 +298,6 @@ def generator_level_checks(count: int = 50, seed: int = 0) -> list[Finding]:
                                  io.write_text(inst)))
     for i in range(count):
         q = generators.gen_qbf_instance(1 + i % 3, 1 + (i // 3) % 3, 1 + i % 4, seed + i)
-        from ..reductions import qbf_to_abd4cnf
         inst, _rep = qbf_to_abd4cnf(q)
         want = qbf_truth(q)
         if oracle_abd(inst).answer != want:
@@ -304,7 +305,6 @@ def generator_level_checks(count: int = 50, seed: int = 0) -> list[Finding]:
                                  io.write_text(inst)))
     for i in range(count):
         phi = generators.gen_cnf_formula(2 + i % 3, 2 + i % 5, 3, seed + i)
-        from ..reductions import cnfsat_to_abd_lb
         inst, _rep = cnfsat_to_abd_lb(phi)
         want = phi.satisfiable()
         if oracle_abd(inst).answer != want or oracle_pabd(inst).answer != want:

@@ -114,15 +114,13 @@ def _substitutions(rel: Relation) -> Iterable[Relation]:
                 yield substitute(rel, dict(zip(pos, vals)))
 
 
-def branching_closure(lang: ConstraintLanguage, max_arity: int | None = None) -> ConstraintLanguage:
+def branching_closure(lang: ConstraintLanguage) -> ConstraintLanguage:
     """Least superset of lang closed under minors and substitutions.
 
     Arities never increase, so the fixed point is finite for finite input.
     0-ary results (the constants t/f) are kept as members.
     """
-    if max_arity is None:
-        max_arity = lang.max_arity()
-    if max_arity > 12:
+    if lang.max_arity() > 12:
         raise LanguageError("closure over arity > 12 would be astronomically large")
     closed: set[Relation] = set(r.renamed(None) for r in lang.relations)
     work = list(closed)

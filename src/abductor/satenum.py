@@ -12,7 +12,7 @@ branching policy:
                              closed under branching (eliminates a whole scope
                              per branch)
 
-solve_simple_sat keeps its own branch-and-reduce procedure for
+solve_simple_sat keeps its own iterative branch-and-reduce procedure for
 positive-clause/negative-DNF instances with the (1,...,p) clause branching.
 
 Stats accounting: branch_nodes counts nodes that opened branches; leaves
@@ -312,53 +312,61 @@ def solve_simple_sat(inst: SimpleSatInstance) -> tuple[int | None, EnumStats]:
     Positive clauses are consumed with the (1,...,q) branching: branch i sets
     the first i-1 clause variables to 0 and the i-th to 1.
 
-    Returns (model bitmask | None, stats); in a model, only branched-to-1
-    variables are set.
+    The search is depth-first over an explicit stack, with clauses and terms
+    held as variable bitmasks.  Returns (model bitmask | None, stats); in a
+    model, only branched-to-1 variables are set.
     """
     stats = EnumStats()
-
-    def rec(clauses: list[frozenset[int]], dnfs: list[list[frozenset[int]]],
-            ones: int, depth: int) -> int | None:
-        stats.max_depth = max(stats.max_depth, depth)
-        if not clauses:
-            stats.leaves += 1
-            stats.models_emitted += 1
-            return ones
-        branch_vars = sorted(clauses[0])
-        stats.branch_nodes += 1
-        for i, one in enumerate(branch_vars):
-            zeros = branch_vars[:i]
-            nclauses: list[frozenset[int]] = []
-            dead = False
-            for c in clauses[1:]:
-                if one in c:
-                    continue
-                c2 = c - set(zeros) if zeros else c
-                if not c2:
-                    dead = True
-                    break
-                nclauses.append(c2)
-            if dead:
-                stats.leaves += 1
-                continue
-            ndnfs: list[list[frozenset[int]]] = []
-            for d in dnfs:
-                d2 = [t for t in d if one not in t]
-                if not d2:
-                    dead = True
-                    break
-                ndnfs.append(d2)
-            if dead:
-                stats.leaves += 1
-                continue
-            got = rec(nclauses, ndnfs, ones | (1 << (one - 1)), depth + 1)
-            if got is not None:
-                return got
-        return None
-
-    dnfs = [list(d) for d in inst.negative_dnfs]
+    dnfs = [[hyp_mask(t) for t in d] for d in inst.negative_dnfs]
     if any(not d for d in dnfs):
         stats.leaves += 1
         return None, stats
-    model = rec(list(inst.positive_clauses), dnfs, 0, 0)
-    return model, stats
+    clauses = [hyp_mask(c) for c in inst.positive_clauses]
+    ones = depth = 0
+    # an entry is a node, the depth of its children, the variables of its
+    # first clause not yet branched to 1 and those already branched to 0
+    stack: list = []
+    while True:
+        if depth > stats.max_depth:
+            stats.max_depth = depth
+        if not clauses:
+            stats.leaves += 1
+            stats.models_emitted += 1
+            return ones, stats
+        stats.branch_nodes += 1
+        stack.append((clauses, dnfs, ones, depth + 1, clauses[0], 0))
+        while True:  # build the next branch that is not dead on arrival
+            if not stack:
+                return None, stats
+            clauses, dnfs, ones, depth, rest, zeros = stack.pop()
+            one = rest & -rest
+            rest ^= one
+            if rest:
+                stack.append((clauses, dnfs, ones, depth, rest, zeros | one))
+            child = _simple_branch(clauses, dnfs, one, zeros)
+            if child is not None:
+                clauses, dnfs = child
+                ones |= one
+                break
+            stats.leaves += 1
+
+
+def _simple_branch(clauses: list[int], dnfs: list[list[int]], one: int, zeros: int):
+    """The clauses and DNFs left once the first clause's variables in `zeros`
+    are 0 and `one` is 1, or None if a clause or a DNF is left empty."""
+    nclauses = []
+    for c in clauses[1:]:
+        if c & one:
+            continue
+        if c & zeros:
+            c &= ~zeros
+            if not c:
+                return None
+        nclauses.append(c)
+    ndnfs = []
+    for d in dnfs:
+        d2 = [t for t in d if not t & one]
+        if not d2:
+            return None
+        ndnfs.append(d2)
+    return nclauses, ndnfs

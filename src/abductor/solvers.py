@@ -10,13 +10,14 @@ AbdResult whose witness, when present, passes core.is_explanation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .core import (AbductionInstance, Explanation, FragmentError, Formula,
                    TRIVIALLY_NO, conjoin_literals, entails, evaluate,
                    make_explanation, preprocess, satisfies_vars, SatDecider)
 from .langlib import ConstraintLanguage, is_one_valid
+from .reductions import ReductionReport, abd_to_simplesat
 from .satenum import (EnumStats, ModelStream, WEIGHT_ORDERED, decide,
                       enumerate_models, enumerate_weight_ordered, hyp_mask,
                       solve_simple_sat, weight)
@@ -30,6 +31,12 @@ class OracleCapError(ValueError):
     """Instance exceeds the brute-force size cap."""
 
 
+# brute-force size caps: 2^n assignments, the 2^|H| lattice, the 3^|H| sweep
+ORACLE_MAX_VARS = 20
+ORACLE_MAX_HYP = 16
+GENERAL_MAX_HYP = 10
+
+
 ALL_FULL = "all-full"
 SUBSET_MAXIMAL_POSITIVE = "subset-maximal-positive"
 
@@ -40,6 +47,7 @@ class AbdResult:
     witness: Explanation | None
     stats: EnumStats
     algorithm: str
+    report: ReductionReport | None = None  # of the reduction the solver ran
 
 
 @dataclass(frozen=True)
@@ -75,15 +83,14 @@ def brute_models(phi: Formula) -> tuple[int, ...]:
     return tuple(s for s in range(1 << phi.num_vars) if evaluate(phi, s))
 
 
-def model_table(inst: AbductionInstance, cap_n: int = 20,
-                cap_h: int = 16) -> tuple[dict[int, int], dict[int, int]]:
+def model_table(inst: AbductionInstance) -> tuple[dict[int, int], dict[int, int]]:
     """The models of KB counted per H-projection sigma & hmask: (all models,
     models violating M).  Exhaustive and without preprocessing, so the raw
     audits of preprocess use it as it is."""
-    if inst.num_vars > cap_n:
-        raise OracleCapError(f"n={inst.num_vars} exceeds oracle cap {cap_n}")
-    if len(inst.hypotheses) > cap_h:
-        raise OracleCapError(f"|H|={len(inst.hypotheses)} exceeds oracle cap {cap_h}")
+    if inst.num_vars > ORACLE_MAX_VARS:
+        raise OracleCapError(f"n={inst.num_vars} exceeds oracle cap {ORACLE_MAX_VARS}")
+    if len(inst.hypotheses) > ORACLE_MAX_HYP:
+        raise OracleCapError(f"|H|={len(inst.hypotheses)} exceeds oracle cap {ORACLE_MAX_HYP}")
     hmask = hyp_mask(inst.hypotheses)
     count: dict[int, int] = {}
     bad: dict[int, int] = {}
@@ -95,11 +102,10 @@ def model_table(inst: AbductionInstance, cap_n: int = 20,
     return count, bad
 
 
-def pabd_lattice(inst: AbductionInstance, cap_n: int = 20,
-                 cap_h: int = 16) -> tuple[list[int], list[int], list[int]]:
+def pabd_lattice(inst: AbductionInstance) -> tuple[list[int], list[int], list[int]]:
     """Superset-summed (sat-count, bad-count) tables over the H-subset lattice,
     indexed by subsets of the sorted hypotheses."""
-    count, bad = model_table(inst, cap_n, cap_h)
+    count, bad = model_table(inst)
     hyp = sorted(inst.hypotheses)
     h = len(hyp)
     f = [0] * (1 << h)
@@ -130,7 +136,7 @@ def _oracle_stats(phi: Formula, models: int) -> EnumStats:
                      models_emitted=models, max_depth=0)
 
 
-def oracle_abd(inst: AbductionInstance, cap_n: int = 20, cap_h: int = 16) -> AbdResult:
+def oracle_abd(inst: AbductionInstance) -> AbdResult:
     """Ground truth for symmetric abduction via exhaustive assignment scan.
 
     Iterates the 2^|H| full candidates; a candidate survives iff it has a
@@ -141,7 +147,7 @@ def oracle_abd(inst: AbductionInstance, cap_n: int = 20, cap_h: int = 16) -> Abd
     if pre.verdict == TRIVIALLY_NO:
         return _no("oracle-abd")
     inst = pre.instance
-    count, bad = model_table(inst, cap_n, cap_h)
+    count, bad = model_table(inst)
     good = [p for p in count if p not in bad]
     stats = _oracle_stats(inst.kb, sum(count.values()))
     if not good:
@@ -151,18 +157,17 @@ def oracle_abd(inst: AbductionInstance, cap_n: int = 20, cap_h: int = 16) -> Abd
     return AbdResult(True, wit, stats, "oracle-abd")
 
 
-def oracle_full_explanations(inst: AbductionInstance,
-                             cap_n: int = 20, cap_h: int = 16) -> frozenset[frozenset[int]]:
+def oracle_full_explanations(inst: AbductionInstance) -> frozenset[frozenset[int]]:
     pre = preprocess(inst)
     if pre.verdict == TRIVIALLY_NO:
         return frozenset()
     inst = pre.instance
-    count, bad = model_table(inst, cap_n, cap_h)
+    count, bad = model_table(inst)
     hyp = sorted(inst.hypotheses)
     return frozenset(_proj_literals(p, hyp) for p in count if p not in bad)
 
 
-def oracle_pabd(inst: AbductionInstance, cap_n: int = 20, cap_h: int = 16) -> AbdResult:
+def oracle_pabd(inst: AbductionInstance) -> AbdResult:
     """Ground truth for positive abduction: every E ⊆ H is checked against the
     exhaustively computed model table (E is an explanation iff some model sets
     E true and no model setting E true violates M)."""
@@ -170,7 +175,7 @@ def oracle_pabd(inst: AbductionInstance, cap_n: int = 20, cap_h: int = 16) -> Ab
     if pre.verdict == TRIVIALLY_NO:
         return _no("oracle-pabd")
     inst = pre.instance
-    hyp, f, g = pabd_lattice(inst, cap_n, cap_h)
+    hyp, f, g = pabd_lattice(inst)
     stats = _oracle_stats(inst.kb, f[0])  # f[0] sums over every model
     ok = [p for p in range(1 << len(hyp)) if f[p] > 0 and g[p] == 0]
     if not ok:
@@ -180,21 +185,20 @@ def oracle_pabd(inst: AbductionInstance, cap_n: int = 20, cap_h: int = 16) -> Ab
                      stats, "oracle-pabd")
 
 
-def oracle_positive_explanations(inst: AbductionInstance, cap_n: int = 20,
-                                 cap_h: int = 16) -> tuple[frozenset[frozenset[int]],
-                                                           frozenset[frozenset[int]]]:
+def oracle_positive_explanations(inst: AbductionInstance) -> tuple[frozenset[frozenset[int]],
+                                                                   frozenset[frozenset[int]]]:
     """(all positive explanations, the subset-maximal ones)."""
     pre = preprocess(inst)
     if pre.verdict == TRIVIALLY_NO:
         return frozenset(), frozenset()
     inst = pre.instance
-    hyp, f, g = pabd_lattice(inst, cap_n, cap_h)
+    hyp, f, g = pabd_lattice(inst)
     all_ok = [p for p in range(1 << len(hyp)) if f[p] > 0 and g[p] == 0]
     return (frozenset(_unpack(p, hyp) for p in all_ok),
             frozenset(_unpack(p, hyp) for p in _maximal(all_ok)))
 
 
-def oracle_abd_general(inst: AbductionInstance, cap_h: int = 10) -> bool:
+def oracle_abd_general(inst: AbductionInstance) -> bool:
     """Slow independent check over *all* consistent E ⊆ Lits(H) (3^|H| sets).
 
     Exists to validate the extension property the faster oracles rely on:
@@ -204,7 +208,7 @@ def oracle_abd_general(inst: AbductionInstance, cap_h: int = 10) -> bool:
     if pre.verdict == TRIVIALLY_NO:
         return False
     inst = pre.instance
-    if len(inst.hypotheses) > cap_h:
+    if len(inst.hypotheses) > GENERAL_MAX_HYP:
         raise OracleCapError("|H| too large for the 3^|H| sweep")
     models = brute_models(inst.kb)
     hyp = sorted(inst.hypotheses)
@@ -310,14 +314,10 @@ def enum_abd(inst: AbductionInstance,
 @dataclass
 class PabdAudit:
     """Instrumentation for the recursive solver's resource contract."""
-    visited: set[frozenset[int]] | None = None
+    visited: set[frozenset[int]] = field(default_factory=set)
     duplicate_visits: int = 0
     max_depth: int = 0
     max_frame_cells: int = 0
-
-    def __post_init__(self) -> None:
-        if self.visited is None:
-            self.visited = set()
 
 
 def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
@@ -479,15 +479,14 @@ def abd_kcnf_pos(inst: AbductionInstance) -> AbdResult:
     """Symmetric abduction over positive clauses via the SimpleSAT reduction;
     a model of the reduced instance maps to the negative explanation holding
     ¬h exactly for the hypotheses the model sets to 0."""
-    from .reductions import abd_to_simplesat
-
     pre = preprocess(inst)
     if pre.verdict == TRIVIALLY_NO:
         return _no("simplesat")
     inst = pre.instance
-    simple, _report = abd_to_simplesat(inst)
+    simple, report = abd_to_simplesat(inst)
     model, stats = solve_simple_sat(simple)
     if model is None:
-        return _no("simplesat", stats)
+        return AbdResult(False, None, stats, "simplesat", report)
     lits = frozenset(-h for h in inst.hypotheses if not (model >> (h - 1)) & 1)
-    return AbdResult(True, make_explanation(lits, inst.hypotheses), stats, "simplesat")
+    return AbdResult(True, make_explanation(lits, inst.hypotheses), stats, "simplesat",
+                     report)

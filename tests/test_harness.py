@@ -185,6 +185,13 @@ class TestCli:
         io.write(AbductionInstance(kb, frozenset({1}), frozenset({2})), str(path))
         assert self.run("solve", str(path), "--algo", "oracle", "--mode", "abd") == 1
 
+    def test_solve_simplesat_reports_its_reduction(self, tmp_path, capsys):
+        path = tmp_path / "pos.abd"
+        io.write(generators.gen_kcnf_pos(8, 1, k=2), str(path))
+        self.run("solve", str(path), "--algo", "simplesat", "--mode", "abd")
+        rep = json.loads(capsys.readouterr().out)["reduction_report"]
+        assert rep is not None and rep["name"] == "abd-to-simplesat"
+
     def test_solve_fragment_error_exit_two(self, tmp_path, capsys):
         path = tmp_path / "nae.abd"
         io.write(generators.gen_nae3(5, 0), str(path))
@@ -220,6 +227,14 @@ class TestCli:
         self.run("gen", "--family", "xsat", "--n", "8", "--seed", "5", "--out", str(a))
         self.run("gen", "--family", "xsat", "--n", "8", "--seed", "5", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_gen_rejects_flags_the_family_does_not_use(self, capsys):
+        assert self.run("gen", "--family", "kcnf-pos", "--clauses", "1") == 2
+        assert "--clauses" in capsys.readouterr().err
+        assert self.run("gen", "--family", "xsat", "--k", "9", "--width", "4") == 2
+        err = capsys.readouterr().err
+        assert "--k" in err and "--width" in err
+        assert self.run("gen", "--family", "cnfsat-lb", "--clauses", "3") == 0
 
     def test_gen_env_seed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ABD_SEED", "11")

@@ -5,8 +5,9 @@ import pytest
 from abductor.core import (AbductionInstance, Constraint, FragmentError,
                            Formula, BOT, TOP, formula, preprocess)
 from abductor.langlib import clause_relation, nae, one_in_k, parity
-from abductor.reductions import (CnfFormula, ColoredGraph, IMP_REL,
-                                 QbfInstance,
+from abductor.reductions import (CV, LV, SHRINKING, CnfFormula, ColoredGraph,
+                                 IMP_REL, QbfInstance, ReductionContractError,
+                                 ReductionReport,
                                  abd2cnf_to_cnfsat, abd_to_pabd_4cnf,
                                  abd_to_simplesat, clique_to_abd,
                                  cnfsat_to_abd_lb, colorful_clique_exists,
@@ -44,11 +45,11 @@ class TestNegImpToPos:
 
     def test_overlap_resolved_with_two_fresh_vars(self):
         inst = inst_of(2, [(IMP_REL, (1, 2))], {1, 2}, {2})
-        out, rep = negimp_to_pos(inst, mode="pabd")
+        out, rep = negimp_to_pos(inst)
         assert rep.added_vars == 2
         assert out.num_vars == 4
         assert not (out.hypotheses & out.manifestations)
-        assert oracle_abd(out).answer == oracle_pabd(inst).answer
+        assert oracle_abd(out).answer == oracle_pabd(inst).answer == oracle_abd(inst).answer
 
     def test_rejects_other_fragments(self):
         with pytest.raises(FragmentError):
@@ -58,10 +59,22 @@ class TestNegImpToPos:
         for seed in range(40):
             inst = gen_kcnf_neg_imp(4 + seed % 4, seed)
             in_abd, in_pabd = oracle_abd(inst).answer, oracle_pabd(inst).answer
-            for mode, want in (("abd", in_abd), ("pabd", in_pabd)):
-                out, rep = negimp_to_pos(inst, mode=mode)
-                assert rep.added_vars <= 2
-                assert oracle_abd(out).answer == want, f"seed {seed} mode {mode}"
+            out, rep = negimp_to_pos(inst)
+            assert rep.added_vars <= 2
+            out_abd = oracle_abd(out).answer
+            assert out_abd == in_abd, f"seed {seed} symmetric"
+            assert out_abd == in_pabd, f"seed {seed} positive"
+
+
+class TestReductionReport:
+    def test_variable_accounting_rule(self):
+        for contract in (CV, LV):
+            ReductionReport("r", 3, 5, 0, 2, contract)
+            with pytest.raises(ReductionContractError):
+                ReductionReport("r", 3, 6, 0, 2, contract)
+        ReductionReport("r", 3, 3, 0, 0, SHRINKING)
+        with pytest.raises(ReductionContractError):
+            ReductionReport("r", 3, 4, 0, 1, SHRINKING)
 
 
 class TestAbdToSimpleSat:

@@ -274,6 +274,14 @@ class TestSimpleSat:
             if model is not None:
                 assert simple_sat_model_ok(inst, model)
 
+    def test_deep_chain_does_not_overflow(self):
+        # the positive 2-CNF chain {i, i+1} opens one branching level per clause
+        n = 2000
+        inst = SimpleSatInstance(n, tuple(frozenset({i, i + 1}) for i in range(1, n)), (), 2)
+        model, stats = solve_simple_sat(inst)
+        assert model is not None and simple_sat_model_ok(inst, model)
+        assert stats.max_depth == stats.branch_nodes == n - 1
+
     def test_hard_family_fitted_base_near_golden(self):
         grid = list(range(10, 29, 2))
         points = []

@@ -91,9 +91,9 @@ class TestPublishedAlgorithmGaps:
 
 class TestOracles:
     def test_cap_enforced(self):
-        inst = gen_xsat(8, 0)
+        inst = gen_xsat(21, 0)
         with pytest.raises(OracleCapError):
-            oracle_abd(inst, cap_n=6)
+            oracle_abd(inst)
 
     def test_extension_property_on_pool_sample(self):
         import itertools
