@@ -9,6 +9,7 @@ out of the fit.
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 from dataclasses import dataclass
@@ -71,14 +72,9 @@ def fit_base(points: list[tuple[int, float]]) -> tuple[float, float]:
 
 # --- family runners: instance(n, seed) -> node count -------------------------
 
-_XSAT_CLOSURE = None
-
-
+@functools.cache
 def _xsat_closure():
-    global _XSAT_CLOSURE
-    if _XSAT_CLOSURE is None:
-        _XSAT_CLOSURE = branching_closure(xsat_family(3))
-    return _XSAT_CLOSURE
+    return branching_closure(xsat_family(3))
 
 
 def _run_sparse_xsat(inst: AbductionInstance) -> int:

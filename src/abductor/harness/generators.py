@@ -204,12 +204,6 @@ def gen_colored_graph(num_colors: int, per_color: int, seed: int,
     return ColoredGraph(nv, num_colors, colors, frozenset(edges))
 
 
-def gen_clique(num_colors: int, per_color: int, seed: int,
-               edge_prob: float = 0.5) -> AbductionInstance:
-    inst, _report = clique_to_abd(gen_colored_graph(num_colors, per_color, seed, edge_prob))
-    return inst
-
-
 def gen_qbf_instance(num_x: int, num_y: int, num_terms: int, seed: int) -> QbfInstance:
     rng = _rng("qbf", num_x, num_y, num_terms, seed)
     n = num_x + num_y
@@ -221,11 +215,6 @@ def gen_qbf_instance(num_x: int, num_y: int, num_terms: int, seed: int) -> QbfIn
     return QbfInstance(num_x, num_y, tuple(terms))
 
 
-def gen_qbf4cnf(num_x: int, num_y: int, num_terms: int, seed: int) -> AbductionInstance:
-    inst, _report = qbf_to_abd4cnf(gen_qbf_instance(num_x, num_y, num_terms, seed))
-    return inst
-
-
 def gen_cnf_formula(num_vars: int, num_clauses: int, width: int, seed: int) -> CnfFormula:
     rng = _rng("cnf", num_vars, num_clauses, width, seed)
     clauses = []
@@ -234,11 +223,6 @@ def gen_cnf_formula(num_vars: int, num_clauses: int, width: int, seed: int) -> C
         vs = rng.sample(range(1, num_vars + 1), size)
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
     return CnfFormula(num_vars, tuple(clauses))
-
-
-def gen_cnfsat_lb(num_vars: int, num_clauses: int, width: int, seed: int) -> AbductionInstance:
-    inst, _report = cnfsat_to_abd_lb(gen_cnf_formula(num_vars, num_clauses, width, seed))
-    return inst
 
 
 # each family takes exactly the keyword parameters it reads
@@ -252,9 +236,9 @@ FAMILIES: dict[str, Callable[..., AbductionInstance]] = {
     "nae": lambda seed=0, n=9: gen_nae3(n, seed),
     "2cnf": lambda seed=0, n=8: gen_2cnf(n, seed),
     "clique": lambda seed=0, colors=3, per_color=3, edge_prob=0.5:
-        gen_clique(colors, per_color, seed, edge_prob),
+        clique_to_abd(gen_colored_graph(colors, per_color, seed, edge_prob))[0],
     "qbf4cnf": lambda seed=0, num_x=3, num_y=2, terms=3:
-        gen_qbf4cnf(num_x, num_y, terms, seed),
+        qbf_to_abd4cnf(gen_qbf_instance(num_x, num_y, terms, seed))[0],
     "cnfsat-lb": lambda seed=0, n=4, clauses=6, width=3:
-        gen_cnfsat_lb(n, clauses, width, seed),
+        cnfsat_to_abd_lb(gen_cnf_formula(n, clauses, width, seed))[0],
 }

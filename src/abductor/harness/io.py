@@ -17,7 +17,7 @@ Tuples are bit-strings (coordinate 1 first); a relation with no tuples writes
 from __future__ import annotations
 
 import json
-import time
+from dataclasses import asdict
 from typing import Iterable
 
 from ..core import AbductionInstance, Constraint, Formula, Relation
@@ -113,6 +113,8 @@ def parse_text(text: str) -> AbductionInstance:
         kind = fields[0]
         try:
             if kind == "vars":
+                if num_vars is not None:
+                    raise ParseError(lineno, "repeated 'vars' line")
                 num_vars = int(fields[1])
                 if num_vars < 0:
                     raise ParseError(lineno, "vars must be non-negative")
@@ -164,7 +166,7 @@ def parse(path: str) -> AbductionInstance:
 
 
 def result_record(*, answer: bool | None, witness: Iterable[int] | None,
-                  algorithm: str, mode: str, stats: EnumStats | None,
+                  algorithm: str, mode: str, stats: EnumStats,
                   wall_ms: float, reduction_report: dict | None = None) -> dict:
     return {
         "schema": RESULT_SCHEMA,
@@ -172,33 +174,14 @@ def result_record(*, answer: bool | None, witness: Iterable[int] | None,
         "witness": sorted(witness) if witness is not None else None,
         "algorithm": algorithm,
         "mode": mode,
-        "stats": dict(stats.as_dict(), wall_ms=round(wall_ms, 3)) if stats is not None
-                 else {"wall_ms": round(wall_ms, 3)},
+        "stats": dict(stats.as_dict(), wall_ms=round(wall_ms, 3)),
         "reduction_report": reduction_report,
     }
 
 
 def report_dict(report) -> dict:
-    return {
-        "name": report.name,
-        "input_vars": report.input_vars,
-        "output_vars": report.output_vars,
-        "output_constraints": report.output_constraints,
-        "added_vars": report.added_vars,
-        "contract": report.contract,
-        "notes": {str(k): v for k, v in report.notes.items()},
-    }
+    return dict(asdict(report), notes={str(k): v for k, v in report.notes.items()})
 
 
 def to_json(record: dict) -> str:
     return json.dumps(record, sort_keys=True)
-
-
-class Stopwatch:
-    def __enter__(self) -> "Stopwatch":
-        self._t0 = time.perf_counter()
-        self.ms = 0.0
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.ms = (time.perf_counter() - self._t0) * 1000.0

@@ -65,8 +65,8 @@ def raw_abd_answer(inst: AbductionInstance) -> bool:
 
 
 def raw_pabd_answer(inst: AbductionInstance) -> bool:
-    _hyp, f, g = pabd_lattice(inst)
-    return any(fp > 0 and gp == 0 for fp, gp in zip(f, g))
+    f, g = pabd_lattice(inst)
+    return any(f[p] > 0 and g[p] == 0 for p in f)
 
 
 # ---------------------------------------------------------------------------
@@ -320,38 +320,25 @@ def generator_level_checks(count: int = 50, seed: int = 0) -> list[Finding]:
 def minimize_instance(inst: AbductionInstance,
                       still_fails: Callable[[AbductionInstance], bool]) -> AbductionInstance:
     """Greedy shrink: drop constraints, then hypotheses, then manifestations,
-    while the predicate keeps failing."""
+    one at a time, restarting after each drop that keeps the predicate failing."""
 
-    def try_variant(cand: AbductionInstance) -> bool:
+    def variants(inst: AbductionInstance) -> Iterator[AbductionInstance]:
+        cons, hyp, man = inst.kb.constraints, inst.hypotheses, inst.manifestations
+        for i in range(len(cons)):
+            yield AbductionInstance(Formula(inst.num_vars, cons[:i] + cons[i + 1:]), hyp, man)
+        for h in sorted(hyp):
+            yield AbductionInstance(inst.kb, hyp - {h}, man)
+        for m in sorted(man):
+            yield AbductionInstance(inst.kb, hyp, man - {m})
+
+    def fails(cand: AbductionInstance) -> bool:
         try:
             return still_fails(cand)
         except Exception:
             return False
 
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(inst.kb.constraints)):
-            cons = inst.kb.constraints[:i] + inst.kb.constraints[i + 1:]
-            cand = AbductionInstance(Formula(inst.num_vars, cons),
-                                     inst.hypotheses, inst.manifestations)
-            if try_variant(cand):
-                inst, changed = cand, True
-                break
-        if changed:
-            continue
-        for h in sorted(inst.hypotheses):
-            cand = AbductionInstance(inst.kb, inst.hypotheses - {h}, inst.manifestations)
-            if try_variant(cand):
-                inst, changed = cand, True
-                break
-        if changed:
-            continue
-        for m in sorted(inst.manifestations):
-            cand = AbductionInstance(inst.kb, inst.hypotheses, inst.manifestations - {m})
-            if try_variant(cand):
-                inst, changed = cand, True
-                break
+    while (smaller := next(filter(fails, variants(inst)), None)) is not None:
+        inst = smaller
     return inst
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import Relation, StructureError
 
@@ -175,7 +175,7 @@ def check_sparsity(lang: ConstraintLanguage, c: float, r0: int) -> SparsityCerti
 
 def is_one_valid(lang: ConstraintLanguage) -> bool:
     """Every relation contains the all-ones tuple."""
-    return all(((1 << r.arity) - 1) in r for r in lang.relations)
+    return has_constant_polymorphism(lang, 1)
 
 
 def is_complement_invariant(lang: ConstraintLanguage) -> bool:
@@ -258,23 +258,26 @@ def clause_relation(signs: Sequence[int], name: str | None = None) -> Relation:
     return Relation(k, codes, name or f"CL{''.join(map(str, signs))}")
 
 
+def _clauses(k: int, schema: str, keep: Callable[[tuple[int, ...]], bool],
+             name: str | None = None) -> ConstraintLanguage:
+    """The clause relations of arity 1..k whose sign pattern passes `keep`,
+    named `name` plus the arity when a name is given."""
+    rels = {clause_relation(signs, name and f"{name}{j}") for j in range(1, k + 1)
+            for signs in itertools.product((0, 1), repeat=j) if keep(signs)}
+    return ConstraintLanguage(frozenset(rels), schema=schema)
+
+
 def k_cnf(k: int) -> ConstraintLanguage:
     """All clause relations of arity 1..k."""
-    rels = set()
-    for j in range(1, k + 1):
-        for signs in itertools.product((0, 1), repeat=j):
-            rels.add(clause_relation(signs))
-    return ConstraintLanguage(frozenset(rels), schema=f"{k}-cnf")
+    return _clauses(k, f"{k}-cnf", lambda signs: True)
 
 
 def k_cnf_pos(k: int) -> ConstraintLanguage:
-    rels = {clause_relation((0,) * j, name=f"OR{j}") for j in range(1, k + 1)}
-    return ConstraintLanguage(frozenset(rels), schema=f"{k}-cnf+")
+    return _clauses(k, f"{k}-cnf+", lambda signs: 1 not in signs, "OR")
 
 
 def k_cnf_neg(k: int) -> ConstraintLanguage:
-    rels = {clause_relation((1,) * j, name=f"NOR{j}") for j in range(1, k + 1)}
-    return ConstraintLanguage(frozenset(rels), schema=f"{k}-cnf-")
+    return _clauses(k, f"{k}-cnf-", lambda signs: 0 not in signs, "NOR")
 
 
 def imp() -> Relation:
@@ -284,21 +287,11 @@ def imp() -> Relation:
 
 def horn(k: int) -> ConstraintLanguage:
     """Clauses of arity <= k with at most one positive literal."""
-    rels = set()
-    for j in range(1, k + 1):
-        for signs in itertools.product((0, 1), repeat=j):
-            if signs.count(0) <= 1:
-                rels.add(clause_relation(signs))
-    return ConstraintLanguage(frozenset(rels), schema=f"horn<={k}")
+    return _clauses(k, f"horn<={k}", lambda signs: signs.count(0) <= 1)
 
 
 def dual_horn(k: int) -> ConstraintLanguage:
-    rels = set()
-    for j in range(1, k + 1):
-        for signs in itertools.product((0, 1), repeat=j):
-            if signs.count(1) <= 1:
-                rels.add(clause_relation(signs))
-    return ConstraintLanguage(frozenset(rels), schema=f"dualhorn<={k}")
+    return _clauses(k, f"dualhorn<={k}", lambda signs: signs.count(1) <= 1)
 
 
 def symmetric_relation(k: int, allowed_sums: Iterable[int], name: str | None = None) -> Relation:

@@ -67,10 +67,6 @@ def clause_signs(rel: Relation) -> tuple[int, ...] | None:
 IMP_REL = imp()
 
 
-def is_imp_relation(rel: Relation) -> bool:
-    return rel == IMP_REL
-
-
 def formula_as_clauses(phi: Formula) -> list[tuple[tuple[int, ...], tuple[int, ...]]] | None:
     """Each constraint as (signs, scope) if the formula is pure CNF."""
     out = []
@@ -96,7 +92,7 @@ def is_kcnf_formula(phi: Formula, k: int | None = None, positive: bool = False) 
 
 def is_neg_imp_formula(phi: Formula) -> bool:
     for con in phi.constraints:
-        if is_imp_relation(con.relation):
+        if con.relation == IMP_REL:
             continue
         signs = clause_signs(con.relation)
         if signs is None or not all(signs):
@@ -111,7 +107,7 @@ def is_neg_imp_formula(phi: Formula) -> bool:
 def _imp_closure(phi: Formula, start: int) -> set[int]:
     adj: dict[int, list[int]] = {}
     for con in phi.constraints:
-        if is_imp_relation(con.relation):
+        if con.relation == IMP_REL:
             adj.setdefault(con.scope[0], []).append(con.scope[1])
     seen = {start}
     work = [start]
@@ -154,7 +150,7 @@ def negimp_to_pos(inst: AbductionInstance) -> tuple[AbductionInstance, Reduction
         hyp = (hyp - set(overlap)) | {h_star}
         man = (man - set(overlap)) | {m_star}
     k = max([con.relation.arity for con in kb.constraints
-             if not is_imp_relation(con.relation)] + [2])
+             if con.relation != IMP_REL] + [2])
 
     out_cons: list[Constraint] = []
     seen: set[tuple[int, ...]] = set()

@@ -23,7 +23,7 @@ while leaves may exceed branch_nodes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 from .core import Formula
@@ -44,12 +44,7 @@ class EnumStats:
     max_depth: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "branch_nodes": self.branch_nodes,
-            "leaves": self.leaves,
-            "models_emitted": self.models_emitted,
-            "max_depth": self.max_depth,
-        }
+        return asdict(self)
 
 
 UNORDERED = "unordered"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .core import (AbductionInstance, Explanation, FragmentError, Formula,
                    TRIVIALLY_NO, conjoin_literals, entails, evaluate,
@@ -60,8 +60,24 @@ def _no(algorithm: str, stats: EnumStats | None = None) -> AbdResult:
     return AbdResult(False, None, stats or EnumStats(), algorithm)
 
 
-def _proj_literals(proj: int, hyp: Iterable[int]) -> frozenset[int]:
-    return frozenset(h if (proj >> (h - 1)) & 1 else -h for h in hyp)
+def _positive(mask: int, hyp: Iterable[int]) -> frozenset[int]:
+    """The hypotheses whose bits are set in the variable-bit mask."""
+    return frozenset(h for h in hyp if (mask >> (h - 1)) & 1)
+
+
+def _full(mask: int, hyp: Iterable[int]) -> frozenset[int]:
+    """The full literal set over hyp that the mask picks: h if set, else ¬h."""
+    return frozenset(h if (mask >> (h - 1)) & 1 else -h for h in hyp)
+
+
+def _submasks(mask: int) -> Iterator[int]:
+    """Every submask of mask, in increasing order."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
 
 
 def _maximal(patterns: Iterable[int]) -> list[int]:
@@ -102,33 +118,22 @@ def model_table(inst: AbductionInstance) -> tuple[dict[int, int], dict[int, int]
     return count, bad
 
 
-def pabd_lattice(inst: AbductionInstance) -> tuple[list[int], list[int], list[int]]:
+def pabd_lattice(inst: AbductionInstance) -> tuple[dict[int, int], dict[int, int]]:
     """Superset-summed (sat-count, bad-count) tables over the H-subset lattice,
-    indexed by subsets of the sorted hypotheses."""
+    keyed by the submasks of the H mask in increasing order."""
     count, bad = model_table(inst)
-    hyp = sorted(inst.hypotheses)
-    h = len(hyp)
-    f = [0] * (1 << h)
-    g = [0] * (1 << h)
+    f = dict.fromkeys(_submasks(hyp_mask(inst.hypotheses)), 0)
+    g = dict(f)
     for proj, c in count.items():
-        p = 0
-        for i, v in enumerate(hyp):
-            if (proj >> (v - 1)) & 1:
-                p |= 1 << i
-        f[p] += c
-        g[p] += bad.get(proj, 0)
-    for i in range(h):
-        bit = 1 << i
-        for p in range(1 << h):
+        f[proj] += c
+        g[proj] += bad.get(proj, 0)
+    for v in sorted(inst.hypotheses):
+        bit = 1 << (v - 1)
+        for p in f:
             if not p & bit:
                 f[p] += f[p | bit]
                 g[p] += g[p | bit]
-    return hyp, f, g
-
-
-def _unpack(p: int, hyp: list[int]) -> frozenset[int]:
-    """The hypotheses at the set bits of the lattice index p."""
-    return frozenset(h for i, h in enumerate(hyp) if (p >> i) & 1)
+    return f, g
 
 
 def _oracle_stats(phi: Formula, models: int) -> EnumStats:
@@ -152,8 +157,7 @@ def oracle_abd(inst: AbductionInstance) -> AbdResult:
     stats = _oracle_stats(inst.kb, sum(count.values()))
     if not good:
         return _no("oracle-abd", stats)
-    wit = make_explanation(_proj_literals(min(good), sorted(inst.hypotheses)),
-                           inst.hypotheses)
+    wit = make_explanation(_full(min(good), sorted(inst.hypotheses)), inst.hypotheses)
     return AbdResult(True, wit, stats, "oracle-abd")
 
 
@@ -164,7 +168,7 @@ def oracle_full_explanations(inst: AbductionInstance) -> frozenset[frozenset[int
     inst = pre.instance
     count, bad = model_table(inst)
     hyp = sorted(inst.hypotheses)
-    return frozenset(_proj_literals(p, hyp) for p in count if p not in bad)
+    return frozenset(_full(p, hyp) for p in count if p not in bad)
 
 
 def oracle_pabd(inst: AbductionInstance) -> AbdResult:
@@ -175,14 +179,14 @@ def oracle_pabd(inst: AbductionInstance) -> AbdResult:
     if pre.verdict == TRIVIALLY_NO:
         return _no("oracle-pabd")
     inst = pre.instance
-    hyp, f, g = pabd_lattice(inst)
+    f, g = pabd_lattice(inst)
     stats = _oracle_stats(inst.kb, f[0])  # f[0] sums over every model
-    ok = [p for p in range(1 << len(hyp)) if f[p] > 0 and g[p] == 0]
+    ok = [p for p in f if f[p] > 0 and g[p] == 0]
     if not ok:
         return _no("oracle-pabd", stats)
     best = max(ok, key=lambda p: bin(p).count("1"))
-    return AbdResult(True, make_explanation(_unpack(best, hyp), inst.hypotheses),
-                     stats, "oracle-pabd")
+    return AbdResult(True, make_explanation(_positive(best, sorted(inst.hypotheses)),
+                                            inst.hypotheses), stats, "oracle-pabd")
 
 
 def oracle_positive_explanations(inst: AbductionInstance) -> tuple[frozenset[frozenset[int]],
@@ -192,10 +196,11 @@ def oracle_positive_explanations(inst: AbductionInstance) -> tuple[frozenset[fro
     if pre.verdict == TRIVIALLY_NO:
         return frozenset(), frozenset()
     inst = pre.instance
-    hyp, f, g = pabd_lattice(inst)
-    all_ok = [p for p in range(1 << len(hyp)) if f[p] > 0 and g[p] == 0]
-    return (frozenset(_unpack(p, hyp) for p in all_ok),
-            frozenset(_unpack(p, hyp) for p in _maximal(all_ok)))
+    f, g = pabd_lattice(inst)
+    hyp = sorted(inst.hypotheses)
+    all_ok = [p for p in f if f[p] > 0 and g[p] == 0]
+    return (frozenset(_positive(p, hyp) for p in all_ok),
+            frozenset(_positive(p, hyp) for p in _maximal(all_ok)))
 
 
 def oracle_abd_general(inst: AbductionInstance) -> bool:
@@ -237,17 +242,17 @@ def oracle_abd_general(inst: AbductionInstance) -> bool:
 
 def _baseline(inst: AbductionInstance, sat: SatDecider, algorithm: str,
               candidate: Callable[[int, list[int]], frozenset[int]]) -> AbdResult:
-    """Try candidate(pattern, sorted H) for the 2^|H| patterns in binary
-    counting order."""
+    """Try candidate(mask, sorted H) for the 2^|H| submasks of the H mask in
+    increasing order, which is binary counting over sorted H."""
     pre = preprocess(inst)
     stats = EnumStats()
     if pre.verdict == TRIVIALLY_NO:
         return _no(algorithm, stats)
     inst = pre.instance
     hyp = sorted(inst.hypotheses)
-    for pattern in range(1 << len(hyp)):
+    for mask in _submasks(hyp_mask(hyp)):
         stats.branch_nodes += 1
-        lits = candidate(pattern, hyp)
+        lits = candidate(mask, hyp)
         base = conjoin_literals(inst.kb, lits)
         stats.leaves += 1
         if not sat(base):
@@ -262,13 +267,12 @@ def _baseline(inst: AbductionInstance, sat: SatDecider, algorithm: str,
 def baseline_abd(inst: AbductionInstance, sat: SatDecider = decide) -> AbdResult:
     """Try all 2^|H| full candidates; per candidate one satisfiability check
     and one unsatisfiability check per manifestation."""
-    return _baseline(inst, sat, "baseline-abd", lambda pattern, hyp: frozenset(
-        h if (pattern >> i) & 1 else -h for i, h in enumerate(hyp)))
+    return _baseline(inst, sat, "baseline-abd", _full)
 
 
 def baseline_pabd(inst: AbductionInstance, sat: SatDecider = decide) -> AbdResult:
     """As baseline_abd but over the 2^|H| positive subsets E ⊆ H."""
-    return _baseline(inst, sat, "baseline-pabd", _unpack)
+    return _baseline(inst, sat, "baseline-pabd", _positive)
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +303,10 @@ def enum_abd(inst: AbductionInstance,
             discarded.add(proj)
             potential.discard(proj)
     hyp = sorted(inst.hypotheses)
-    exps = frozenset(_proj_literals(p, hyp) for p in potential)
-    eset = ExplanationSet(exps, ALL_FULL)
+    eset = ExplanationSet(frozenset(_full(p, hyp) for p in potential), ALL_FULL)
     if not potential:
         return _no("enum-abd", stream.stats), eset
-    wit = make_explanation(_proj_literals(min(potential), hyp), inst.hypotheses)
+    wit = make_explanation(_full(min(potential), hyp), inst.hypotheses)
     return AbdResult(True, wit, stream.stats, "enum-abd"), eset
 
 
@@ -324,7 +327,7 @@ def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
                    audit: PabdAudit | None = None) -> AbdResult:
     """Positive abduction by recursive descent through the subsets of H.
 
-    Each call looks at the candidate E (the removable set D plus the locked
+    Each node looks at the candidate E (the removable set D plus the locked
     set delta) through its full extension G = E ∪ {¬x : x ∈ H−E}:
 
       * if KB ∧ G ∧ ¬m is satisfiable for some m, a model with positive
@@ -335,9 +338,12 @@ def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
         kills every subset of E, so the subtree is pruned rather than
         accepted (the unverified accept is unsound: a wider pattern that
         never occurs as a visited candidate can otherwise slip through);
-      * otherwise recurse, removing one element of D at a time while locking
+      * otherwise descend, removing one element of D at a time while locking
         previously removed elements into delta, so each subset of H is
         visited at most once.
+
+    An explicit stack holds one (D, delta, next child) entry per level: space
+    stays O(|H|^2) cells and depth is not bounded by the recursion limit.
     """
     pre = preprocess(inst)
     stats = EnumStats()
@@ -346,9 +352,10 @@ def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
     inst = pre.instance
     hyp = tuple(sorted(inst.hypotheses))
     man = sorted(inst.manifestations)
-    witness: list[frozenset[int]] = []
-
-    def rec(d: tuple[int, ...], delta: tuple[int, ...], depth: int) -> bool:
+    stack: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
+    d, delta = hyp, ()
+    while True:
+        depth = len(stack) + 1
         stats.branch_nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
         e = frozenset(d) | frozenset(delta)
@@ -358,31 +365,27 @@ def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
             if e in audit.visited:
                 audit.duplicate_visits += 1
             audit.visited.add(e)
-        g = frozenset(e) | frozenset(-x for x in hyp if x not in e)
-        base_g = conjoin_literals(inst.kb, g)
+        base_g = conjoin_literals(inst.kb, e | frozenset(-x for x in hyp if x not in e))
         if not entails(base_g, man, sat):
             stats.leaves += 1
-            return False
-        if sat(base_g):
-            base_e = conjoin_literals(inst.kb, e)
+        elif sat(base_g):
             stats.leaves += 1
-            if entails(base_e, man, sat):
-                witness.append(e)
-                return True
-            return False  # a superset pattern violates M: whole subtree dead
-        if not d:
+            if entails(conjoin_literals(inst.kb, e), man, sat):
+                return AbdResult(True, make_explanation(e, inst.hypotheses),
+                                 stats, "pabd-rec")
+            # else a superset pattern violates M: the whole subtree is dead
+        elif d:
+            stack.append((d, delta, 0))
+        else:
             stats.leaves += 1
-            return False
-        for i in range(len(d)):
-            if rec(d[i + 1:], delta + d[:i], depth + 1):
-                return True
-        return False
-
-    found = rec(hyp, (), 1)
-    if not found:
-        return _no("pabd-rec", stats)
-    return AbdResult(True, make_explanation(witness[0], inst.hypotheses),
-                     stats, "pabd-rec")
+        # preorder: the next child of the deepest level that has one left
+        while stack and stack[-1][2] == len(stack[-1][0]):
+            stack.pop()
+        if not stack:
+            return _no("pabd-rec", stats)
+        pd, pdelta, i = stack[-1]
+        stack[-1] = (pd, pdelta, i + 1)
+        d, delta = pd[i + 1:], pdelta + pd[:i]
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +440,12 @@ def pabd_enum(inst: AbductionInstance,
                  if not any(e & b == e for b in bad_patterns)]
     maximal = _maximal(survivors)
     hyp = sorted(inst.hypotheses)
-    exps = frozenset(frozenset(h for h in hyp if (p >> (h - 1)) & 1) for p in maximal)
-    eset = ExplanationSet(exps, SUBSET_MAXIMAL_POSITIVE)
+    eset = ExplanationSet(frozenset(_positive(p, hyp) for p in maximal),
+                          SUBSET_MAXIMAL_POSITIVE)
     if not maximal:
         return _no("pabd-enum", stream.stats), eset
     best = max(maximal, key=lambda q: bin(q).count("1"))
-    wit = make_explanation(frozenset(h for h in hyp if (best >> (h - 1)) & 1),
-                           inst.hypotheses)
+    wit = make_explanation(_positive(best, hyp), inst.hypotheses)
     return AbdResult(True, wit, stream.stats, "pabd-enum"), eset
 
 
@@ -451,7 +453,7 @@ def pabd_enum(inst: AbductionInstance,
 # coNP shortcut for 1-valid languages
 # ---------------------------------------------------------------------------
 
-def pabd_one_valid(inst: AbductionInstance, sat: SatDecider = decide) -> AbdResult:
+def pabd_one_valid(inst: AbductionInstance) -> AbdResult:
     """For 1-valid knowledge bases a positive explanation exists iff H itself
     is one, and KB ∧ H is consistent for free, so only the |M| entailment
     checks remain."""
@@ -465,7 +467,7 @@ def pabd_one_valid(inst: AbductionInstance, sat: SatDecider = decide) -> AbdResu
     inst = pre.instance
     base = conjoin_literals(inst.kb, inst.hypotheses)
     stats.leaves = len(inst.manifestations)
-    if entails(base, inst.manifestations, sat):
+    if entails(base, inst.manifestations, decide):
         return AbdResult(True, make_explanation(frozenset(inst.hypotheses), inst.hypotheses),
                          stats, "one-valid")
     return _no("one-valid", stats)

@@ -60,6 +60,12 @@ class TestInstanceFormat:
             io.parse_text(text)
         assert msg in str(err.value)
 
+    def test_repeated_vars_line_is_a_parse_error(self):
+        text = "abd 1\nvars 3\nrel R 1 1\ncon R 3\nvars 2\n"
+        with pytest.raises(io.ParseError) as err:
+            io.parse_text(text)
+        assert err.value.lineno == 5 and "vars" in str(err.value)
+
     def test_example1_file_solves(self, tmp_path):
         path = tmp_path / "ex1.abd"
         io.write(example1_instance(), str(path))

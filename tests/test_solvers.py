@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from abductor.core import (AbductionInstance, Relation, BOT, TOP, FragmentError,
@@ -155,6 +157,22 @@ class TestPabdRecursiveContract:
             assert len(audit.visited) <= 1 << h
             assert audit.max_depth <= h + 1
             assert audit.max_frame_cells <= h
+
+    def test_deep_descent_does_not_overflow(self):
+        # NOR2 chain, H = every variable, M empty: {i..n} has no model until
+        # i = n, so the descent goes one level deeper per hypothesis
+        n = 400
+        nor2 = Relation(2, (0, 1, 2))  # not both
+        kb = formula(n, [(nor2, (i, i + 1)) for i in range(1, n)])
+        inst = AbductionInstance(kb, frozenset(range(1, n + 1)), frozenset())
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            res = pabd_recursive(inst)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert res.answer and res.witness.literals == {n}
+        assert res.stats.max_depth == n
 
     def test_exhaustive_descent_visits_every_subset(self):
         # an unsatisfiable KB never fires either pruning test, forcing the
