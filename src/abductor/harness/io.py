@@ -20,7 +20,7 @@ import json
 from dataclasses import asdict
 from typing import Iterable
 
-from ..core import AbductionInstance, Constraint, Formula, Relation
+from ..core import AbductionInstance, Constraint, Formula, Relation, encode_tuple
 from ..satenum import EnumStats
 
 FORMAT_HEADER = "abd 1"
@@ -36,13 +36,9 @@ class ParseError(ValueError):
 def _tuple_field(rel: Relation) -> str:
     if not rel.codes:
         return "."
-    parts = []
-    for code in rel.codes:
-        if rel.arity == 0:
-            parts.append("e")
-        else:
-            parts.append("".join(str((code >> i) & 1) for i in range(rel.arity)))
-    return ";".join(parts)
+    if rel.arity == 0:
+        return "e"
+    return ";".join("".join(map(str, t)) for t in rel.tuples())
 
 
 def write_text(inst: AbductionInstance) -> str:
@@ -89,7 +85,7 @@ def _parse_tuples(field: str, arity: int, lineno: int) -> tuple[int, ...]:
             raise ParseError(lineno, f"tuple '{part}' has length {len(part)}, arity is {arity}")
         if set(part) - {"0", "1"}:
             raise ParseError(lineno, f"tuple '{part}' contains non-bit characters")
-        codes.append(sum((1 << i) for i, ch in enumerate(part) if ch == "1"))
+        codes.append(encode_tuple(map(int, part)))
     return tuple(sorted(set(codes)))
 
 

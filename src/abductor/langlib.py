@@ -7,10 +7,10 @@ not-all-equal).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import Relation, StructureError
+from .core import Relation, StructureError, decode_tuple, encode_tuple, gather, restrict
 
 
 class LanguageError(ValueError):
@@ -20,7 +20,6 @@ class LanguageError(ValueError):
 @dataclass(frozen=True)
 class ConstraintLanguage:
     relations: frozenset[Relation]
-    schema: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "relations", frozenset(self.relations))
@@ -38,8 +37,8 @@ class ConstraintLanguage:
         return max((r.arity for r in self.relations), default=0)
 
 
-def language(rels: Iterable[Relation], schema: str | None = None) -> ConstraintLanguage:
-    return ConstraintLanguage(frozenset(rels), schema)
+def language(rels: Iterable[Relation]) -> ConstraintLanguage:
+    return ConstraintLanguage(frozenset(rels))
 
 
 # ---------------------------------------------------------------------------
@@ -53,16 +52,9 @@ def substitute(rel: Relation, f: Mapping[int, int]) -> Relation:
             raise StructureError(f"substitution position {pos} outside 1..{rel.arity}")
         if val not in (0, 1):
             raise StructureError("substitution values must be 0/1")
-    keep = [i for i in range(rel.arity) if (i + 1) not in f]
-    out = set()
-    for code in rel.codes:
-        if any(((code >> (pos - 1)) & 1) != val for pos, val in f.items()):
-            continue
-        new = 0
-        for j, i in enumerate(keep):
-            new |= ((code >> i) & 1) << j
-        out.add(new)
-    return Relation(rel.arity - len(f), tuple(sorted(out)))
+    # the positions 1..arity act as the relation's scope
+    codes, _ = restrict(rel.codes, tuple(range(1, rel.arity + 1)), f)
+    return Relation(rel.arity - len(f), tuple(sorted(codes)))
 
 
 def minor(rel: Relation, g: Sequence[int], m: int | None = None) -> Relation:
@@ -81,14 +73,7 @@ def minor(rel: Relation, g: Sequence[int], m: int | None = None) -> Relation:
         raise StructureError("need 1 <= m <= arity")
     if any(not (1 <= t <= m) for t in g):
         raise StructureError("g targets outside 1..m")
-    out = []
-    for b in range(1 << m):
-        code = 0
-        for i, t in enumerate(g):
-            code |= ((b >> (t - 1)) & 1) << i
-        if code in rel:
-            out.append(b)
-    return Relation(m, tuple(out))
+    return Relation(m, tuple(b for b in range(1 << m) if gather(b, g) in rel))
 
 
 def _identification_minors(rel: Relation) -> Iterable[Relation]:
@@ -129,20 +114,14 @@ def branching_closure(lang: ConstraintLanguage) -> ConstraintLanguage:
         if rel.arity == 0:
             continue
         for derived in itertools.chain(_identification_minors(rel), _substitutions(rel)):
-            derived = derived.renamed(None)
             if derived not in closed:
                 closed.add(derived)
                 work.append(derived)
-    return ConstraintLanguage(frozenset(closed), schema=None)
+    return ConstraintLanguage(frozenset(closed))
 
 
 def is_branching_closed(lang: ConstraintLanguage) -> bool:
-    rels = {r.renamed(None) for r in lang.relations}
-    for rel in rels:
-        for derived in itertools.chain(_identification_minors(rel), _substitutions(rel)):
-            if derived.renamed(None) not in rels:
-                return False
-    return True
+    return branching_closure(lang) == lang
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +210,7 @@ def derive_inequality(lang: ConstraintLanguage) -> InequalityGadget:
         if 0 in rel or full in rel:
             continue
         t = rel.codes[0]  # any member tuple; cannot be constant here
-        pattern = tuple(2 if ((t >> i) & 1) else 1 for i in range(rel.arity))
+        pattern = tuple(b + 1 for b in decode_tuple(t, rel.arity))
         got = minor(rel, pattern, 2)
         if got != NEQ:  # complement-invariance makes this unreachable
             raise LanguageError(f"identification of {rel} did not give inequality")
@@ -248,36 +227,31 @@ def clause_relation(signs: Sequence[int], name: str | None = None) -> Relation:
 
     The single falsifying point is the tuple equal to the sign pattern.
     """
-    k = len(signs)
-    bad = 0
-    for i, s in enumerate(signs):
-        if s not in (0, 1):
-            raise StructureError("signs must be 0/1")
-        bad |= s << i
-    codes = tuple(c for c in range(1 << k) if c != bad)
-    return Relation(k, codes, name or f"CL{''.join(map(str, signs))}")
+    bad = encode_tuple(signs)
+    codes = tuple(c for c in range(1 << len(signs)) if c != bad)
+    return Relation(len(signs), codes, name or f"CL{''.join(map(str, signs))}")
 
 
-def _clauses(k: int, schema: str, keep: Callable[[tuple[int, ...]], bool],
+def _clauses(k: int, keep: Callable[[tuple[int, ...]], bool],
              name: str | None = None) -> ConstraintLanguage:
     """The clause relations of arity 1..k whose sign pattern passes `keep`,
     named `name` plus the arity when a name is given."""
     rels = {clause_relation(signs, name and f"{name}{j}") for j in range(1, k + 1)
             for signs in itertools.product((0, 1), repeat=j) if keep(signs)}
-    return ConstraintLanguage(frozenset(rels), schema=schema)
+    return ConstraintLanguage(frozenset(rels))
 
 
 def k_cnf(k: int) -> ConstraintLanguage:
     """All clause relations of arity 1..k."""
-    return _clauses(k, f"{k}-cnf", lambda signs: True)
+    return _clauses(k, lambda signs: True)
 
 
 def k_cnf_pos(k: int) -> ConstraintLanguage:
-    return _clauses(k, f"{k}-cnf+", lambda signs: 1 not in signs, "OR")
+    return _clauses(k, lambda signs: 1 not in signs, "OR")
 
 
 def k_cnf_neg(k: int) -> ConstraintLanguage:
-    return _clauses(k, f"{k}-cnf-", lambda signs: 0 not in signs, "NOR")
+    return _clauses(k, lambda signs: 0 not in signs, "NOR")
 
 
 def imp() -> Relation:
@@ -287,11 +261,11 @@ def imp() -> Relation:
 
 def horn(k: int) -> ConstraintLanguage:
     """Clauses of arity <= k with at most one positive literal."""
-    return _clauses(k, f"horn<={k}", lambda signs: signs.count(0) <= 1)
+    return _clauses(k, lambda signs: signs.count(0) <= 1)
 
 
 def dual_horn(k: int) -> ConstraintLanguage:
-    return _clauses(k, f"dualhorn<={k}", lambda signs: signs.count(1) <= 1)
+    return _clauses(k, lambda signs: signs.count(1) <= 1)
 
 
 def symmetric_relation(k: int, allowed_sums: Iterable[int], name: str | None = None) -> Relation:
@@ -322,7 +296,7 @@ def equations_family(max_k: int, max_p: int | None = None) -> ConstraintLanguage
         for p in range(2, p_top + 1):
             for q in range(p):
                 rels.add(equations(k, p, q))
-    return ConstraintLanguage(frozenset(rels), schema=f"equations<={max_k}")
+    return ConstraintLanguage(frozenset(rels))
 
 
 def parity(k: int, q: int) -> Relation:
@@ -334,7 +308,7 @@ def parity(k: int, q: int) -> Relation:
 
 def aff(max_k: int) -> ConstraintLanguage:
     rels = {parity(k, q) for k in range(1, max_k + 1) for q in (0, 1)}
-    return ConstraintLanguage(frozenset(rels), schema=f"aff<={max_k}")
+    return ConstraintLanguage(frozenset(rels))
 
 
 def one_in_k(k: int) -> Relation:
@@ -357,7 +331,7 @@ def xsat_family(max_k: int) -> ConstraintLanguage:
     for k in range(1, max_k + 1):
         rels.add(one_in_k(k))
         rels.add(all_zero(k))
-    return ConstraintLanguage(frozenset(rels), schema=f"xsat<={max_k}")
+    return ConstraintLanguage(frozenset(rels))
 
 
 def nae(signs: Sequence[int]) -> Relation:
@@ -365,11 +339,7 @@ def nae(signs: Sequence[int]) -> Relation:
     k = len(signs)
     if k < 1:
         raise LanguageError("sign pattern must be non-empty")
-    zero_s = 0
-    for i, s in enumerate(signs):
-        if s not in (0, 1):
-            raise StructureError("signs must be 0/1")
-        zero_s |= s << i
+    zero_s = encode_tuple(signs)
     one_s = ((1 << k) - 1) ^ zero_s
     codes = tuple(c for c in range(1 << k) if c not in (zero_s, one_s))
     return Relation(k, codes, f"NAE{''.join(map(str, signs))}")
@@ -377,4 +347,4 @@ def nae(signs: Sequence[int]) -> Relation:
 
 def k_nae(k: int) -> ConstraintLanguage:
     rels = {nae(signs) for signs in itertools.product((0, 1), repeat=k)}
-    return ConstraintLanguage(frozenset(rels), schema=f"{k}-nae")
+    return ConstraintLanguage(frozenset(rels))

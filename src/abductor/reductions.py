@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .core import (AbductionInstance, BOT, Constraint, FragmentError, Formula,
                    Relation, FALSE0, StructureError, TOP, conjoin_literals,
-                   preprocess)
+                   decode_tuple, preprocess)
 from .langlib import (ConstraintLanguage, InequalityGadget, clause_relation,
                       derive_inequality, imp, nae)
 from .satenum import SimpleSatInstance, decide
@@ -60,8 +60,7 @@ def clause_signs(rel: Relation) -> tuple[int, ...] | None:
     if k < 1 or len(rel) != (1 << k) - 1:
         return None
     missing = set(range(1 << k)) - set(rel.codes)
-    bad = missing.pop()
-    return tuple((bad >> i) & 1 for i in range(k))
+    return decode_tuple(missing.pop(), k)
 
 
 IMP_REL = imp()
@@ -399,18 +398,13 @@ def abd_to_pabd_4cnf(inst: AbductionInstance) -> tuple[AbductionInstance, Reduct
 # Theorem-28 style: eliminate unary constants via derived inequality
 # ---------------------------------------------------------------------------
 
-def eliminate_constants(inst: AbductionInstance,
-                        lang: ConstraintLanguage | None = None
-                        ) -> tuple[AbductionInstance, ReductionReport]:
+def eliminate_constants(inst: AbductionInstance) -> tuple[AbductionInstance, ReductionReport]:
     """Replace ⊥(x) by NEQ(x, V1) and ⊤(y) by NEQ(y, V0), pinning the fresh
     pair apart and forcing V1 true by putting it in both H' and M'.  NEQ is
     realized as an identification minor of a language relation, so the output
     stays inside the constant-free language."""
-    if lang is None:
-        rels = [c.relation for c in inst.kb.constraints
-                if c.relation not in (BOT, TOP)]
-        lang = ConstraintLanguage(frozenset(rels))
-    gadget: InequalityGadget = derive_inequality(lang)
+    rels = [c.relation for c in inst.kb.constraints if c.relation not in (BOT, TOP)]
+    gadget: InequalityGadget = derive_inequality(ConstraintLanguage(frozenset(rels)))
     n0 = inst.num_vars
     v0, v1 = n0 + 1, n0 + 2
     cons: list[Constraint] = []

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
-from .core import Formula
+from .core import Formula, decode_tuple, restrict, submasks
 from .langlib import ConstraintLanguage, minor
 
 _FS0 = frozenset((0,))
@@ -74,26 +74,6 @@ def _cons_of(phi: Formula) -> list[_Con]:
     return [(frozenset(c.relation.codes), c.scope) for c in phi.constraints]
 
 
-def _assign(codes: frozenset[int], scope: tuple[int, ...], values: dict[int, int]) -> _Con:
-    """Restrict a constraint to the values of its variables set in `values`
-    and project those variables away."""
-    keep = [i for i, v in enumerate(scope) if v not in values]
-    hit = want = 0
-    for i, v in enumerate(scope):
-        if v in values:
-            hit |= 1 << i
-            want |= values[v] << i
-    out = set()
-    for code in codes:
-        if code & hit != want:
-            continue
-        nc = 0
-        for j, i in enumerate(keep):
-            nc |= ((code >> i) & 1) << j
-        out.add(nc)
-    return frozenset(out), tuple(scope[i] for i in keep)
-
-
 def _fix(cons: list[_Con], amask: int, vmask: int, values: dict[int, int]):
     """Set the variables in `values`, in the constraints and the masks."""
     untouched = values.keys().isdisjoint
@@ -102,20 +82,16 @@ def _fix(cons: list[_Con], amask: int, vmask: int, values: dict[int, int]):
         amask |= bit
         if val:
             vmask |= bit
-    return [c if untouched(c[1]) else _assign(*c, values) for c in cons], amask, vmask
+    return [c if untouched(c[1]) else restrict(*c, values) for c in cons], amask, vmask
 
 
 def _expand_free(vmask: int, free: int, stats: EnumStats) -> Iterator[int]:
     """vmask completed in every way on the variables of the mask `free`, in
     increasing order."""
-    sub = 0
-    while True:
+    for sub in submasks(free):
         stats.models_emitted += 1
         stats.leaves += 1
         yield vmask | sub
-        if sub == free:
-            return
-        sub = (sub - free) & free
 
 
 # A branching policy maps a node's constraints and masks to None on a
@@ -165,7 +141,7 @@ def _tuple_branching(cons: list[_Con], amask: int, vmask: int):
     pick = min(range(len(live)),
                key=lambda i: len(live[i][0]) ** (1.0 / len(live[i][1])))
     codes, scope = live.pop(pick)
-    return live, amask, vmask, [{v: (code >> i) & 1 for i, v in enumerate(scope)}
+    return live, amask, vmask, [dict(zip(scope, decode_tuple(code, len(scope))))
                                 for code in sorted(codes)]
 
 
@@ -223,9 +199,8 @@ def sparse_enumerate(phi: Formula, lang: ConstraintLanguage, r0: int = 1) -> Mod
     """
     if r0 < 1:
         raise ValueError("r0 must be >= 1")
-    members = {(r.arity, r.codes) for r in lang.relations}
     for con in phi.constraints:
-        if (con.relation.arity, con.relation.codes) not in members:
+        if con.relation not in lang:
             raise LanguageContractError(
                 f"relation {con.relation} not in the declared language")
 
@@ -234,7 +209,7 @@ def sparse_enumerate(phi: Formula, lang: ConstraintLanguage, r0: int = 1) -> Mod
         # the identification minor merges repeated variables of the scope
         first: dict[int, int] = {}
         rel = minor(con.relation, [first.setdefault(v, len(first) + 1) for v in con.scope])
-        if first and not rel.is_trivial and (rel.arity, rel.codes) not in members:
+        if first and not rel.is_trivial and rel not in lang:
             raise LanguageContractError(
                 "identification minor escapes the language; it is not branching-closed")
         start.append((frozenset(rel.codes), tuple(first)))

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .core import (AbductionInstance, Explanation, FragmentError, Formula,
                    TRIVIALLY_NO, conjoin_literals, entails, evaluate,
-                   make_explanation, preprocess, satisfies_vars, SatDecider)
+                   make_explanation, preprocess, satisfies_vars, submasks, SatDecider)
 from .langlib import ConstraintLanguage, is_one_valid
 from .reductions import ReductionReport, abd_to_simplesat
 from .satenum import (EnumStats, ModelStream, WEIGHT_ORDERED, decide,
@@ -70,16 +70,6 @@ def _full(mask: int, hyp: Iterable[int]) -> frozenset[int]:
     return frozenset(h if (mask >> (h - 1)) & 1 else -h for h in hyp)
 
 
-def _submasks(mask: int) -> Iterator[int]:
-    """Every submask of mask, in increasing order."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
-
-
 def _maximal(patterns: Iterable[int]) -> list[int]:
     """The subset-maximal bit patterns, widest first."""
     maximal: list[int] = []
@@ -122,7 +112,7 @@ def pabd_lattice(inst: AbductionInstance) -> tuple[dict[int, int], dict[int, int
     """Superset-summed (sat-count, bad-count) tables over the H-subset lattice,
     keyed by the submasks of the H mask in increasing order."""
     count, bad = model_table(inst)
-    f = dict.fromkeys(_submasks(hyp_mask(inst.hypotheses)), 0)
+    f = dict.fromkeys(submasks(hyp_mask(inst.hypotheses)), 0)
     g = dict(f)
     for proj, c in count.items():
         f[proj] += c
@@ -250,7 +240,7 @@ def _baseline(inst: AbductionInstance, sat: SatDecider, algorithm: str,
         return _no(algorithm, stats)
     inst = pre.instance
     hyp = sorted(inst.hypotheses)
-    for mask in _submasks(hyp_mask(hyp)):
+    for mask in submasks(hyp_mask(hyp)):
         stats.branch_nodes += 1
         lits = candidate(mask, hyp)
         base = conjoin_literals(inst.kb, lits)
