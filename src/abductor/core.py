@@ -7,6 +7,13 @@ tuple maps to bit i-1), so relation equality and set algebra are exact.
 encode_tuple, decode_tuple, gather, restrict and submasks are the one place
 that packs, unpacks, restricts and walks these codes; evaluate inlines
 gather's loop for speed.
+
+restrict answers from the restriction table, a module-level memo from (codes,
+arity, fixed positions, their values) to (restricted codes, kept positions).
+A search meets the same few hundred patterns again and again, so each is
+filtered tuple by tuple once.  The table is emptied whenever the code sets it
+holds pass _RESTRICT_TABLE_CODES codes in all, which bounds its memory
+whatever the arity of the relations.
 """
 
 from __future__ import annotations
@@ -49,16 +56,18 @@ def gather(sigma: Assignment, scope: Iterable[int]) -> int:
     return code
 
 
-def restrict(codes: Iterable[int], scope: tuple[int, ...],
-             values: Mapping[int, int]) -> tuple[frozenset[int], tuple[int, ...]]:
-    """Restrict a constraint to the values of its variables set in `values`
-    and project those variables away."""
-    keep = [i for i, v in enumerate(scope) if v not in values]
-    hit = want = 0
-    for i, v in enumerate(scope):
-        if v in values:
-            hit |= 1 << i
-            want |= values[v] << i
+# The restriction table (see the module docstring): (codes, arity, hit, want)
+# -> (restricted codes, kept positions), and the codes its entries hold.
+_RESTRICT_TABLE_CODES = 1 << 16
+_restrict_table: dict[tuple, tuple[frozenset[int], tuple[int, ...]]] = {}
+_restrict_table_held = 0
+
+
+def _restrict_codes(codes: Iterable[int], arity: int, hit: int,
+                    want: int) -> tuple[frozenset[int], tuple[int, ...]]:
+    """The codes that agree with `want` on the positions in `hit`, with those
+    positions projected away, and the positions kept."""
+    keep = tuple(i for i in range(arity) if not hit >> i & 1)
     out = set()
     for code in codes:
         if code & hit != want:
@@ -67,7 +76,33 @@ def restrict(codes: Iterable[int], scope: tuple[int, ...],
         for j, i in enumerate(keep):
             nc |= ((code >> i) & 1) << j
         out.add(nc)
-    return frozenset(out), tuple(scope[i] for i in keep)
+    return frozenset(out), keep
+
+
+def restrict(codes: frozenset[int] | tuple[int, ...], scope: tuple[int, ...],
+             values: Mapping[int, int]) -> tuple[frozenset[int], tuple[int, ...]]:
+    """Restrict a constraint to the values of its variables set in `values`
+    and project those variables away, through the restriction table."""
+    global _restrict_table_held
+    hit = want = 0
+    bit = 1
+    for v in scope:
+        if v in values:
+            hit |= bit
+            if values[v]:
+                want |= bit
+        bit <<= 1
+    key = (codes, len(scope), hit, want)
+    entry = _restrict_table.get(key)
+    if entry is None:
+        entry = _restrict_codes(codes, len(scope), hit, want)
+        if _restrict_table_held > _RESTRICT_TABLE_CODES:
+            _restrict_table.clear()
+            _restrict_table_held = 0
+        _restrict_table[key] = entry
+        _restrict_table_held += len(entry[0]) + 1
+    out, keep = entry
+    return out, tuple([scope[i] for i in keep])
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -87,6 +122,8 @@ class Relation:
     arity: int
     codes: tuple[int, ...]
     name: str | None = field(default=None, compare=False)
+    # the codes as a frozenset, for membership tests and the search engines
+    _codeset: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.arity < 0:
@@ -112,7 +149,7 @@ class Relation:
         return [decode_tuple(c, self.arity) for c in self.codes]
 
     def __contains__(self, code: int) -> bool:
-        return code in self._codeset  # type: ignore[attr-defined]
+        return code in self._codeset
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -260,6 +297,19 @@ def make_explanation(lits: Iterable[Literal], hypotheses: frozenset[int]) -> Exp
     return Explanation(lits, explanation_kind(lits, hypotheses))
 
 
+def _extend(phi: Formula, extra: tuple[Constraint, ...]) -> Formula:
+    """phi ∧ extra as a Formula, range-checking only the new constraints: phi
+    is valid already, so re-checking its constraints would only cost time."""
+    n = phi.num_vars
+    for con in extra:
+        if any(v > n for v in con.scope):
+            raise StructureError(f"scope {con.scope} exceeds num_vars={n}")
+    out = object.__new__(Formula)
+    object.__setattr__(out, "num_vars", n)
+    object.__setattr__(out, "constraints", phi.constraints + extra)
+    return out
+
+
 def conjoin_literals(phi: Formula, lits: Iterable[Literal]) -> Formula:
     """KB ∧ E realized by forcing each literal with a TOP/BOT unary constraint."""
     extra = []
@@ -268,14 +318,14 @@ def conjoin_literals(phi: Formula, lits: Iterable[Literal]) -> Formula:
         if not (1 <= v <= phi.num_vars):
             raise StructureError(f"literal {l} outside variable range")
         extra.append(Constraint(TOP if l > 0 else BOT, (v,)))
-    return Formula(phi.num_vars, phi.constraints + tuple(extra))
+    return _extend(phi, tuple(extra))
 
 
 def entails(phi: Formula, manifestations: Iterable[int], sat: SatDecider) -> bool:
     """phi ⊨ M, decided as one unsatisfiability check of phi ∧ ¬m per
     manifestation m, in the given order and stopping at the first failure."""
     for m in manifestations:
-        if sat(Formula(phi.num_vars, phi.constraints + (Constraint(BOT, (m,)),))):
+        if sat(_extend(phi, (Constraint(BOT, (m,)),))):
             return False
     return True
 

@@ -177,10 +177,11 @@ def check_reductions(inst: AbductionInstance) -> tuple[list[Finding], list[Findi
 
     if is_kcnf_formula(inst.kb, k=2):
         out, _rep = abd2cnf_to_cnfsat(pre)
-        if out.num_vars <= 16 and out.satisfiable() != in_abd:
-            logged.append(Finding("abd2cnf-to-cnfsat",
-                                  f"SAT {out.satisfiable()} vs oracle {in_abd}",
-                                  text))
+        if out.num_vars <= 16:
+            out_sat = out.satisfiable()
+            if out_sat != in_abd:
+                logged.append(Finding("abd2cnf-to-cnfsat",
+                                      f"SAT {out_sat} vs oracle {in_abd}", text))
     return fails, logged
 
 

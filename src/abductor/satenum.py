@@ -12,6 +12,11 @@ branching policy:
                              closed under branching (eliminates a whole scope
                              per branch)
 
+A node restricts the constraints its branch touches through core.restrict,
+whose restriction table (bounded by core._RESTRICT_TABLE_CODES) filters each
+(relation, fixed positions, values) pattern once; formulas are read through
+each relation's cached code set, so a call copies no relation.
+
 solve_simple_sat keeps its own iterative branch-and-reduce procedure for
 positive-clause/negative-DNF instances with the (1,...,p) clause branching.
 
@@ -28,8 +33,6 @@ from typing import Iterable, Iterator
 
 from .core import Formula, decode_tuple, restrict, submasks
 from .langlib import ConstraintLanguage, minor
-
-_FS0 = frozenset((0,))
 
 
 class LanguageContractError(ValueError):
@@ -71,7 +74,7 @@ _Con = tuple[frozenset[int], tuple[int, ...]]
 
 
 def _cons_of(phi: Formula) -> list[_Con]:
-    return [(frozenset(c.relation.codes), c.scope) for c in phi.constraints]
+    return [(c.relation._codeset, c.scope) for c in phi.constraints]
 
 
 def _fix(cons: list[_Con], amask: int, vmask: int, values: dict[int, int]):
@@ -105,19 +108,20 @@ def _variable_branching(cons: list[_Con], amask: int, vmask: int):
     while True:
         forced: dict[int, int] = {}
         out: list[_Con] = []
-        for codes, scope in cons:
+        for con in cons:
+            codes, scope = con
             if not codes:
                 return None
             k = len(scope)
             if len(codes) == (1 << k):
                 continue
             if k == 1:
-                val = 0 if codes == _FS0 else 1
+                val = 0 if 0 in codes else 1
                 if forced.get(scope[0], val) != val:
                     return None
                 forced[scope[0]] = val
                 continue
-            out.append((codes, scope))
+            out.append(con)
         if not forced:
             break
         cons, amask, vmask = _fix(out, amask, vmask, forced)
@@ -212,7 +216,7 @@ def sparse_enumerate(phi: Formula, lang: ConstraintLanguage, r0: int = 1) -> Mod
         if first and not rel.is_trivial and rel not in lang:
             raise LanguageContractError(
                 "identification minor escapes the language; it is not branching-closed")
-        start.append((frozenset(rel.codes), tuple(first)))
+        start.append((rel._codeset, tuple(first)))
     stats = EnumStats()
     return ModelStream(_search(start, phi.num_vars, _tuple_branching, stats),
                        stats, UNORDERED)

@@ -5,11 +5,12 @@ import pytest
 from abductor.core import (AbductionInstance, Constraint, Formula, Relation,
                            StructureError, TRIVIALLY_NO, TRIVIALLY_REDUCED,
                            UNCHANGED, BOT, TOP, assignment_from_values,
-                           conjoin_literals, evaluate, explanation_kind,
+                           conjoin_literals, entails, evaluate, explanation_kind,
                            formula, is_explanation, make_explanation,
                            preprocess)
 from abductor.langlib import clause_relation, one_in_k
 from abductor.satenum import decide
+from abductor.solvers import brute_models
 
 
 def example1_instance() -> AbductionInstance:
@@ -119,6 +120,35 @@ class TestConjoin:
     def test_literal_out_of_range(self):
         with pytest.raises(StructureError):
             conjoin_literals(formula(1, []), {2})
+
+    @pytest.mark.parametrize("lit", [0, 4, -4])
+    def test_literal_zero_or_past_num_vars(self, lit):
+        with pytest.raises(StructureError):
+            conjoin_literals(formula(3, [(one_in_k(2), (1, 2))]), {1, lit})
+
+    @pytest.mark.parametrize("m", [0, 4])
+    def test_entails_manifestation_out_of_range(self, m):
+        phi = formula(3, [(one_in_k(2), (1, 2))])
+        with pytest.raises(StructureError):
+            entails(phi, [m], decide)
+
+    def test_extended_formula_equals_the_public_constructor(self):
+        phi = formula(3, [(one_in_k(2), (1, 2)), (clause_relation((0, 1)), (2, 3))])
+        public = Formula(3, phi.constraints + (Constraint(TOP, (1,)), Constraint(BOT, (3,))))
+        fast = conjoin_literals(phi, [1, -3])
+        assert fast == public and hash(fast) == hash(public)
+        seen = []
+        entails(phi, [3], lambda f: seen.append(f) or True)
+        public = Formula(3, phi.constraints + (Constraint(BOT, (3,)),))
+        assert seen == [public] and hash(seen[0]) == hash(public)
+
+    def test_extended_formula_hits_the_oracle_cache(self):
+        phi = formula(3, [(one_in_k(2), (1, 2))])
+        public = Formula(3, phi.constraints + (Constraint(TOP, (2,)),))
+        brute_models.cache_clear()
+        models = brute_models(public)
+        assert brute_models(conjoin_literals(phi, [2])) == models
+        assert brute_models.cache_info().hits == 1
 
 
 class TestExplanationKinds:
