@@ -5,7 +5,7 @@ oracles for cross-validation."""
 from .core import (AbductionInstance, Assignment, Constraint, Explanation,
                    Formula, FragmentError, PreprocessResult, Relation,
                    StructureError, conjoin_literals, evaluate, formula,
-                   is_explanation, make_explanation, preprocess)
+                   is_explanation, preprocess)
 from .langlib import (ConstraintLanguage, SparsityCertificate,
                       branching_closure, check_sparsity, derive_inequality,
                       is_complement_invariant, is_non_trivial, is_one_valid,
@@ -28,7 +28,7 @@ __all__ = [
     "check_sparsity", "conjoin_literals", "decide", "derive_inequality",
     "enum_abd", "enumerate_models", "enumerate_weight_ordered", "evaluate",
     "formula", "is_complement_invariant", "is_explanation", "is_non_trivial",
-    "is_one_valid", "make_explanation", "minor", "oracle_abd", "oracle_pabd",
+    "is_one_valid", "minor", "oracle_abd", "oracle_pabd",
     "pabd_enum", "pabd_one_valid", "pabd_recursive", "preprocess",
     "solve_simple_sat", "sparse_enumerate", "substitute",
 ]

@@ -275,26 +275,11 @@ class AbductionInstance:
 @dataclass(frozen=True)
 class Explanation:
     literals: frozenset[Literal]
-    kind: str  # "full" | "positive" | "general"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "literals", frozenset(self.literals))
         if not literals_consistent(self.literals):
             raise StructureError("explanation literals are inconsistent")
-
-
-def explanation_kind(lits: Iterable[Literal], hypotheses: frozenset[int]) -> str:
-    lits = frozenset(lits)
-    if all(l > 0 for l in lits):
-        return "positive"
-    if {abs(l) for l in lits} == set(hypotheses):
-        return "full"
-    return "general"
-
-
-def make_explanation(lits: Iterable[Literal], hypotheses: frozenset[int]) -> Explanation:
-    lits = frozenset(lits)
-    return Explanation(lits, explanation_kind(lits, hypotheses))
 
 
 def _extend(phi: Formula, extra: tuple[Constraint, ...]) -> Formula:
@@ -330,19 +315,17 @@ def entails(phi: Formula, manifestations: Iterable[int], sat: SatDecider) -> boo
     return True
 
 
-def is_explanation(inst: AbductionInstance, lits: Iterable[Literal],
-                   sat: SatDecider | None = None) -> bool:
+def is_explanation(inst: AbductionInstance, lits: Iterable[Literal]) -> bool:
     """Check the two defining conditions: KB∧E satisfiable and KB∧E entails M."""
+    from .satenum import decide  # local import to avoid a cycle
     lits = frozenset(lits)
     for l in lits:
         if abs(l) not in inst.hypotheses:
             raise StructureError(f"literal {l} not over the hypothesis set")
-    if sat is None:
-        from .satenum import decide as sat  # local import to avoid a cycle
     if not literals_consistent(lits):
         return False
     base = conjoin_literals(inst.kb, lits)
-    return sat(base) and entails(base, inst.manifestations, sat)
+    return decide(base) and entails(base, inst.manifestations, decide)
 
 
 TRIVIALLY_NO = "trivially-no"
@@ -354,6 +337,7 @@ UNCHANGED = "unchanged"
 class PreprocessResult:
     instance: AbductionInstance
     verdict: str
+    self_explained: frozenset[int] = frozenset()  # dropped from both H and M
 
 
 def preprocess(inst: AbductionInstance) -> PreprocessResult:
@@ -364,6 +348,9 @@ def preprocess(inst: AbductionInstance) -> PreprocessResult:
       - m in M ∩ H outside var(KB): self-explained, drop from both M and H;
       - h in H outside var(KB) (and not in M): irrelevant, drop from H.
 
+    An explanation E of the reduced instance gives the explanation
+    E ∪ self_explained of inst: each dropped m is free in KB and implies itself.
+
     Overlaps H ∩ M *inside* var(KB) are kept: dropping such an m can flip the
     answer (m may be inconsistent with KB), so no sound local rule exists.
     Consumers that require disjointness resolve it themselves (see
@@ -372,17 +359,15 @@ def preprocess(inst: AbductionInstance) -> PreprocessResult:
     used = inst.kb.used_vars()
     hyp = set(inst.hypotheses)
     man = set(inst.manifestations)
-    changed = False
+    self_explained: set[int] = set()
     for m in sorted(man - used):
-        if m in hyp:
-            man.discard(m)
-            hyp.discard(m)
-            changed = True
-        else:
+        if m not in hyp:
             reduced = AbductionInstance(inst.kb, frozenset(hyp), frozenset(man))
             return PreprocessResult(reduced, TRIVIALLY_NO)
-    for h in sorted(hyp - used):
-        hyp.discard(h)
-        changed = True
+        man.discard(m)
+        hyp.discard(m)
+        self_explained.add(m)
+    hyp &= used
     out = AbductionInstance(inst.kb, frozenset(hyp), frozenset(man))
-    return PreprocessResult(out, TRIVIALLY_REDUCED if changed else UNCHANGED)
+    verdict = TRIVIALLY_REDUCED if hyp != inst.hypotheses else UNCHANGED
+    return PreprocessResult(out, verdict, frozenset(self_explained))

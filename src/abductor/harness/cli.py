@@ -98,22 +98,28 @@ def _write_dimacs(phi: CnfFormula, path: str) -> None:
 
 
 def _read_dimacs(path: str) -> CnfFormula:
+    """DIMACS CNF: `c` comment lines and a `p cnf` header, then the clauses as
+    one stream of literals, each clause ended by a 0 wherever lines break.  A
+    line starting with `%` (the SATLIB trailer) ends the clauses, and the last
+    clause may omit its 0."""
     num_vars = 0
-    clauses = []
+    clauses: list[list[int]] = [[]]
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if not line or line.startswith(("c", "%")):
-                continue
+            if line.startswith("%"):
+                break
             if line.startswith("p"):
-                parts = line.split()
-                num_vars = int(parts[2])
-                continue
-            lits = [int(x) for x in line.split()]
-            if lits and lits[-1] == 0:
-                lits = lits[:-1]
-            clauses.append(tuple(lits))
-    return CnfFormula(num_vars, tuple(clauses))
+                num_vars = int(line.split()[2])
+            elif line and not line.startswith("c"):
+                for lit in map(int, line.split()):
+                    if lit:
+                        clauses[-1].append(lit)
+                    else:
+                        clauses.append([])
+    if not clauses[-1]:
+        clauses.pop()
+    return CnfFormula(num_vars, tuple(map(tuple, clauses)))
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:

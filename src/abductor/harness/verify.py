@@ -87,7 +87,7 @@ def check_solvers(inst: AbductionInstance) -> list[Finding]:
         if res.answer != truth.answer:
             bad(name, f"answer {res.answer} vs oracle {truth.answer}")
         elif res.answer and res.witness is not None:
-            if not is_explanation(pre, res.witness.literals):
+            if not is_explanation(inst, res.witness.literals):
                 bad(name, f"witness {sorted(res.witness.literals)} is not an explanation")
 
     check_result("baseline-abd", baseline_abd(inst), truth_abd)
@@ -272,6 +272,8 @@ RANDOM_FAMILIES: dict[str, Callable[[int, int], AbductionInstance]] = {
 
 def random_instances(per_family: int, max_n: int = 12,
                      seed: int = 0) -> Iterator[tuple[str, AbductionInstance]]:
+    if max_n < 4:
+        raise ValueError(f"random instances need max_n >= 4, got {max_n}")
     sizes = list(range(4, max_n + 1))
     for family, gen in RANDOM_FAMILIES.items():
         for i in range(per_family):

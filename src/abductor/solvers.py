@@ -4,7 +4,10 @@ polynomial-space recursive positive solver, the 1-valid shortcut, and the
 positive-clause pipeline through SimpleSAT.
 
 Every solver preprocesses its input (see core.preprocess) and returns an
-AbdResult whose witness, when present, passes core.is_explanation.
+AbdResult whose witness, when present, passes core.is_explanation on the
+instance the caller passed, so it includes the manifestations that preprocess
+drops as self-explained.  The explanation sets (of enum_abd, pabd_enum and the
+oracle_*_explanations functions) are over preprocess(inst).instance.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .core import (AbductionInstance, Explanation, FragmentError, Formula,
-                   TRIVIALLY_NO, conjoin_literals, entails, evaluate,
-                   make_explanation, preprocess, satisfies_vars, submasks, SatDecider)
+                   PreprocessResult, TRIVIALLY_NO, conjoin_literals, entails,
+                   evaluate, preprocess, satisfies_vars, submasks, SatDecider)
 from .langlib import ConstraintLanguage, is_one_valid
 from .reductions import ReductionReport, abd_to_simplesat
 from .satenum import (EnumStats, ModelStream, WEIGHT_ORDERED, decide,
@@ -37,10 +40,6 @@ ORACLE_MAX_HYP = 16
 GENERAL_MAX_HYP = 10
 
 
-ALL_FULL = "all-full"
-SUBSET_MAXIMAL_POSITIVE = "subset-maximal-positive"
-
-
 @dataclass(frozen=True)
 class AbdResult:
     answer: bool
@@ -53,7 +52,14 @@ class AbdResult:
 @dataclass(frozen=True)
 class ExplanationSet:
     explanations: frozenset[frozenset[int]]
-    kind: str
+
+
+def _yes(pre: PreprocessResult, lits: Iterable[int], stats: EnumStats,
+         algorithm: str, report: ReductionReport | None = None) -> AbdResult:
+    """Answer yes for the caller's instance: lits explains pre.instance, and
+    the self-explained manifestations preprocess dropped are added back."""
+    return AbdResult(True, Explanation(frozenset(lits) | pre.self_explained),
+                     stats, algorithm, report)
 
 
 def _no(algorithm: str, stats: EnumStats | None = None) -> AbdResult:
@@ -147,8 +153,7 @@ def oracle_abd(inst: AbductionInstance) -> AbdResult:
     stats = _oracle_stats(inst.kb, sum(count.values()))
     if not good:
         return _no("oracle-abd", stats)
-    wit = make_explanation(_full(min(good), sorted(inst.hypotheses)), inst.hypotheses)
-    return AbdResult(True, wit, stats, "oracle-abd")
+    return _yes(pre, _full(min(good), sorted(inst.hypotheses)), stats, "oracle-abd")
 
 
 def oracle_full_explanations(inst: AbductionInstance) -> frozenset[frozenset[int]]:
@@ -175,8 +180,7 @@ def oracle_pabd(inst: AbductionInstance) -> AbdResult:
     if not ok:
         return _no("oracle-pabd", stats)
     best = max(ok, key=lambda p: bin(p).count("1"))
-    return AbdResult(True, make_explanation(_positive(best, sorted(inst.hypotheses)),
-                                            inst.hypotheses), stats, "oracle-pabd")
+    return _yes(pre, _positive(best, sorted(inst.hypotheses)), stats, "oracle-pabd")
 
 
 def oracle_positive_explanations(inst: AbductionInstance) -> tuple[frozenset[frozenset[int]],
@@ -249,8 +253,7 @@ def _baseline(inst: AbductionInstance, sat: SatDecider, algorithm: str,
             continue
         stats.leaves += len(inst.manifestations)
         if entails(base, inst.manifestations, sat):
-            return AbdResult(True, make_explanation(lits, inst.hypotheses),
-                             stats, algorithm)
+            return _yes(pre, lits, stats, algorithm)
     return _no(algorithm, stats)
 
 
@@ -276,7 +279,7 @@ def enum_abd(inst: AbductionInstance,
     explanations."""
     pre = preprocess(inst)
     if pre.verdict == TRIVIALLY_NO:
-        return _no("enum-abd"), ExplanationSet(frozenset(), ALL_FULL)
+        return _no("enum-abd"), ExplanationSet(frozenset())
     inst = pre.instance
     if stream is None:
         stream = enumerate_models(inst.kb)
@@ -293,11 +296,10 @@ def enum_abd(inst: AbductionInstance,
             discarded.add(proj)
             potential.discard(proj)
     hyp = sorted(inst.hypotheses)
-    eset = ExplanationSet(frozenset(_full(p, hyp) for p in potential), ALL_FULL)
+    eset = ExplanationSet(frozenset(_full(p, hyp) for p in potential))
     if not potential:
         return _no("enum-abd", stream.stats), eset
-    wit = make_explanation(_full(min(potential), hyp), inst.hypotheses)
-    return AbdResult(True, wit, stream.stats, "enum-abd"), eset
+    return _yes(pre, _full(min(potential), hyp), stream.stats, "enum-abd"), eset
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +363,7 @@ def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
         elif sat(base_g):
             stats.leaves += 1
             if entails(conjoin_literals(inst.kb, e), man, sat):
-                return AbdResult(True, make_explanation(e, inst.hypotheses),
-                                 stats, "pabd-rec")
+                return _yes(pre, e, stats, "pabd-rec")
             # else a superset pattern violates M: the whole subtree is dead
         elif d:
             stack.append((d, delta, 0))
@@ -396,7 +397,7 @@ def pabd_enum(inst: AbductionInstance,
     """
     pre = preprocess(inst)
     if pre.verdict == TRIVIALLY_NO:
-        return _no("pabd-enum"), ExplanationSet(frozenset(), SUBSET_MAXIMAL_POSITIVE)
+        return _no("pabd-enum"), ExplanationSet(frozenset())
     inst = pre.instance
     if stream is None:
         stream = enumerate_weight_ordered(inst.kb, inst.hypotheses)
@@ -430,13 +431,11 @@ def pabd_enum(inst: AbductionInstance,
                  if not any(e & b == e for b in bad_patterns)]
     maximal = _maximal(survivors)
     hyp = sorted(inst.hypotheses)
-    eset = ExplanationSet(frozenset(_positive(p, hyp) for p in maximal),
-                          SUBSET_MAXIMAL_POSITIVE)
+    eset = ExplanationSet(frozenset(_positive(p, hyp) for p in maximal))
     if not maximal:
         return _no("pabd-enum", stream.stats), eset
     best = max(maximal, key=lambda q: bin(q).count("1"))
-    wit = make_explanation(_positive(best, hyp), inst.hypotheses)
-    return AbdResult(True, wit, stream.stats, "pabd-enum"), eset
+    return _yes(pre, _positive(best, hyp), stream.stats, "pabd-enum"), eset
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +457,7 @@ def pabd_one_valid(inst: AbductionInstance) -> AbdResult:
     base = conjoin_literals(inst.kb, inst.hypotheses)
     stats.leaves = len(inst.manifestations)
     if entails(base, inst.manifestations, decide):
-        return AbdResult(True, make_explanation(frozenset(inst.hypotheses), inst.hypotheses),
-                         stats, "one-valid")
+        return _yes(pre, inst.hypotheses, stats, "one-valid")
     return _no("one-valid", stats)
 
 
@@ -480,5 +478,4 @@ def abd_kcnf_pos(inst: AbductionInstance) -> AbdResult:
     if model is None:
         return AbdResult(False, None, stats, "simplesat", report)
     lits = frozenset(-h for h in inst.hypotheses if not (model >> (h - 1)) & 1)
-    return AbdResult(True, make_explanation(lits, inst.hypotheses), stats, "simplesat",
-                     report)
+    return _yes(pre, lits, stats, "simplesat", report)

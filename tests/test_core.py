@@ -5,9 +5,8 @@ import pytest
 from abductor.core import (AbductionInstance, Constraint, Formula, Relation,
                            StructureError, TRIVIALLY_NO, TRIVIALLY_REDUCED,
                            UNCHANGED, BOT, TOP, assignment_from_values,
-                           conjoin_literals, entails, evaluate, explanation_kind,
-                           formula, is_explanation, make_explanation,
-                           preprocess)
+                           conjoin_literals, entails, evaluate, formula,
+                           is_explanation, preprocess)
 from abductor.langlib import clause_relation, one_in_k
 from abductor.satenum import decide
 from abductor.solvers import brute_models
@@ -78,24 +77,24 @@ class TestEvaluate:
 class TestIsExplanation:
     def test_example1_full(self):
         inst = example1_instance()
-        assert is_explanation(inst, {1, -4, -5}, decide)
+        assert is_explanation(inst, {1, -4, -5})
 
     def test_example1_positive(self):
         inst = example1_instance()
-        assert is_explanation(inst, {1, 4}, decide)
+        assert is_explanation(inst, {1, 4})
 
     def test_example1_buses_alone_fails(self):
         inst = example1_instance()
-        assert not is_explanation(inst, {5}, decide)
+        assert not is_explanation(inst, {5})
 
     def test_literals_must_range_over_hypotheses(self):
         inst = example1_instance()
         with pytest.raises(StructureError):
-            is_explanation(inst, {2}, decide)
+            is_explanation(inst, {2})
 
     def test_inconsistent_literals_never_explain(self):
         inst = example1_instance()
-        assert not is_explanation(inst, {1, -1}, decide)
+        assert not is_explanation(inst, {1, -1})
 
     def test_matches_bruteforce_definition(self):
         inst = example1_instance()
@@ -107,7 +106,7 @@ class TestIsExplanation:
                           if all(((s >> (abs(l) - 1)) & 1) == (l > 0) for l in e)]
             want = bool(sat_models) and all(
                 (s >> 2) & 1 for s in sat_models)  # M = {3}
-            assert is_explanation(inst, e, decide) == want
+            assert is_explanation(inst, e) == want
 
 
 class TestConjoin:
@@ -149,15 +148,6 @@ class TestConjoin:
         models = brute_models(public)
         assert brute_models(conjoin_literals(phi, [2])) == models
         assert brute_models.cache_info().hits == 1
-
-
-class TestExplanationKinds:
-    def test_kinds(self):
-        hyp = frozenset({1, 4, 5})
-        assert explanation_kind({1, -4, -5}, hyp) == "full"
-        assert explanation_kind({1, 4}, hyp) == "positive"
-        assert explanation_kind({1, -4}, hyp) == "general"
-        assert make_explanation(frozenset(), hyp).kind == "positive"
 
 
 class TestPreprocess:

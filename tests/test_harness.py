@@ -281,9 +281,45 @@ class TestCli:
         out = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert code == 0 and out["ok"] is True
 
+    def test_verify_max_n_below_four_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert self.run("verify", "--per-family", "1", "--max-n", "3") == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "max_n >= 4" in err
+        assert "internal" not in err and "\n" not in err
+
     def test_console_script_entry(self):
         proc = subprocess.run([sys.executable, "-m", "abductor.harness.cli",
                                "gen", "--family", "xsat-chain", "--m", "2"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("abd 1\n")
+
+
+class TestCliDimacs:
+    """`reduce --reduction cnfsat-to-abd` reads the literals as one stream cut
+    at each 0, whatever the line breaks, and stops at a SATLIB `%` line."""
+
+    def reduce(self, tmp_path, text):
+        src, dst = tmp_path / "in.cnf", tmp_path / "out.abd"
+        src.write_text(text)
+        code = cli_main(["reduce", "--reduction", "cnfsat-to-abd",
+                         "-i", str(src), "-o", str(dst)])
+        return code, io.parse(str(dst)) if code == 0 else None
+
+    def expected(self, num_vars, clauses):
+        from abductor.reductions import CnfFormula, cnfsat_to_abd_lb
+        return cnfsat_to_abd_lb(CnfFormula(num_vars, tuple(clauses)))[0]
+
+    def test_clause_spanning_lines(self, tmp_path):
+        code, out = self.reduce(tmp_path, "c spans two lines\np cnf 3 1\n1 2\n3 0\n")
+        assert code == 0 and out == self.expected(3, [(1, 2, 3)])
+
+    def test_several_clauses_on_one_line(self, tmp_path):
+        code, out = self.reduce(tmp_path, "p cnf 3 2\n1 2 0 -3 0\n")
+        assert code == 0 and out == self.expected(3, [(1, 2), (-3,)])
+
+    def test_satlib_trailer_ends_the_clauses(self, tmp_path):
+        code, out = self.reduce(tmp_path, "p cnf 2 2\n1 2 0\n-1 0\n%\n0\n\n")
+        assert code == 0 and out == self.expected(2, [(1, 2), (-1,)])
+        assert verify.oracle_abd(out).answer  # satisfiable, so an explanation exists
