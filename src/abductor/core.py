@@ -14,10 +14,17 @@ A search meets the same few hundred patterns again and again, so each is
 filtered tuple by tuple once.  The table is emptied whenever the code sets it
 holds pass _RESTRICT_TABLE_CODES codes in all, which bounds its memory
 whatever the arity of the relations.
+
+truth_table is the bit-parallel form of evaluate, which stays the definition:
+one Python int per variable column (bit s holds the variable's value in
+assignment s), so each big-int AND or OR works on all 2^n assignments at once
+(Knuth, TAOCP 4A, 7.1.3).  The brute-force oracles and CnfFormula.satisfiable
+build their tables from these columns.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -234,6 +241,70 @@ def evaluate(phi: Formula, sigma: Assignment) -> bool:
     return True
 
 
+# The variable columns and the truth table (see the module docstring).
+ORACLE_MAX_VARS = 20
+
+
+class OracleCapError(ValueError):
+    """Instance exceeds the brute-force size cap."""
+
+
+@functools.lru_cache(maxsize=None)  # at most ORACLE_MAX_VARS + 1 entries
+def columns(n: int) -> tuple[tuple[int, int], ...]:
+    """The (complement, column) pair of every variable over the 2^n
+    assignments: bit s of columns(n)[v-1][1] holds bit v-1 of assignment s,
+    and [0] is its complement.  The one place that allocates 2^n-bit tables,
+    so it enforces the oracle cap on n."""
+    if n > ORACLE_MAX_VARS:
+        raise OracleCapError(f"n={n} exceeds oracle cap {ORACLE_MAX_VARS}")
+    full = (1 << (1 << n)) - 1
+    out = []
+    for v in range(n):
+        h = 1 << v  # runs of h zeros then h ones, repeated
+        col = (((1 << h) - 1) << h) * (full // ((1 << 2 * h) - 1))
+        out.append((full ^ col, col))
+    return tuple(out)
+
+
+def truth_table(phi: Formula) -> int:
+    """Bit s is set iff assignment s satisfies phi: the AND over the
+    constraints of the OR over their tuples of the AND of the matching
+    columns.  A relation holding more than half of {0,1}^k is built from its
+    missing tuples and complemented, so wide clauses stay cheap."""
+    cols = columns(phi.num_vars)
+    full = (1 << (1 << phi.num_vars)) - 1
+    table = full
+    for con in phi.constraints:
+        rel = con.relation
+        flip = 2 * len(rel) > 1 << rel.arity
+        codes = [c for c in range(1 << rel.arity) if c not in rel] if flip else rel.codes
+        pairs = [cols[v - 1] for v in con.scope]
+        col = 0
+        for code in codes:
+            term = full
+            for i, pair in enumerate(pairs):
+                term &= pair[(code >> i) & 1]
+            col |= term
+        table &= full ^ col if flip else col
+        if not table:
+            break
+    return table
+
+
+# bit positions set in each byte value, for reading models off a table
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
+def table_models(table: int) -> list[int]:
+    """The set bits of a truth table, i.e. its models, in increasing order."""
+    out: list[int] = []
+    for i, byte in enumerate(table.to_bytes((table.bit_length() + 7) // 8, "little")):
+        if byte:
+            base = i << 3
+            out.extend([base + p for p in _BYTE_BITS[byte]])
+    return out
+
+
 def assignment_from_values(values: Iterable[int]) -> Assignment:
     """Build an assignment from the values of variables 1,2,3,... in order."""
     return encode_tuple(values)
@@ -283,34 +354,44 @@ class Explanation:
 
 
 def _extend(phi: Formula, extra: tuple[Constraint, ...]) -> Formula:
-    """phi ∧ extra as a Formula, range-checking only the new constraints: phi
-    is valid already, so re-checking its constraints would only cost time."""
-    n = phi.num_vars
-    for con in extra:
-        if any(v > n for v in con.scope):
-            raise StructureError(f"scope {con.scope} exceeds num_vars={n}")
+    """phi ∧ extra as a Formula, without re-checking phi's constraints: phi is
+    valid already, and the callers range-check the new ones."""
     out = object.__new__(Formula)
-    object.__setattr__(out, "num_vars", n)
+    object.__setattr__(out, "num_vars", phi.num_vars)
     object.__setattr__(out, "constraints", phi.constraints + extra)
     return out
 
 
+# literal -> the unit constraint forcing it (two per variable at most), built
+# once by the public constructor
+_units: dict[Literal, Constraint] = {}
+
+
+def _unit(lit: Literal, num_vars: int) -> Constraint:
+    """The TOP (lit > 0) or BOT (lit < 0) constraint on |lit|, which must lie
+    in 1..num_vars."""
+    if not 1 <= abs(lit) <= num_vars:
+        raise StructureError(f"literal {lit} outside variable range")
+    con = _units.get(lit)
+    if con is None:
+        con = _units[lit] = Constraint(TOP if lit > 0 else BOT, (abs(lit),))
+    return con
+
+
 def conjoin_literals(phi: Formula, lits: Iterable[Literal]) -> Formula:
     """KB ∧ E realized by forcing each literal with a TOP/BOT unary constraint."""
-    extra = []
-    for l in lits:
-        v = abs(l)
-        if not (1 <= v <= phi.num_vars):
-            raise StructureError(f"literal {l} outside variable range")
-        extra.append(Constraint(TOP if l > 0 else BOT, (v,)))
-    return _extend(phi, tuple(extra))
+    n = phi.num_vars
+    return _extend(phi, tuple([_unit(l, n) for l in lits]))
 
 
 def entails(phi: Formula, manifestations: Iterable[int], sat: SatDecider) -> bool:
     """phi ⊨ M, decided as one unsatisfiability check of phi ∧ ¬m per
     manifestation m, in the given order and stopping at the first failure."""
+    n = phi.num_vars
     for m in manifestations:
-        if sat(_extend(phi, (Constraint(BOT, (m,)),))):
+        if m < 1:
+            raise StructureError(f"manifestation {m} outside variable range")
+        if sat(_extend(phi, (_unit(-m, n),))):
             return False
     return True
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import (AbductionInstance, BOT, Constraint, FragmentError, Formula,
-                   Relation, FALSE0, StructureError, TOP, conjoin_literals,
-                   decode_tuple, preprocess)
+                   Relation, FALSE0, StructureError, TOP, columns,
+                   conjoin_literals, decode_tuple, preprocess)
 from .langlib import (ConstraintLanguage, InequalityGadget, clause_relation,
                       derive_inequality, imp, nae)
 from .satenum import SimpleSatInstance, decide
@@ -460,11 +460,18 @@ class CnfFormula:
                 raise StructureError("clause literal out of range")
 
     def satisfiable(self) -> bool:
-        for sigma in range(1 << self.num_vars):
-            if all(any(((sigma >> (abs(l) - 1)) & 1) == (l > 0) for l in cl)
-                   for cl in self.clauses):
-                return True
-        return False
+        """Brute force over the variable columns of core: the AND over the
+        clauses of the OR of their literals' columns is nonzero."""
+        cols = columns(self.num_vars)
+        table = (1 << (1 << self.num_vars)) - 1
+        for cl in self.clauses:
+            clause = 0
+            for l in cl:
+                clause |= cols[abs(l) - 1][l > 0]
+            table &= clause
+            if not table:
+                return False
+        return True
 
 
 def cnfsat_to_abd_lb(phi: CnfFormula) -> tuple[AbductionInstance, ReductionReport]:

@@ -8,17 +8,23 @@ AbdResult whose witness, when present, passes core.is_explanation on the
 instance the caller passed, so it includes the manifestations that preprocess
 drops as self-explained.  The explanation sets (of enum_abd, pabd_enum and the
 oracle_*_explanations functions) are over preprocess(inst).instance.
+
+The oracles read the models of KB off its truth table, a cached bit-parallel
+table built from the variable columns (core.truth_table, one bit per
+assignment), and brute_models is that cache.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .core import (AbductionInstance, Explanation, FragmentError, Formula,
-                   PreprocessResult, TRIVIALLY_NO, conjoin_literals, entails,
-                   evaluate, preprocess, satisfies_vars, submasks, SatDecider)
+                   OracleCapError, PreprocessResult, TRIVIALLY_NO,
+                   conjoin_literals, entails, preprocess, satisfies_vars,
+                   submasks, SatDecider, columns, table_models, truth_table)
 from .langlib import ConstraintLanguage, is_one_valid
 from .reductions import ReductionReport, abd_to_simplesat
 from .satenum import (EnumStats, ModelStream, WEIGHT_ORDERED, decide,
@@ -30,12 +36,8 @@ class OrderingContractError(RuntimeError):
     """A weight-ordered model stream emitted an increasing weight."""
 
 
-class OracleCapError(ValueError):
-    """Instance exceeds the brute-force size cap."""
-
-
-# brute-force size caps: 2^n assignments, the 2^|H| lattice, the 3^|H| sweep
-ORACLE_MAX_VARS = 20
+# brute-force size caps: 2^n assignments (core.ORACLE_MAX_VARS, enforced where
+# the truth table is built), the 2^|H| lattice, the 3^|H| sweep
 ORACLE_MAX_HYP = 16
 GENERAL_MAX_HYP = 10
 
@@ -90,28 +92,27 @@ def _maximal(patterns: Iterable[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=1024)
-def brute_models(phi: Formula) -> tuple[int, ...]:
-    """Every satisfying total assignment, by scanning all 2^n candidates."""
-    return tuple(s for s in range(1 << phi.num_vars) if evaluate(phi, s))
+def brute_models(phi: Formula) -> int:
+    """The truth table of phi over all 2^n assignments (core.truth_table):
+    bit s is set iff assignment s satisfies phi.  Raises OracleCapError
+    above core.ORACLE_MAX_VARS variables."""
+    return truth_table(phi)
 
 
 def model_table(inst: AbductionInstance) -> tuple[dict[int, int], dict[int, int]]:
     """The models of KB counted per H-projection sigma & hmask: (all models,
     models violating M).  Exhaustive and without preprocessing, so the raw
     audits of preprocess use it as it is."""
-    if inst.num_vars > ORACLE_MAX_VARS:
-        raise OracleCapError(f"n={inst.num_vars} exceeds oracle cap {ORACLE_MAX_VARS}")
     if len(inst.hypotheses) > ORACLE_MAX_HYP:
         raise OracleCapError(f"|H|={len(inst.hypotheses)} exceeds oracle cap {ORACLE_MAX_HYP}")
-    hmask = hyp_mask(inst.hypotheses)
-    count: dict[int, int] = {}
-    bad: dict[int, int] = {}
-    for sigma in brute_models(inst.kb):
-        proj = sigma & hmask
-        count[proj] = count.get(proj, 0) + 1
-        if not satisfies_vars(sigma, inst.manifestations):
-            bad[proj] = bad.get(proj, 0) + 1
-    return count, bad
+    table = brute_models(inst.kb)
+    cols = columns(inst.num_vars)
+    good = table  # the models that satisfy M
+    for m in inst.manifestations:
+        good &= cols[m - 1][1]
+    project = hyp_mask(inst.hypotheses).__and__
+    return (Counter(map(project, table_models(table))),
+            Counter(map(project, table_models(table ^ good))))
 
 
 def pabd_lattice(inst: AbductionInstance) -> tuple[dict[int, int], dict[int, int]]:
@@ -209,7 +210,7 @@ def oracle_abd_general(inst: AbductionInstance) -> bool:
     inst = pre.instance
     if len(inst.hypotheses) > GENERAL_MAX_HYP:
         raise OracleCapError("|H| too large for the 3^|H| sweep")
-    models = brute_models(inst.kb)
+    models = table_models(brute_models(inst.kb))
     hyp = sorted(inst.hypotheses)
     states = [(0, 0)]
     for h in hyp:

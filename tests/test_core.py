@@ -125,7 +125,7 @@ class TestConjoin:
         with pytest.raises(StructureError):
             conjoin_literals(formula(3, [(one_in_k(2), (1, 2))]), {1, lit})
 
-    @pytest.mark.parametrize("m", [0, 4])
+    @pytest.mark.parametrize("m", [0, 4, -1])
     def test_entails_manifestation_out_of_range(self, m):
         phi = formula(3, [(one_in_k(2), (1, 2))])
         with pytest.raises(StructureError):
@@ -140,6 +140,16 @@ class TestConjoin:
         entails(phi, [3], lambda f: seen.append(f) or True)
         public = Formula(3, phi.constraints + (Constraint(BOT, (3,)),))
         assert seen == [public] and hash(seen[0]) == hash(public)
+
+    def test_unit_constraints_are_built_once(self):
+        phi = formula(3, [(TOP, (2,))])
+        first = conjoin_literals(phi, [1, -3]).constraints[1:]
+        again = conjoin_literals(phi, [1, -3]).constraints[1:]
+        assert first == (Constraint(TOP, (1,)), Constraint(BOT, (3,)))
+        assert all(a is b for a, b in zip(first, again))
+        seen = []
+        entails(phi, [3], lambda f: seen.append(f) or False)
+        assert seen[0].constraints[-1] is first[1]
 
     def test_extended_formula_hits_the_oracle_cache(self):
         phi = formula(3, [(one_in_k(2), (1, 2))])
