@@ -15,6 +15,11 @@ filtered tuple by tuple once.  The table is emptied whenever the code sets it
 holds pass _RESTRICT_TABLE_CODES codes in all, which bounds its memory
 whatever the arity of the relations.
 
+conjoin_literals and entails build KB ∧ literals through _extend, which skips
+re-validation and records the KB in the result's _base field; satenum.decide
+finds the KB's compiled search there and keeps it in the KB's _compiled field.
+Neither field takes part in ==, hash or repr.
+
 truth_table is the bit-parallel form of evaluate, which stays the definition:
 one Python int per variable column (bit s holds the variable's value in
 assignment s), so each big-int AND or OR works on all 2^n assignments at once
@@ -201,6 +206,11 @@ class Formula:
 
     num_vars: int
     constraints: tuple[Constraint, ...]
+    # set by _extend: the formula whose constraints this one extends by TOP/BOT
+    # units, so satenum.decide can start from that formula's compiled search
+    _base: "Formula | None" = field(default=None, init=False, repr=False, compare=False)
+    # satenum's compiled search root of this formula as a base, built lazily
+    _compiled: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "constraints", tuple(self.constraints))
@@ -353,12 +363,15 @@ class Explanation:
             raise StructureError("explanation literals are inconsistent")
 
 
-def _extend(phi: Formula, extra: tuple[Constraint, ...]) -> Formula:
-    """phi ∧ extra as a Formula, without re-checking phi's constraints: phi is
-    valid already, and the callers range-check the new ones."""
+def _extend(phi: Formula, units: tuple[Constraint, ...]) -> Formula:
+    """phi ∧ units as a Formula, without re-checking phi's constraints: phi is
+    valid already, and the callers range-check the TOP/BOT units.  The result
+    records as its _base the formula phi itself extends, or else phi, so every
+    constraint past its base's is a unit."""
     out = object.__new__(Formula)
     object.__setattr__(out, "num_vars", phi.num_vars)
-    object.__setattr__(out, "constraints", phi.constraints + extra)
+    object.__setattr__(out, "constraints", phi.constraints + units)
+    object.__setattr__(out, "_base", phi if phi._base is None else phi._base)
     return out
 
 

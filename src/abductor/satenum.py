@@ -12,10 +12,24 @@ branching policy:
                              closed under branching (eliminates a whole scope
                              per branch)
 
-A node restricts the constraints its branch touches through core.restrict,
-whose restriction table (bounded by core._RESTRICT_TABLE_CODES) filters each
-(relation, fixed positions, values) pattern once; formulas are read through
-each relation's cached code set, so a call copies no relation.
+A search node is one list indexed by constraint number: a slot holds the
+constraint restricted to the node's assignment as (codes, scope), or None once
+it is dropped (satisfied or trivial) or consumed (as a unit or as a branched
+tuple).  The occurrence lists (variable -> constraint numbers) are built once
+per search, so a child copies its parent's list and restricts, through
+core.restrict, only the constraints in the occurrence lists of the variables
+it sets; propagation then checks only the constraints touched since the last
+check (Chaff, Moskewicz et al., DAC 2001).  core.restrict's restriction table
+(bounded by core._RESTRICT_TABLE_CODES) filters each (relation, fixed
+positions, values) pattern once; formulas are read through each relation's
+cached code set, so a call copies no relation.
+
+decide answers a formula built by core.conjoin_literals or core.entails (one
+with a _base) from its base's compiled root, the occurrence lists and the
+propagated root node, built at the first such call and kept in the base's
+_compiled field; the appended TOP/BOT units are assumptions applied to a copy
+of that node (MiniSat, Een & Sorensson, SAT 2003).  Any other formula is
+compiled per call.
 
 solve_simple_sat keeps its own iterative branch-and-reduce procedure for
 positive-clause/negative-DNF instances with the (1,...,p) clause branching.
@@ -77,15 +91,64 @@ def _cons_of(phi: Formula) -> list[_Con]:
     return [(c.relation._codeset, c.scope) for c in phi.constraints]
 
 
-def _fix(cons: list[_Con], amask: int, vmask: int, values: dict[int, int]):
-    """Set the variables in `values`, in the constraints and the masks."""
-    untouched = values.keys().isdisjoint
+def _occurrences(cons: list[_Con], n: int) -> list[list[int]]:
+    """occ[v]: the numbers of the constraints whose scope holds v, in order."""
+    occ: list[list[int]] = [[] for _ in range(n + 1)]
+    for i, (_, scope) in enumerate(cons):
+        for v in set(scope):
+            occ[v].append(i)
+    return occ
+
+
+def _fix(state: list, occ: list[list[int]], values: dict[int, int],
+         amask: int, vmask: int):
+    """Set the variables in `values`: restrict, in place, the live constraints
+    they occur in, and return those constraints' numbers and the new masks."""
+    touched: list[int] | set[int] = []
     for v, val in values.items():
         bit = 1 << (v - 1)
         amask |= bit
         if val:
             vmask |= bit
-    return [c if untouched(c[1]) else restrict(*c, values) for c in cons], amask, vmask
+        touched += occ[v]
+    if len(values) > 1:
+        touched = set(touched)
+    for i in touched:
+        con = state[i]
+        if con is not None:
+            state[i] = restrict(con[0], con[1], values)
+    return touched, amask, vmask
+
+
+def _propagate(state: list, occ: list[list[int]], touched, amask: int, vmask: int,
+               live: int):
+    """Check the touched constraints: an empty one is a conflict (None), a
+    full one is dropped and one of arity 1 is consumed and forces its
+    variable; then check the constraints the forced values touch, until none
+    is forced.  Returns the new masks and live count.  The fixpoint, and
+    whether it conflicts, do not depend on the order of the checks."""
+    while True:
+        forced: dict[int, int] = {}
+        for i in touched:
+            con = state[i]
+            if con is None:
+                continue
+            codes, scope = con
+            if not codes:
+                return None
+            k = len(scope)
+            if len(codes) == (1 << k):
+                state[i] = None
+                live -= 1
+            elif k == 1:
+                val = 0 if 0 in codes else 1
+                if forced.setdefault(scope[0], val) != val:
+                    return None
+                state[i] = None
+                live -= 1
+        if not forced:
+            return amask, vmask, live
+        touched, amask, vmask = _fix(state, occ, forced, amask, vmask)
 
 
 def _expand_free(vmask: int, free: int, stats: EnumStats) -> Iterator[int]:
@@ -97,87 +160,133 @@ def _expand_free(vmask: int, free: int, stats: EnumStats) -> Iterator[int]:
         yield vmask | sub
 
 
-# A branching policy maps a node's constraints and masks to None on a
-# conflict, or to (live constraints, amask, vmask, branches): each branch is
-# the {var: value} assignment it makes, and no branches means a satisfied node.
+# A branching policy takes a node (its state, in which the touched constraints
+# are unchecked, its masks and live count) and the parent's branch variable; it
+# returns None on a conflict, or (amask, vmask, live, branch variable,
+# branches): each branch is the {var: value} assignment it makes, and no
+# branches means a satisfied node.  It may update the node's state in place.
 
-def _variable_branching(cons: list[_Con], amask: int, vmask: int):
-    """Drop trivial constraints, force unit values and fail on empty
-    relations until nothing changes; then branch on the lowest-index
-    variable."""
-    while True:
-        forced: dict[int, int] = {}
-        out: list[_Con] = []
-        for con in cons:
-            codes, scope = con
-            if not codes:
-                return None
-            k = len(scope)
-            if len(codes) == (1 << k):
-                continue
-            if k == 1:
-                val = 0 if 0 in codes else 1
-                if forced.get(scope[0], val) != val:
-                    return None
-                forced[scope[0]] = val
-                continue
-            out.append(con)
-        if not forced:
-            break
-        cons, amask, vmask = _fix(out, amask, vmask, forced)
-    if not out:
-        return out, amask, vmask, ()
-    var = min(min(scope) for _, scope in out)
-    return out, amask, vmask, ({var: 0}, {var: 1})
+def _variable_branching(state: list, occ: list[list[int]], touched, amask: int,
+                        vmask: int, live: int, var: int):
+    """Propagate; then branch on the lowest-index variable of a live
+    constraint.  A child's live variables are among its parent's, so the scan
+    for it starts at the parent's branch variable."""
+    node = _propagate(state, occ, touched, amask, vmask, live)
+    if node is None:
+        return None
+    amask, vmask, live = node
+    if not live:
+        return amask, vmask, live, var, ()
+    while amask >> (var - 1) & 1 or not any(map(state.__getitem__, occ[var])):
+        var += 1
+    return amask, vmask, live, var, ({var: 0}, {var: 1})
 
 
-def _tuple_branching(cons: list[_Con], amask: int, vmask: int):
+def _tuple_branching(state: list, occ: list[list[int]], touched, amask: int,
+                     vmask: int, live: int, var: int):
     """Branch on the tuples of the constraint with the best local base."""
-    live: list[_Con] = []
-    for codes, scope in cons:
+    for i in touched:
+        con = state[i]
+        if con is None:
+            continue
+        codes, scope = con
         if not codes:
             return None
-        if len(codes) != (1 << len(scope)):
-            live.append((codes, scope))
+        if len(codes) == (1 << len(scope)):
+            state[i] = None
+            live -= 1
     if not live:
-        return live, amask, vmask, ()
-    # best local branching base: fewest tuples per eliminated variable
-    pick = min(range(len(live)),
-               key=lambda i: len(live[i][0]) ** (1.0 / len(live[i][1])))
-    codes, scope = live.pop(pick)
-    return live, amask, vmask, [dict(zip(scope, decode_tuple(code, len(scope))))
-                                for code in sorted(codes)]
+        return amask, vmask, live, var, ()
+    # best local branching base: fewest tuples per eliminated variable, the
+    # first such constraint in constraint order
+    pick = min((i for i, con in enumerate(state) if con is not None),
+               key=lambda i: len(state[i][0]) ** (1.0 / len(state[i][1])))
+    codes, scope = state[pick]
+    state[pick] = None  # consumed by the branches
+    return amask, vmask, live - 1, var, [dict(zip(scope, decode_tuple(code, len(scope))))
+                                         for code in sorted(codes)]
 
 
-def _search(cons: list[_Con], n: int, policy, stats: EnumStats) -> Iterator[int]:
+def _search(root, occ: list[list[int]], n: int, policy, stats: EnumStats) -> Iterator[int]:
     """Depth-first search with an explicit stack, streaming total models.
 
-    A stack entry holds the parent's constraints and masks plus one pending
-    branch; the child's constraints are built only when the entry is popped.
-    Children are pushed in reverse, so branches are explored in policy order.
+    A node is its state list (see the module docstring), the masks of the
+    assigned variables and of their values, and the number of live slots;
+    `root` is (state, touched, amask, vmask, live), its touched constraints
+    not yet checked.  A stack entry holds the parent's node plus one pending
+    branch; the child copies the parent's list and restricts the constraints
+    its branch touches only when the entry is popped.  Children are pushed in
+    reverse, so branches are explored in policy order.
     """
-    stack = [(cons, 0, 0, 0, {})]
-    while stack:
-        cons, amask, vmask, depth, branch = stack.pop()
-        cons, amask, vmask = _fix(cons, amask, vmask, branch)
+    state, touched, amask, vmask, live = root
+    var = 1
+    depth = 0
+    stack = []
+    while True:
         if depth > stats.max_depth:
             stats.max_depth = depth
-        node = policy(cons, amask, vmask)
+        node = policy(state, occ, touched, amask, vmask, live, var)
         if node is None:
             stats.leaves += 1
-            continue
-        cons, amask, vmask, branches = node
-        if not branches:
-            yield from _expand_free(vmask, ((1 << n) - 1) & ~amask, stats)
-            continue
-        stats.branch_nodes += 1
-        for branch in reversed(branches):
-            stack.append((cons, amask, vmask, depth + 1, branch))
+        else:
+            amask, vmask, live, var, branches = node
+            if not branches:
+                yield from _expand_free(vmask, ((1 << n) - 1) & ~amask, stats)
+            else:
+                stats.branch_nodes += 1
+                for branch in reversed(branches):
+                    stack.append((state, amask, vmask, live, var, depth + 1, branch))
+        if not stack:
+            return
+        state, amask, vmask, live, var, depth, branch = stack.pop()
+        state = list(state)
+        touched, amask, vmask = _fix(state, occ, branch, amask, vmask)
+
+
+def _root(cons: list[_Con], n: int):
+    """The unchecked root node over `cons` and its occurrence lists."""
+    return (cons, range(len(cons)), 0, 0, len(cons)), _occurrences(cons, n)
+
+
+def _compile(phi: Formula):
+    """phi's propagated root (state, amask, vmask, live), or None on a
+    conflict, and its occurrence lists."""
+    (state, touched, amask, vmask, live), occ = _root(_cons_of(phi), phi.num_vars)
+    node = _propagate(state, occ, touched, amask, vmask, live)
+    return None if node is None else (state, *node), occ
 
 
 def decide(phi: Formula) -> bool:
-    """True iff the formula has a model (free variables are irrelevant)."""
-    for _ in _search(_cons_of(phi), phi.num_vars, _variable_branching, EnumStats()):
+    """True iff the formula has a model (free variables are irrelevant).
+
+    A formula built by core._extend is its _base plus TOP/BOT units: the
+    search starts from the base's compiled root, built once and kept in
+    base._compiled, with the units applied as assumptions."""
+    base = phi._base
+    if base is None:
+        root, occ = _compile(phi)
+        units = ()
+    else:
+        if base._compiled is None:
+            object.__setattr__(base, "_compiled", _compile(base))
+        root, occ = base._compiled
+        units = phi.constraints[len(base.constraints):]
+    if root is None:
+        return False
+    state, amask, vmask, live = root
+    values: dict[int, int] = {}
+    for con in units:
+        v = con.scope[0]
+        val = con.relation.codes[0]  # TOP holds the one tuple 1, BOT holds 0
+        if amask >> (v - 1) & 1:
+            if vmask >> (v - 1) & 1 != val:
+                return False
+        elif values.setdefault(v, val) != val:
+            return False
+    state = list(state)
+    touched, amask, vmask = _fix(state, occ, values, amask, vmask)
+    for _ in _search((state, touched, amask, vmask, live), occ, phi.num_vars,
+                     _variable_branching, EnumStats()):
         return True
     return False
 
@@ -185,7 +294,8 @@ def decide(phi: Formula) -> bool:
 def enumerate_models(phi: Formula) -> ModelStream:
     """Stream exactly the set of total models over 1..num_vars, each once."""
     stats = EnumStats()
-    return ModelStream(_search(_cons_of(phi), phi.num_vars, _variable_branching, stats),
+    root, occ = _root(_cons_of(phi), phi.num_vars)
+    return ModelStream(_search(root, occ, phi.num_vars, _variable_branching, stats),
                        stats, UNORDERED)
 
 
@@ -218,7 +328,8 @@ def sparse_enumerate(phi: Formula, lang: ConstraintLanguage, r0: int = 1) -> Mod
                 "identification minor escapes the language; it is not branching-closed")
         start.append((rel._codeset, tuple(first)))
     stats = EnumStats()
-    return ModelStream(_search(start, phi.num_vars, _tuple_branching, stats),
+    root, occ = _root(start, phi.num_vars)
+    return ModelStream(_search(root, occ, phi.num_vars, _tuple_branching, stats),
                        stats, UNORDERED)
 
 

@@ -7,6 +7,7 @@ from abductor.core import (AbductionInstance, Constraint, Formula, Relation,
                            UNCHANGED, BOT, TOP, assignment_from_values,
                            conjoin_literals, entails, evaluate, formula,
                            is_explanation, preprocess)
+from abductor.harness import io
 from abductor.langlib import clause_relation, one_in_k
 from abductor.satenum import decide
 from abductor.solvers import brute_models
@@ -150,6 +151,25 @@ class TestConjoin:
         seen = []
         entails(phi, [3], lambda f: seen.append(f) or False)
         assert seen[0].constraints[-1] is first[1]
+
+    def test_compiled_base_leaves_equality_repr_and_text_alone(self):
+        kb = formula(3, [(one_in_k(2), (1, 2)), (clause_relation((0, 1)), (2, 3))])
+        fast = conjoin_literals(kb, [1, -3])
+        public = Formula(3, kb.constraints + (Constraint(TOP, (1,)), Constraint(BOT, (3,))))
+        assert decide(fast) == decide(public)
+        assert kb._compiled is not None and fast._base is kb
+        assert fast == public and hash(fast) == hash(public)
+        assert repr(fast) == repr(public)
+        assert "_base" not in repr(fast) and "_compiled" not in repr(kb)
+        hyp, man = frozenset({1, 3}), frozenset({2})
+        assert (io.write_text(AbductionInstance(fast, hyp, man))
+                == io.write_text(AbductionInstance(public, hyp, man)))
+        brute_models.cache_clear()
+        models = brute_models(public)
+        assert brute_models(fast) == models
+        assert brute_models.cache_info().hits == 1
+        again = formula(3, [(one_in_k(2), (1, 2)), (clause_relation((0, 1)), (2, 3))])
+        assert kb == again and hash(kb) == hash(again) and repr(kb) == repr(again)
 
     def test_extended_formula_hits_the_oracle_cache(self):
         phi = formula(3, [(one_in_k(2), (1, 2))])

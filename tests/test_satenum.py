@@ -95,6 +95,19 @@ class TestDeepSearch:
         assert decide(kb)
         assert next(iter(enumerate_models(kb))) == 0
 
+    def test_long_implication_chain_drains(self):
+        # the models set a suffix x_i..x_n to 1, the shortest first: each of
+        # x_1..x_{n-1} is branched on, x_i = 1 forces the rest of the chain,
+        # and x_n is left free under x_{n-1} = 0
+        n = 1200
+        kb = formula(n, [(imp(), (i, i + 1)) for i in range(1, n)])
+        stream = enumerate_models(kb)
+        models = list(stream)
+        full = (1 << n) - 1
+        assert models == [full & ~((1 << i) - 1) for i in range(n, -1, -1)]
+        assert stream.stats.as_dict() == {"branch_nodes": n - 1, "leaves": n + 1,
+                                          "models_emitted": n + 1, "max_depth": n - 1}
+
 
 class TestSparseEnumerate:
     def test_single_one_in_three_stats(self):
