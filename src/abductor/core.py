@@ -8,12 +8,16 @@ encode_tuple, decode_tuple, gather, restrict and submasks are the one place
 that packs, unpacks, restricts and walks these codes; evaluate inlines
 gather's loop for speed.
 
-restrict answers from the restriction table, a module-level memo from (codes,
-arity, fixed positions, their values) to (restricted codes, kept positions).
-A search meets the same few hundred patterns again and again, so each is
-filtered tuple by tuple once.  The table is emptied whenever the code sets it
-holds pass _RESTRICT_TABLE_CODES codes in all, which bounds its memory
-whatever the arity of the relations.
+The restriction table is a module-level memo from (codes, arity, fixed
+positions, their values) to the restricted codes, the kept positions and the
+classification of the result: EMPTY, FULL, UNIT (one kept position, forced to
+the value of the one code left) or OPEN.  A search meets the same few hundred
+patterns again and again, so each is filtered tuple by tuple once.
+restriction reads an entry by its key, as satenum's search does with the
+fixed positions gathered from a node's masks; restrict is the same lookup
+keyed by a scope and a {variable: value} map.  The table is emptied whenever
+the code sets it holds pass _RESTRICT_TABLE_CODES codes in all, which bounds
+its memory whatever the arity of the relations.
 
 conjoin_literals and entails build KB ∧ literals through _extend, which skips
 re-validation and records the KB in the result's _base field; satenum.decide
@@ -69,16 +73,20 @@ def gather(sigma: Assignment, scope: Iterable[int]) -> int:
 
 
 # The restriction table (see the module docstring): (codes, arity, hit, want)
-# -> (restricted codes, kept positions), and the codes its entries hold.
+# -> (restricted codes, kept positions, classification), and the codes its
+# entries hold.
 _RESTRICT_TABLE_CODES = 1 << 16
-_restrict_table: dict[tuple, tuple[frozenset[int], tuple[int, ...]]] = {}
+_restrict_table: dict[tuple, tuple[frozenset[int], tuple[int, ...], int]] = {}
 _restrict_table_held = 0
+
+# the classification of a restricted constraint
+EMPTY, FULL, UNIT, OPEN = range(4)
 
 
 def _restrict_codes(codes: Iterable[int], arity: int, hit: int,
-                    want: int) -> tuple[frozenset[int], tuple[int, ...]]:
+                    want: int) -> tuple[frozenset[int], tuple[int, ...], int]:
     """The codes that agree with `want` on the positions in `hit`, with those
-    positions projected away, and the positions kept."""
+    positions projected away, the positions kept, and the classification."""
     keep = tuple(i for i in range(arity) if not hit >> i & 1)
     out = set()
     for code in codes:
@@ -88,14 +96,39 @@ def _restrict_codes(codes: Iterable[int], arity: int, hit: int,
         for j, i in enumerate(keep):
             nc |= ((code >> i) & 1) << j
         out.add(nc)
-    return frozenset(out), keep
+    if not out:
+        kind = EMPTY
+    elif len(out) == 1 << len(keep):
+        kind = FULL
+    elif len(keep) == 1:
+        kind = UNIT
+    else:
+        kind = OPEN
+    return frozenset(out), keep, kind
+
+
+def restriction(codes: frozenset[int] | tuple[int, ...], arity: int, hit: int,
+                want: int) -> tuple[frozenset[int], tuple[int, ...], int]:
+    """The table entry of a constraint over `codes` whose positions in the
+    mask `hit` are fixed to the bits of `want`: (restricted codes, kept
+    positions, EMPTY/FULL/UNIT/OPEN)."""
+    global _restrict_table_held
+    key = (codes, arity, hit, want)
+    entry = _restrict_table.get(key)
+    if entry is None:
+        entry = _restrict_codes(codes, arity, hit, want)
+        if _restrict_table_held > _RESTRICT_TABLE_CODES:
+            _restrict_table.clear()
+            _restrict_table_held = 0
+        _restrict_table[key] = entry
+        _restrict_table_held += len(entry[0]) + 1
+    return entry
 
 
 def restrict(codes: frozenset[int] | tuple[int, ...], scope: tuple[int, ...],
              values: Mapping[int, int]) -> tuple[frozenset[int], tuple[int, ...]]:
     """Restrict a constraint to the values of its variables set in `values`
     and project those variables away, through the restriction table."""
-    global _restrict_table_held
     hit = want = 0
     bit = 1
     for v in scope:
@@ -104,16 +137,7 @@ def restrict(codes: frozenset[int] | tuple[int, ...], scope: tuple[int, ...],
             if values[v]:
                 want |= bit
         bit <<= 1
-    key = (codes, len(scope), hit, want)
-    entry = _restrict_table.get(key)
-    if entry is None:
-        entry = _restrict_codes(codes, len(scope), hit, want)
-        if _restrict_table_held > _RESTRICT_TABLE_CODES:
-            _restrict_table.clear()
-            _restrict_table_held = 0
-        _restrict_table[key] = entry
-        _restrict_table_held += len(entry[0]) + 1
-    out, keep = entry
+    out, keep, _ = restriction(codes, len(scope), hit, want)
     return out, tuple([scope[i] for i in keep])
 
 

@@ -12,24 +12,28 @@ branching policy:
                              closed under branching (eliminates a whole scope
                              per branch)
 
-A search node is one list indexed by constraint number: a slot holds the
-constraint restricted to the node's assignment as (codes, scope), or None once
-it is dropped (satisfied or trivial) or consumed (as a unit or as a branched
-tuple).  The occurrence lists (variable -> constraint numbers) are built once
-per search, so a child copies its parent's list and restricts, through
-core.restrict, only the constraints in the occurrence lists of the variables
-it sets; propagation then checks only the constraints touched since the last
-check (Chaff, Moskewicz et al., DAC 2001).  core.restrict's restriction table
-(bounded by core._RESTRICT_TABLE_CODES) filters each (relation, fixed
-positions, values) pattern once; formulas are read through each relation's
-cached code set, so a call copies no relation.
+A search node is three ints: amask and vmask, the masks of the assigned
+variables and of their values, and live, a bitmask over constraint numbers
+whose bit i is cleared once constraint i is dropped (satisfied or trivial) or
+consumed (as a unit or as a branched tuple).  A constraint is never stored
+restricted: its restriction under a node is read from core's one restriction
+table (bounded by core._RESTRICT_TABLE_CODES), keyed by its code set, its
+arity and the positions of its scope the node sets (hit) with their values
+(want), gathered from the masks through the variables' bits.  The entry also
+classifies the restriction as empty, full, a unit or open, so a check builds
+no dict and no scope.  The occurrence lists (variable -> constraint numbers,
+also as bitmasks) are built once per search, so a child is its masks, its
+parent's live bitmask and the constraints its branch touches, with nothing
+copied; propagation checks only the constraints touched since the last check
+(Chaff, Moskewicz et al., DAC 2001).  Formulas are read through each
+relation's cached code set, so a call copies no relation.
 
 decide answers a formula built by core.conjoin_literals or core.entails (one
-with a _base) from its base's compiled root, the occurrence lists and the
-propagated root node, built at the first such call and kept in the base's
-_compiled field; the appended TOP/BOT units are assumptions applied to a copy
-of that node (MiniSat, Een & Sorensson, SAT 2003).  Any other formula is
-compiled per call.
+with a _base) from its base's compiled search and propagated root node, built
+at the first such call and kept in the base's _compiled field; the appended
+TOP/BOT units are assumptions OR-ed into the root's masks, and the search
+starts by checking the constraints they touch (MiniSat, Een & Sorensson, SAT
+2003).  Any other formula is compiled per call.
 
 solve_simple_sat keeps its own iterative branch-and-reduce procedure for
 positive-clause/negative-DNF instances with the (1,...,p) clause branching.
@@ -45,7 +49,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
-from .core import Formula, decode_tuple, restrict, submasks
+from .core import EMPTY, FULL, OPEN, UNIT, Formula, restriction, submasks
 from .langlib import ConstraintLanguage, minor
 
 
@@ -83,72 +87,87 @@ class ModelStream(Iterator[int]):
         return next(self._it)
 
 
-# internal constraint form: (codes frozenset, scope tuple)
-_Con = tuple[frozenset[int], tuple[int, ...]]
+class _Search:
+    """A formula compiled for the search: its constraints as (code set,
+    scope) pairs, and per variable v its bit 1 << (v-1), its occurrence list
+    (the numbers of the constraints whose scope holds v, in order) and the
+    same constraints as a bitmask."""
+
+    __slots__ = ("cons", "vbits", "occ", "occbits")
+
+    def __init__(self, cons: list[tuple[frozenset[int], tuple[int, ...]]], n: int) -> None:
+        self.cons = cons
+        self.vbits = [0] + [1 << v for v in range(n)]
+        self.occ: list[list[int]] = [[] for _ in range(n + 1)]
+        self.occbits = [0] * (n + 1)
+        for i, (_, scope) in enumerate(cons):
+            for v in set(scope):
+                self.occ[v].append(i)
+                self.occbits[v] |= 1 << i
+
+    @classmethod
+    def of(cls, phi: Formula) -> "_Search":
+        return cls([(c.relation._codeset, c.scope) for c in phi.constraints],
+                   phi.num_vars)
+
+    def root(self) -> tuple:
+        """The unchecked root node: every constraint touched and live."""
+        m = len(self.cons)
+        return range(m), 0, 0, (1 << m) - 1
+
+    def entry(self, i: int, amask: int, vmask: int):
+        """Constraint i's restriction-table entry under the masks."""
+        codes, scope = self.cons[i]
+        hit = want = 0
+        p = 1
+        vbits = self.vbits
+        for v in scope:
+            b = vbits[v]
+            if amask & b:
+                hit |= p
+                if vmask & b:
+                    want |= p
+            p <<= 1
+        return restriction(codes, len(scope), hit, want)
+
+    def touched(self, vs) -> list[int] | set[int]:
+        """The constraints the variables `vs` occur in."""
+        if len(vs) == 1:
+            for v in vs:
+                return self.occ[v]
+        return {i for v in vs for i in self.occ[v]}
 
 
-def _cons_of(phi: Formula) -> list[_Con]:
-    return [(c.relation._codeset, c.scope) for c in phi.constraints]
-
-
-def _occurrences(cons: list[_Con], n: int) -> list[list[int]]:
-    """occ[v]: the numbers of the constraints whose scope holds v, in order."""
-    occ: list[list[int]] = [[] for _ in range(n + 1)]
-    for i, (_, scope) in enumerate(cons):
-        for v in set(scope):
-            occ[v].append(i)
-    return occ
-
-
-def _fix(state: list, occ: list[list[int]], values: dict[int, int],
-         amask: int, vmask: int):
-    """Set the variables in `values`: restrict, in place, the live constraints
-    they occur in, and return those constraints' numbers and the new masks."""
-    touched: list[int] | set[int] = []
-    for v, val in values.items():
-        bit = 1 << (v - 1)
-        amask |= bit
-        if val:
-            vmask |= bit
-        touched += occ[v]
-    if len(values) > 1:
-        touched = set(touched)
-    for i in touched:
-        con = state[i]
-        if con is not None:
-            state[i] = restrict(con[0], con[1], values)
-    return touched, amask, vmask
-
-
-def _propagate(state: list, occ: list[list[int]], touched, amask: int, vmask: int,
-               live: int):
-    """Check the touched constraints: an empty one is a conflict (None), a
-    full one is dropped and one of arity 1 is consumed and forces its
-    variable; then check the constraints the forced values touch, until none
-    is forced.  Returns the new masks and live count.  The fixpoint, and
-    whether it conflicts, do not depend on the order of the checks."""
+def _propagate(search: _Search, touched, amask: int, vmask: int, live: int):
+    """Check the touched live constraints: an empty one is a conflict (None),
+    a full one is dropped, and a unit is dropped and forces its variable; then
+    check the constraints the forced values touch, until none is forced.
+    Returns the new masks and live bitmask.  The fixpoint, and whether it
+    conflicts, do not depend on the order of the checks."""
+    vbits = search.vbits
     while True:
-        forced: dict[int, int] = {}
+        forced: dict[int, bool] = {}
         for i in touched:
-            con = state[i]
-            if con is None:
+            cbit = 1 << i
+            if not live & cbit:
                 continue
-            codes, scope = con
-            if not codes:
+            out, keep, kind = search.entry(i, amask, vmask)
+            if kind == OPEN:
+                continue
+            if kind == EMPTY:
                 return None
-            k = len(scope)
-            if len(codes) == (1 << k):
-                state[i] = None
-                live -= 1
-            elif k == 1:
-                val = 0 if 0 in codes else 1
-                if forced.setdefault(scope[0], val) != val:
+            live ^= cbit
+            if kind == UNIT:
+                val = 1 in out
+                if forced.setdefault(search.cons[i][1][keep[0]], val) != val:
                     return None
-                state[i] = None
-                live -= 1
         if not forced:
             return amask, vmask, live
-        touched, amask, vmask = _fix(state, occ, forced, amask, vmask)
+        for v, val in forced.items():
+            amask |= vbits[v]
+            if val:
+                vmask |= vbits[v]
+        touched = search.touched(forced)
 
 
 def _expand_free(vmask: int, free: int, stats: EnumStats) -> Iterator[int]:
@@ -160,100 +179,111 @@ def _expand_free(vmask: int, free: int, stats: EnumStats) -> Iterator[int]:
         yield vmask | sub
 
 
-# A branching policy takes a node (its state, in which the touched constraints
-# are unchecked, its masks and live count) and the parent's branch variable; it
-# returns None on a conflict, or (amask, vmask, live, branch variable,
-# branches): each branch is the {var: value} assignment it makes, and no
-# branches means a satisfied node.  It may update the node's state in place.
+# A branching policy takes a node (the constraints touched since its last
+# check, its masks and its live bitmask) and the parent's branch variable.  It
+# returns None on a conflict, or (amask, vmask, live, branch variable, touched,
+# children): each child is the (amask, vmask) of one branch; every branch sets
+# the same variables, which touch the constraints `touched`; no children means
+# a satisfied node.
 
-def _variable_branching(state: list, occ: list[list[int]], touched, amask: int,
-                        vmask: int, live: int, var: int):
+def _variable_branching(search: _Search, touched, amask: int, vmask: int,
+                        live: int, var: int):
     """Propagate; then branch on the lowest-index variable of a live
     constraint.  A child's live variables are among its parent's, so the scan
     for it starts at the parent's branch variable."""
-    node = _propagate(state, occ, touched, amask, vmask, live)
+    node = _propagate(search, touched, amask, vmask, live)
     if node is None:
         return None
     amask, vmask, live = node
     if not live:
-        return amask, vmask, live, var, ()
-    while amask >> (var - 1) & 1 or not any(map(state.__getitem__, occ[var])):
+        return amask, vmask, live, var, (), ()
+    occbits = search.occbits
+    while amask >> (var - 1) & 1 or not occbits[var] & live:
         var += 1
-    return amask, vmask, live, var, ({var: 0}, {var: 1})
+    bit = search.vbits[var]
+    a = amask | bit
+    return amask, vmask, live, var, search.occ[var], ((a, vmask), (a, vmask | bit))
 
 
-def _tuple_branching(state: list, occ: list[list[int]], touched, amask: int,
-                     vmask: int, live: int, var: int):
+def _tuple_branching(search: _Search, touched, amask: int, vmask: int,
+                     live: int, var: int):
     """Branch on the tuples of the constraint with the best local base."""
     for i in touched:
-        con = state[i]
-        if con is None:
-            continue
-        codes, scope = con
-        if not codes:
-            return None
-        if len(codes) == (1 << len(scope)):
-            state[i] = None
-            live -= 1
+        cbit = 1 << i
+        if live & cbit:
+            kind = search.entry(i, amask, vmask)[2]
+            if kind == EMPTY:
+                return None
+            if kind == FULL:
+                live ^= cbit
     if not live:
-        return amask, vmask, live, var, ()
+        return amask, vmask, live, var, (), ()
     # best local branching base: fewest tuples per eliminated variable, the
     # first such constraint in constraint order
-    pick = min((i for i, con in enumerate(state) if con is not None),
-               key=lambda i: len(state[i][0]) ** (1.0 / len(state[i][1])))
-    codes, scope = state[pick]
-    state[pick] = None  # consumed by the branches
-    return amask, vmask, live - 1, var, [dict(zip(scope, decode_tuple(code, len(scope))))
-                                         for code in sorted(codes)]
+    best = None
+    rest = live
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i = low.bit_length() - 1
+        entry = search.entry(i, amask, vmask)
+        base = len(entry[0]) ** (1.0 / len(entry[1]))
+        if best is None or base < best:
+            best, pick, (out, keep, _) = base, i, entry
+    kept = [search.cons[pick][1][j] for j in keep]
+    bits = [search.vbits[v] for v in kept]
+    a = amask | sum(bits)
+    children = []
+    for code in sorted(out):
+        sub = vmask
+        for j, bit in enumerate(bits):
+            if code >> j & 1:
+                sub |= bit
+        children.append((a, sub))
+    # the picked constraint is consumed by the branches
+    return amask, vmask, live ^ (1 << pick), var, search.touched(kept), children
 
 
-def _search(root, occ: list[list[int]], n: int, policy, stats: EnumStats) -> Iterator[int]:
+def _search(search: _Search, root, n: int, policy, stats: EnumStats) -> Iterator[int]:
     """Depth-first search with an explicit stack, streaming total models.
 
-    A node is its state list (see the module docstring), the masks of the
-    assigned variables and of their values, and the number of live slots;
-    `root` is (state, touched, amask, vmask, live), its touched constraints
-    not yet checked.  A stack entry holds the parent's node plus one pending
-    branch; the child copies the parent's list and restricts the constraints
-    its branch touches only when the entry is popped.  Children are pushed in
-    reverse, so branches are explored in policy order.
+    A node is three ints, the masks of the assigned variables and of their
+    values and the live bitmask over constraint numbers, plus the constraints
+    touched since its last check; `root` is (touched, amask, vmask, live).  A
+    stack entry is one child: its masks, its parent's live bitmask and branch
+    variable, its depth and the constraints its branch touches.  Children are
+    pushed in reverse, so branches are explored in policy order.
     """
-    state, touched, amask, vmask, live = root
+    touched, amask, vmask, live = root
+    full = (1 << n) - 1
     var = 1
     depth = 0
     stack = []
     while True:
         if depth > stats.max_depth:
             stats.max_depth = depth
-        node = policy(state, occ, touched, amask, vmask, live, var)
+        node = policy(search, touched, amask, vmask, live, var)
         if node is None:
             stats.leaves += 1
         else:
-            amask, vmask, live, var, branches = node
-            if not branches:
-                yield from _expand_free(vmask, ((1 << n) - 1) & ~amask, stats)
+            amask, vmask, live, var, touched, children = node
+            if not children:
+                yield from _expand_free(vmask, full & ~amask, stats)
             else:
                 stats.branch_nodes += 1
-                for branch in reversed(branches):
-                    stack.append((state, amask, vmask, live, var, depth + 1, branch))
+                depth += 1
+                for a, v in reversed(children):
+                    stack.append((a, v, live, var, depth, touched))
         if not stack:
             return
-        state, amask, vmask, live, var, depth, branch = stack.pop()
-        state = list(state)
-        touched, amask, vmask = _fix(state, occ, branch, amask, vmask)
-
-
-def _root(cons: list[_Con], n: int):
-    """The unchecked root node over `cons` and its occurrence lists."""
-    return (cons, range(len(cons)), 0, 0, len(cons)), _occurrences(cons, n)
+        amask, vmask, live, var, depth, touched = stack.pop()
 
 
 def _compile(phi: Formula):
-    """phi's propagated root (state, amask, vmask, live), or None on a
-    conflict, and its occurrence lists."""
-    (state, touched, amask, vmask, live), occ = _root(_cons_of(phi), phi.num_vars)
-    node = _propagate(state, occ, touched, amask, vmask, live)
-    return None if node is None else (state, *node), occ
+    """phi's compiled search and its propagated root (amask, vmask, live), or
+    None on a conflict."""
+    search = _Search.of(phi)
+    return search, _propagate(search, *search.root())
 
 
 def decide(phi: Formula) -> bool:
@@ -261,31 +291,35 @@ def decide(phi: Formula) -> bool:
 
     A formula built by core._extend is its _base plus TOP/BOT units: the
     search starts from the base's compiled root, built once and kept in
-    base._compiled, with the units applied as assumptions."""
+    base._compiled, with the units OR-ed into its masks as assumptions."""
     base = phi._base
     if base is None:
-        root, occ = _compile(phi)
+        search, root = _compile(phi)
         units = ()
     else:
         if base._compiled is None:
             object.__setattr__(base, "_compiled", _compile(base))
-        root, occ = base._compiled
+        search, root = base._compiled
         units = phi.constraints[len(base.constraints):]
     if root is None:
         return False
-    state, amask, vmask, live = root
-    values: dict[int, int] = {}
+    amask, vmask, live = root
+    vbits = search.vbits
+    new = []
     for con in units:
         v = con.scope[0]
+        bit = vbits[v]
         val = con.relation.codes[0]  # TOP holds the one tuple 1, BOT holds 0
-        if amask >> (v - 1) & 1:
-            if vmask >> (v - 1) & 1 != val:
+        if amask & bit:
+            # a unit against a value the root forced, or x and -x together
+            if (vmask & bit != 0) != val:
                 return False
-        elif values.setdefault(v, val) != val:
-            return False
-    state = list(state)
-    touched, amask, vmask = _fix(state, occ, values, amask, vmask)
-    for _ in _search((state, touched, amask, vmask, live), occ, phi.num_vars,
+            continue
+        amask |= bit
+        if val:
+            vmask |= bit
+        new.append(v)
+    for _ in _search(search, (search.touched(new), amask, vmask, live), phi.num_vars,
                      _variable_branching, EnumStats()):
         return True
     return False
@@ -294,9 +328,9 @@ def decide(phi: Formula) -> bool:
 def enumerate_models(phi: Formula) -> ModelStream:
     """Stream exactly the set of total models over 1..num_vars, each once."""
     stats = EnumStats()
-    root, occ = _root(_cons_of(phi), phi.num_vars)
-    return ModelStream(_search(root, occ, phi.num_vars, _variable_branching, stats),
-                       stats, UNORDERED)
+    search = _Search.of(phi)
+    return ModelStream(_search(search, search.root(), phi.num_vars, _variable_branching,
+                               stats), stats, UNORDERED)
 
 
 def sparse_enumerate(phi: Formula, lang: ConstraintLanguage, r0: int = 1) -> ModelStream:
@@ -318,7 +352,7 @@ def sparse_enumerate(phi: Formula, lang: ConstraintLanguage, r0: int = 1) -> Mod
             raise LanguageContractError(
                 f"relation {con.relation} not in the declared language")
 
-    start: list[_Con] = []
+    start = []
     for con in phi.constraints:
         # the identification minor merges repeated variables of the scope
         first: dict[int, int] = {}
@@ -328,9 +362,9 @@ def sparse_enumerate(phi: Formula, lang: ConstraintLanguage, r0: int = 1) -> Mod
                 "identification minor escapes the language; it is not branching-closed")
         start.append((rel._codeset, tuple(first)))
     stats = EnumStats()
-    root, occ = _root(start, phi.num_vars)
-    return ModelStream(_search(root, occ, phi.num_vars, _tuple_branching, stats),
-                       stats, UNORDERED)
+    search = _Search(start, phi.num_vars)
+    return ModelStream(_search(search, search.root(), phi.num_vars, _tuple_branching,
+                               stats), stats, UNORDERED)
 
 
 def weight(sigma: int, hmask: int) -> int:

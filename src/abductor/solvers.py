@@ -37,9 +37,8 @@ class OrderingContractError(RuntimeError):
 
 
 # brute-force size caps: 2^n assignments (core.ORACLE_MAX_VARS, enforced where
-# the truth table is built), the 2^|H| lattice, the 3^|H| sweep
+# the truth table is built) and the 2^|H| lattice
 ORACLE_MAX_HYP = 16
-GENERAL_MAX_HYP = 10
 
 
 @dataclass(frozen=True)
@@ -196,39 +195,6 @@ def oracle_positive_explanations(inst: AbductionInstance) -> tuple[frozenset[fro
     all_ok = [p for p in f if f[p] > 0 and g[p] == 0]
     return (frozenset(_positive(p, hyp) for p in all_ok),
             frozenset(_positive(p, hyp) for p in _maximal(all_ok)))
-
-
-def oracle_abd_general(inst: AbductionInstance) -> bool:
-    """Slow independent check over *all* consistent E ⊆ Lits(H) (3^|H| sets).
-
-    Exists to validate the extension property the faster oracles rely on:
-    an explanation exists iff a full one does.
-    """
-    pre = preprocess(inst)
-    if pre.verdict == TRIVIALLY_NO:
-        return False
-    inst = pre.instance
-    if len(inst.hypotheses) > GENERAL_MAX_HYP:
-        raise OracleCapError("|H| too large for the 3^|H| sweep")
-    models = table_models(brute_models(inst.kb))
-    hyp = sorted(inst.hypotheses)
-    states = [(0, 0)]
-    for h in hyp:
-        bit = 1 << (h - 1)
-        states = [(p | (bit if c == 1 else 0), m | (bit if c == 2 else 0))
-                  for p, m in states for c in (0, 1, 2)]
-    for pos, neg in states:
-        sat_seen = False
-        holds = True
-        for sigma in models:
-            if sigma & pos == pos and sigma & neg == 0:
-                sat_seen = True
-                if not satisfies_vars(sigma, inst.manifestations):
-                    holds = False
-                    break
-        if sat_seen and holds:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from abductor.core import (BOT, FALSE0, TOP, TRUE0, AbductionInstance,
 from abductor.harness import verify
 from abductor.harness.generators import gen_xsat
 from abductor.reductions import CnfFormula
-from abductor.solvers import brute_models, oracle_abd_general
+from abductor.solvers import brute_models
+from oracle_general import oracle_abd_general
 
 
 def scan(phi: Formula) -> list[int]:

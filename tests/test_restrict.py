@@ -1,18 +1,25 @@
 """The restriction table behind core.restrict returns what a direct,
 uncached tuple-by-tuple restriction gives, on a cold table and after its
-bound has forced a clear."""
+bound has forced a clear.  The search reads the same table with the fixed
+positions gathered from a node's (amask, vmask); those lookups, and the
+classification each entry stores, must agree with restrict on the same
+assignment, repeated scope variables included."""
 
 import itertools
 
 import pytest
 
 from abductor import core
-from abductor.core import encode_tuple, restrict, submasks
+from abductor.core import EMPTY, FULL, OPEN, UNIT, encode_tuple, restrict, submasks
 from abductor.langlib import (aff, branching_closure, clause_relation, imp,
                               language, nae, xsat_family)
+from abductor.satenum import _Search
 
 MAX_ARITY = 4
 SCOPE = (3, 8, 1, 6)  # distinct variables in no particular order
+# per arity, scopes that repeat a variable
+REPEATED = {2: [(5, 5)], 3: [(5, 5, 2), (5, 2, 5), (2, 5, 5)],
+            4: [(5, 2, 5, 7), (7, 7, 7, 7)]}
 
 
 def _signs():
@@ -63,6 +70,38 @@ def _sweep():
     return checked
 
 
+def _kind(codes, keep):
+    """The classification the table must store with a restriction."""
+    if not codes:
+        return EMPTY
+    if len(codes) == 1 << len(keep):
+        return FULL
+    return UNIT if len(keep) == 1 else OPEN
+
+
+def _mask_sweep():
+    """Look every relation up, under every partial assignment of its scope's
+    variables, through the search's (amask, vmask) gather."""
+    checked = 0
+    for rel in RELATIONS:
+        for scope in [SCOPE[:rel.arity]] + REPEATED.get(rel.arity, []):
+            search = _Search([(rel._codeset, scope)], max(SCOPE))
+            vs = sorted(set(scope))
+            for signs in itertools.product((None, 0, 1), repeat=len(vs)):
+                values = {v: b for v, b in zip(vs, signs) if b is not None}
+                amask = sum(1 << (v - 1) for v in values)
+                vmask = sum(1 << (v - 1) for v, b in values.items() if b)
+                codes, keep, kind = search.entry(0, amask, vmask)
+                kept = tuple(scope[i] for i in keep)
+                assert (codes, kept) == restrict(rel._codeset, scope, values), (rel, scope, values)
+                assert (codes, kept) == _direct(rel, scope, values), (rel, scope, values)
+                assert kind == _kind(codes, keep), (rel, scope, values)
+                if kind == UNIT:
+                    assert len(codes) == 1
+                checked += 1
+    return checked
+
+
 @pytest.fixture
 def cold_table(monkeypatch):
     monkeypatch.setattr(core, "_restrict_table", {})
@@ -71,7 +110,7 @@ def cold_table(monkeypatch):
 
 
 def _held():
-    return sum(len(codes) + 1 for codes, _ in core._restrict_table.values())
+    return sum(len(entry[0]) + 1 for entry in core._restrict_table.values())
 
 
 def test_families_cover_every_arity():
@@ -100,3 +139,30 @@ def test_kept_scope_follows_the_caller_scope(cold_table):
     assert restrict(codes, (2, 9, 4), {9: 1}) == (frozenset({1, 2, 3}), (2, 4))
     assert restrict(codes, (5, 6, 7), {6: 1}) == (frozenset({1, 2, 3}), (5, 7))
     assert restrict(codes, (5, 6, 7), {6: 0, 7: 1}) == (frozenset({0, 1}), (5,))
+
+
+def test_mask_lookups_match_restrict_on_a_cold_table(cold_table):
+    checked = _mask_sweep()
+    assert checked > 2000 and cold_table and _held() == core._restrict_table_held
+    assert {entry[2] for entry in cold_table.values()} == {EMPTY, FULL, UNIT, OPEN}
+    assert _mask_sweep() == checked
+
+
+def test_mask_lookups_match_restrict_after_forced_clears(cold_table, monkeypatch):
+    bound = 64
+    monkeypatch.setattr(core, "_RESTRICT_TABLE_CODES", bound)
+    _mask_sweep()
+    # the classified entries count against the same bound and go with a clear
+    assert 0 < _held() == core._restrict_table_held <= bound + (1 << MAX_ARITY) + 1
+    _mask_sweep()
+
+
+def test_repeated_variable_fixes_both_positions(cold_table):
+    codes = frozenset({0b011, 0b100})  # x1 = x2 = not x3
+    search = _Search([(codes, (5, 5, 2))], 5)
+    # v5 = 1 fixes positions 0 and 1 and forces v2 = 0
+    assert search.entry(0, 1 << 4, 1 << 4) == (frozenset({0}), (2,), UNIT)
+    assert search.entry(0, 1 << 4, 0) == (frozenset({1}), (2,), UNIT)
+    assert search.entry(0, 1 << 1, 1 << 1) == (frozenset({0}), (0, 1), OPEN)
+    assert search.entry(0, 0b10010, 0b10010) == (frozenset(), (), EMPTY)
+    assert search.entry(0, 0b10010, 0b10000) == (frozenset({0}), (), FULL)

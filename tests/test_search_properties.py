@@ -1,13 +1,16 @@
 """Property tests of the one search core against the bit-parallel truth table,
 on generated formulas with n <= 8: repeated scope variables, the 0-ary
-constants, empty and full relations.  Derandomized, so tier-1 stays
+constants, empty and full relations.  decide is also run differentially:
+interleaved conjoin_literals/entails calls on one KB, whose compiled root they
+share, against a freshly built public Formula.  Derandomized, so tier-1 stays
 deterministic."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abductor.core import (FALSE0, TRUE0, Formula, Relation, conjoin_literals,
-                           formula, table_models, truth_table)
+from abductor.core import (BOT, FALSE0, TOP, TRUE0, Constraint, Formula,
+                           Relation, columns, conjoin_literals, entails, formula,
+                           table_models, truth_table)
 from abductor.langlib import branching_closure, xsat_family
 from abductor.satenum import decide, enumerate_models, sparse_enumerate
 
@@ -48,6 +51,48 @@ def literal_lists(n: int):
                     max_size=4)
 
 
+def units(lits) -> tuple[Constraint, ...]:
+    return tuple(Constraint(TOP if l > 0 else BOT, (abs(l),)) for l in lits)
+
+
+@st.composite
+def partial_relations(draw, max_arity: int = 3) -> Relation:
+    """A relation that is neither empty nor full, so a KB is rarely
+    unsatisfiable at its root."""
+    arity = draw(st.integers(1, max_arity))
+    size = 1 << arity
+    return Relation(arity, tuple(draw(st.frozensets(st.integers(0, size - 1), min_size=1,
+                                                    max_size=size - 1))))
+
+
+@st.composite
+def kbs(draw) -> Formula:
+    """A formula plus units, so that the root forces some variables."""
+    phi = draw(formulas(rels=partial_relations()))
+    forced = draw(literal_lists(phi.num_vars))
+    return Formula(phi.num_vars, phi.constraints + units(forced))
+
+
+@st.composite
+def calls(draw, kb: Formula):
+    """One call on the KB: ("sat", E) decides KB ∧ E, ("entails", E, M) asks
+    KB ∧ E ⊨ M, and ("chain", E, F) decides (KB ∧ E) ∧ F.  E often holds a
+    literal and its negation, or sets the whole scope of a constraint."""
+    n = kb.num_vars
+    lits = draw(literal_lists(n))
+    if lits and draw(st.booleans()):
+        lits.append(-draw(st.sampled_from(lits)))
+    if kb.constraints and draw(st.booleans()):
+        scope = draw(st.sampled_from(kb.constraints)).scope
+        lits += [v * draw(st.sampled_from((1, -1))) for v in scope]
+    kind = draw(st.sampled_from(("sat", "entails", "chain")))
+    if kind == "sat":
+        return kind, lits
+    if kind == "entails":
+        return kind, lits, draw(st.lists(st.integers(1, n), max_size=3)) if n else []
+    return kind, lits, draw(literal_lists(n))
+
+
 class TestSearchProperties:
     @PROPERTY
     @given(formulas())
@@ -76,3 +121,25 @@ class TestSearchProperties:
         assert len(set(got)) == len(got)
         assert sorted(got) == table_models(truth_table(phi))
         assert stream.stats.models_emitted <= stream.stats.leaves
+
+    @settings(PROPERTY, max_examples=100)
+    @given(kbs(), st.data())
+    def test_decide_on_one_base_is_a_fresh_compile(self, kb, data):
+        n = kb.num_vars
+        cols = columns(n)
+        for call in data.draw(st.lists(calls(kb), min_size=1, max_size=8)):
+            if call[0] == "chain":
+                fast = conjoin_literals(conjoin_literals(kb, call[1]), call[2])
+            else:
+                fast = conjoin_literals(kb, call[1])
+            assert fast._base is kb
+            public = Formula(n, fast.constraints)
+            table = truth_table(public)
+            if call[0] == "entails":
+                # KB ∧ E ⊨ M iff no model of KB ∧ E sets some m in M to 0
+                want = not any(table & cols[m - 1][0] for m in call[2])
+                assert entails(fast, call[2], decide) is want, call
+                assert entails(public, call[2], decide) is want, call
+            else:
+                assert decide(fast) is bool(table), call
+                assert decide(public) is bool(table), call

@@ -8,15 +8,15 @@ from abductor.langlib import one_in_k
 from abductor.satenum import ModelStream, EnumStats, enumerate_models
 from abductor.solvers import (OracleCapError, OrderingContractError, PabdAudit,
                               abd_kcnf_pos, baseline_abd, baseline_pabd,
-                              enum_abd, oracle_abd, oracle_abd_general,
-                              oracle_full_explanations, oracle_pabd,
-                              oracle_positive_explanations, pabd_enum,
-                              pabd_one_valid, pabd_recursive)
+                              enum_abd, oracle_abd, oracle_full_explanations,
+                              oracle_pabd, oracle_positive_explanations,
+                              pabd_enum, pabd_one_valid, pabd_recursive)
 from abductor.harness import verify
 from abductor.harness.generators import (gen_2cnf, gen_aff, gen_equations,
                                          gen_kcnf_neg_imp, gen_kcnf_pos,
                                          gen_nae3, gen_xsat)
 
+from oracle_general import oracle_abd_general
 from test_core import example1_instance
 
 
