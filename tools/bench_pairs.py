@@ -2,17 +2,16 @@
 
 Run from the root of a checkout:
 
-    python3 tools/bench_pairs.py --base <rev> --change <rev> --pairs 10 \
-        --first-seed 61 [--workload sat-calls ...] [--seconds 30] [--out FILE]
+    python3 tools/bench_pairs.py --base <rev> --change <rev> --pairs 10 --first-seed 61
 
 It exports the committed files of both revisions (`git archive`) into
 temporary directories, as tools/bench_record.py does.  Pair i runs
-`python3 perfbench/run.py --trace 0` at seed first-seed + i on both trees,
-one run at a time, the base first in even pairs and the change first in odd
-ones.  For every workload and every end-to-end metric of BENCHMARK.json it
-prints both medians, their ratio, the interquartile range of the base's runs
-and of the change's, and in how many pairs the change was better.  --out
-writes every run's last JSON line as well.
+`python3 perfbench/run.py --seconds 30 --trace 0` at seed first-seed + i on
+both trees for every workload, one run at a time, the base first in even
+pairs and the change first in odd ones.  For every workload and every
+end-to-end metric of BENCHMARK.json it prints both medians, their ratio, the
+interquartile range of the base's runs and of the change's, and in how many
+pairs the change was better.
 """
 
 from __future__ import annotations
@@ -20,28 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
-import subprocess
 import sys
 import tempfile
 
-WORKLOADS = ("sat-calls", "enum-models", "verify-sweep")
-
-
-def export(rev: str, tree: str) -> str:
-    sha = subprocess.run(["git", "rev-parse", rev], check=True,
-                         capture_output=True, text=True).stdout.strip()
-    archive = subprocess.run(["git", "archive", sha], check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
-    return sha
-
-
-def run(tree: str, workload: str, seed: int, seconds: int) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+from benchtree import WORKLOADS, export, run
 
 
 def iqr(values: list[float]) -> float:
@@ -77,33 +58,22 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--change", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, required=True)
-    ap.add_argument("--seconds", type=int, default=30)
-    ap.add_argument("--workload", action="append", choices=WORKLOADS)
-    ap.add_argument("--out")
     args = ap.parse_args(argv)
-    workloads = args.workload or list(WORKLOADS)
-    record: dict = {"pairs": args.pairs, "first_seed": args.first_seed,
-                    "seconds": args.seconds, "workloads": {}}
     with tempfile.TemporaryDirectory() as base_tree, \
             tempfile.TemporaryDirectory() as change_tree:
-        record["base"] = export(args.base, base_tree)
-        record["change"] = export(args.change, change_tree)
+        export(args.base, base_tree)
+        export(args.change, change_tree)
         with open(f"{change_tree}/BENCHMARK.json", encoding="utf-8") as fh:
             metrics = json.load(fh)["end_to_end"]
-        for workload in workloads:
+        for workload in WORKLOADS:
             runs: dict[str, list[dict]] = {"base": [], "change": []}
             for i in range(args.pairs):
                 order = [("base", base_tree), ("change", change_tree)]
                 for side, tree in order if i % 2 == 0 else order[::-1]:
-                    runs[side].append(run(tree, workload, args.first_seed + i, args.seconds))
+                    runs[side].append(run(tree, workload, args.first_seed + i, 0))
                 print(f"{workload} pair {i + 1}/{args.pairs}: done", file=sys.stderr)
-            record["workloads"][workload] = runs
             print(workload)
             print("\n".join(summarise(metrics, runs["base"], runs["change"])), flush=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=1)
-            fh.write("\n")
     return 0
 
 

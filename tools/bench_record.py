@@ -17,13 +17,12 @@ import argparse
 import json
 import os
 import platform
-import subprocess
 import sys
 import tempfile
 
-WORKLOADS = ("sat-calls", "enum-models", "verify-sweep")
+from benchtree import SECONDS, WORKLOADS, export, run
+
 SEED = 1
-SECONDS = 30
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -31,24 +30,13 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--commit", required=True)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
-    sha = subprocess.run(["git", "rev-parse", args.commit], check=True,
-                         capture_output=True, text=True).stdout.strip()
     runs = []
     with tempfile.TemporaryDirectory() as tree:
-        archive = subprocess.run(["git", "archive", sha], check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+        sha = export(args.commit, tree)
         for workload in WORKLOADS:
             for trace in (0, 1):
-                cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-                       "--seed", str(SEED), "--seconds", str(SECONDS),
-                       "--trace", str(trace)]
-                proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-                if proc.returncode != 0:
-                    print(proc.stderr, file=sys.stderr)
-                    return proc.returncode
                 runs.append({"workload": workload, "trace": trace,
-                             "result": json.loads(proc.stdout.strip().splitlines()[-1])})
+                             "result": run(tree, workload, SEED, trace)})
                 print(f"{workload} trace {trace}: done", file=sys.stderr)
     record = {
         "command": "python3 perfbench/run.py --workload <w> "
