@@ -24,10 +24,10 @@ from ..reductions import (IMP_REL, abd2cnf_to_cnfsat, abd_to_pabd_4cnf,
                           negimp_to_pos, qbf_to_abd4cnf, qbf_truth)
 from ..satenum import solve_simple_sat
 from ..solvers import (PabdAudit, abd_kcnf_pos, baseline_abd, baseline_pabd,
-                       enum_abd, model_table, oracle_abd,
+                       enum_abd, explained, oracle_abd,
                        oracle_full_explanations, oracle_pabd,
                        oracle_positive_explanations, pabd_enum,
-                       pabd_lattice, pabd_one_valid, pabd_recursive)
+                       pabd_one_valid, pabd_recursive)
 from . import generators, io
 
 # reduction outputs above this many variables are not checked by the oracles
@@ -57,13 +57,11 @@ class VerifyReport:
 # ---------------------------------------------------------------------------
 
 def raw_abd_answer(inst: AbductionInstance) -> bool:
-    count, bad = model_table(inst)
-    return any(p not in bad for p in count)
+    return bool(explained(inst)[1])
 
 
 def raw_pabd_answer(inst: AbductionInstance) -> bool:
-    f, g = pabd_lattice(inst)
-    return any(f[p] > 0 and g[p] == 0 for p in f)
+    return bool(explained(inst)[2])
 
 
 # ---------------------------------------------------------------------------

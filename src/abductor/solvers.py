@@ -11,13 +11,18 @@ oracle_*_explanations functions) are over preprocess(inst).instance.
 
 The oracles read the models of KB off its truth table, a cached bit-parallel
 table built from the variable columns (core.truth_table, one bit per
-assignment), and brute_models is that cache.
+assignment), and brute_models is that cache.  explained is their one view of
+it, read once per call: a candidate explains iff some model extends it (∃)
+and every model that extends it satisfies M (∀), and both quantifiers, over
+the variables outside H and then over the supersets of each H pattern, are
+shifts and masks of the table.  Two caps bound the oracles: n <=
+core.ORACLE_MAX_VARS (2^n-bit tables, enforced where they are built) and
+|H| <= ORACLE_MAX_HYP (2^|H| patterns read out).
 """
 
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -36,8 +41,7 @@ class OrderingContractError(RuntimeError):
     """A weight-ordered model stream emitted an increasing weight."""
 
 
-# brute-force size caps: 2^n assignments (core.ORACLE_MAX_VARS, enforced where
-# the truth table is built) and the 2^|H| lattice
+# the brute-force cap on |H|; the one on n is core.ORACLE_MAX_VARS
 ORACLE_MAX_HYP = 16
 
 
@@ -98,38 +102,36 @@ def brute_models(phi: Formula) -> int:
     return truth_table(phi)
 
 
-def model_table(inst: AbductionInstance) -> tuple[dict[int, int], dict[int, int]]:
-    """The models of KB counted per H-projection sigma & hmask: (all models,
-    models violating M).  Exhaustive and without preprocessing, so the raw
-    audits of preprocess use it as it is."""
+def explained(inst: AbductionInstance) -> tuple[int, int, int]:
+    """(model count, full, positive) of the instance as given, without
+    preprocessing, so the raw audits of preprocess use it as it is.  Bit p of
+    full is set iff the full candidate over H that the pattern p picks
+    explains M; bit p of positive is set iff the positive candidate p does.
+
+    Both come from F, the truth table of KB, and G = F & ~(AND of the M
+    columns), its models that violate M.  ∃ over each variable outside H
+    leaves bit p of each set iff one of its models projects to p on H, so
+    full = F & ~G; the superset-OR over each h in H then leaves bit p set iff
+    one of its models is ⊇ p, so positive = F & ~G."""
     if len(inst.hypotheses) > ORACLE_MAX_HYP:
         raise OracleCapError(f"|H|={len(inst.hypotheses)} exceeds oracle cap {ORACLE_MAX_HYP}")
     table = brute_models(inst.kb)
     cols = columns(inst.num_vars)
-    good = table  # the models that satisfy M
+    f = good = table
     for m in inst.manifestations:
         good &= cols[m - 1][1]
-    project = hyp_mask(inst.hypotheses).__and__
-    return (Counter(map(project, table_models(table))),
-            Counter(map(project, table_models(table ^ good))))
-
-
-def pabd_lattice(inst: AbductionInstance) -> tuple[dict[int, int], dict[int, int]]:
-    """Superset-summed (sat-count, bad-count) tables over the H-subset lattice,
-    keyed by the submasks of the H mask in increasing order."""
-    count, bad = model_table(inst)
-    f = dict.fromkeys(submasks(hyp_mask(inst.hypotheses)), 0)
-    g = dict(f)
-    for proj, c in count.items():
-        f[proj] += c
-        g[proj] += bad.get(proj, 0)
-    for v in sorted(inst.hypotheses):
-        bit = 1 << (v - 1)
-        for p in f:
-            if not p & bit:
-                f[p] += f[p | bit]
-                g[p] += g[p | bit]
-    return f, g
+    g = table ^ good
+    for v in range(1, inst.num_vars + 1):
+        if v not in inst.hypotheses:
+            shift, keep = 1 << (v - 1), cols[v - 1][0]
+            f = (f | f >> shift) & keep
+            g = (g | g >> shift) & keep
+    full = f & ~g
+    for h in inst.hypotheses:
+        shift, keep = 1 << (h - 1), cols[h - 1][0]
+        f |= (f >> shift) & keep
+        g |= (g >> shift) & keep
+    return table.bit_count(), full, f & ~g
 
 
 def _oracle_stats(phi: Formula, models: int) -> EnumStats:
@@ -138,22 +140,19 @@ def _oracle_stats(phi: Formula, models: int) -> EnumStats:
 
 
 def oracle_abd(inst: AbductionInstance) -> AbdResult:
-    """Ground truth for symmetric abduction via exhaustive assignment scan.
-
-    Iterates the 2^|H| full candidates; a candidate survives iff it has a
-    model and every model of KB extending it satisfies M (an explanation
-    exists iff a full one does).
-    """
+    """Ground truth for symmetric abduction: the witness is the full
+    candidate of the lowest pattern that explains (an explanation exists iff
+    a full one does)."""
     pre = preprocess(inst)
     if pre.verdict == TRIVIALLY_NO:
         return _no("oracle-abd")
     inst = pre.instance
-    count, bad = model_table(inst)
-    good = [p for p in count if p not in bad]
-    stats = _oracle_stats(inst.kb, sum(count.values()))
-    if not good:
+    models, full, _ = explained(inst)
+    stats = _oracle_stats(inst.kb, models)
+    if not full:
         return _no("oracle-abd", stats)
-    return _yes(pre, _full(min(good), sorted(inst.hypotheses)), stats, "oracle-abd")
+    return _yes(pre, _full((full & -full).bit_length() - 1, sorted(inst.hypotheses)),
+                stats, "oracle-abd")
 
 
 def oracle_full_explanations(inst: AbductionInstance) -> frozenset[frozenset[int]]:
@@ -161,25 +160,23 @@ def oracle_full_explanations(inst: AbductionInstance) -> frozenset[frozenset[int
     if pre.verdict == TRIVIALLY_NO:
         return frozenset()
     inst = pre.instance
-    count, bad = model_table(inst)
     hyp = sorted(inst.hypotheses)
-    return frozenset(_full(p, hyp) for p in count if p not in bad)
+    return frozenset(_full(p, hyp) for p in table_models(explained(inst)[1]))
 
 
 def oracle_pabd(inst: AbductionInstance) -> AbdResult:
-    """Ground truth for positive abduction: every E ⊆ H is checked against the
-    exhaustively computed model table (E is an explanation iff some model sets
-    E true and no model setting E true violates M)."""
+    """Ground truth for positive abduction (E ⊆ H is an explanation iff some
+    model sets E true and no model setting E true violates M): the witness is
+    the first pattern of highest popcount that explains."""
     pre = preprocess(inst)
     if pre.verdict == TRIVIALLY_NO:
         return _no("oracle-pabd")
     inst = pre.instance
-    f, g = pabd_lattice(inst)
-    stats = _oracle_stats(inst.kb, f[0])  # f[0] sums over every model
-    ok = [p for p in f if f[p] > 0 and g[p] == 0]
-    if not ok:
+    models, _, positive = explained(inst)
+    stats = _oracle_stats(inst.kb, models)
+    if not positive:
         return _no("oracle-pabd", stats)
-    best = max(ok, key=lambda p: bin(p).count("1"))
+    best = max(table_models(positive), key=int.bit_count)
     return _yes(pre, _positive(best, sorted(inst.hypotheses)), stats, "oracle-pabd")
 
 
@@ -190,9 +187,8 @@ def oracle_positive_explanations(inst: AbductionInstance) -> tuple[frozenset[fro
     if pre.verdict == TRIVIALLY_NO:
         return frozenset(), frozenset()
     inst = pre.instance
-    f, g = pabd_lattice(inst)
     hyp = sorted(inst.hypotheses)
-    all_ok = [p for p in f if f[p] > 0 and g[p] == 0]
+    all_ok = table_models(explained(inst)[2])
     return (frozenset(_positive(p, hyp) for p in all_ok),
             frozenset(_positive(p, hyp) for p in _maximal(all_ok)))
 

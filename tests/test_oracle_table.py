@@ -1,6 +1,8 @@
 """The bit-parallel truth table behind the brute-force oracle lists exactly the
-models the definition (core.evaluate, assignment by assignment) accepts, and
-the CNF table of CnfFormula.satisfiable agrees with a literal-by-literal scan."""
+models the definition (core.evaluate, assignment by assignment) accepts, the
+oracle view over it (solvers.explained) and the four oracle entry points read
+the explanations the definition (oracle_general) reads, and the CNF table of
+CnfFormula.satisfiable agrees with a literal-by-literal scan."""
 
 import random
 
@@ -12,8 +14,12 @@ from abductor.core import (BOT, FALSE0, TOP, TRUE0, AbductionInstance,
 from abductor.harness import verify
 from abductor.harness.generators import gen_xsat
 from abductor.reductions import CnfFormula
-from abductor.solvers import brute_models
-from oracle_general import oracle_abd_general
+from abductor.satenum import EnumStats
+from abductor.solvers import (brute_models, explained, oracle_abd,
+                              oracle_full_explanations, oracle_pabd,
+                              oracle_positive_explanations)
+from oracle_general import (explained_by_definition, oracle_abd_general,
+                            oracles_by_definition)
 
 
 def scan(phi: Formula) -> list[int]:
@@ -91,6 +97,51 @@ def test_table_edge_cases():
     # x and not-x on one variable
     phi = formula(2, [(TOP, (1,)), (BOT, (1,))])
     assert truth_table(phi) == 0
+
+
+def assert_view_is_the_definition(inst: AbductionInstance) -> None:
+    models, full, positive = explained(inst)
+    assert (models, table_models(full), table_models(positive)) == explained_by_definition(inst), inst
+
+
+def assert_oracles_are_the_definition(inst: AbductionInstance) -> None:
+    (abd_wit, models), (pabd_wit, _), full_set, pos_sets = oracles_by_definition(inst)
+    stats = EnumStats() if models is None else EnumStats(0, 1 << inst.num_vars, models, 0)
+    for res, wit in ((oracle_abd(inst), abd_wit), (oracle_pabd(inst), pabd_wit)):
+        assert res.answer == (wit is not None), inst
+        assert (res.witness and res.witness.literals) == wit, inst
+        assert res.stats == stats, inst
+    assert oracle_full_explanations(inst) == full_set, inst
+    assert oracle_positive_explanations(inst) == pos_sets, inst
+
+
+def random_instance(rng: random.Random, n: int) -> AbductionInstance:
+    """A random_kb KB with H and M drawn independently, so they overlap, and
+    may hold variables outside var(KB)."""
+    return AbductionInstance(random_kb(rng, n),
+                             frozenset(v for v in range(1, n + 1) if rng.random() < 0.5),
+                             frozenset(v for v in range(1, n + 1) if rng.random() < 0.3))
+
+
+def test_view_matches_the_definition_on_the_exhaustive_pool():
+    count = 0
+    for inst in list(verify.exhaustive_instances()) + list(verify.preprocess_audit_instances()):
+        assert_view_is_the_definition(inst)
+        assert_oracles_are_the_definition(inst)
+        count += 1
+    assert count == 15525 + 4096
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_view_matches_the_definition_on_random_kbs(n):
+    rng = random.Random(2000 + n)
+    answers = set()
+    for _ in range(60 if n <= 8 else 15):
+        inst = random_instance(rng, n)
+        assert_view_is_the_definition(inst)
+        assert_oracles_are_the_definition(inst)
+        answers.add((oracle_abd(inst).answer, oracle_pabd(inst).answer))
+    assert n < 2 or len(answers) > 1
 
 
 def test_the_cap_on_n_is_enforced_where_the_table_is_built():

@@ -2,16 +2,19 @@
 on generated formulas with n <= 8: repeated scope variables, the 0-ary
 constants, empty and full relations.  decide is also run differentially:
 interleaved conjoin_literals/entails calls on one KB, whose compiled root they
-share, against a freshly built public Formula.  Derandomized, so tier-1 stays
-deterministic."""
+share, against a freshly built public Formula.  On instances over the same
+formulas, every solver verify.check_solvers runs agrees with the brute-force
+oracle.  Derandomized, so tier-1 stays deterministic."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abductor.core import (BOT, FALSE0, TOP, TRUE0, Constraint, Formula,
-                           Relation, columns, conjoin_literals, entails, formula,
-                           table_models, truth_table)
+from abductor.core import (BOT, FALSE0, TOP, TRUE0, AbductionInstance,
+                           Constraint, Formula, Relation, columns,
+                           conjoin_literals, entails, formula, table_models,
+                           truth_table)
 from abductor.langlib import branching_closure, xsat_family
+from abductor.harness import verify
 from abductor.satenum import decide, enumerate_models, sparse_enumerate
 
 XSAT_LANG = branching_closure(xsat_family(3))
@@ -143,3 +146,18 @@ class TestSearchProperties:
             else:
                 assert decide(fast) is bool(table), call
                 assert decide(public) is bool(table), call
+
+
+@st.composite
+def instances(draw) -> AbductionInstance:
+    """H and M drawn independently, so they overlap, and may hold variables
+    outside var(KB)."""
+    kb = draw(formulas())
+    var_sets = st.frozensets(st.integers(1, kb.num_vars)) if kb.num_vars else st.just(frozenset())
+    return AbductionInstance(kb, draw(var_sets), draw(var_sets))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(instances())
+def test_every_solver_agrees_with_the_oracle(inst):
+    assert [(f.kind, f.detail) for f in verify.check_solvers(inst)] == []

@@ -4,14 +4,16 @@ import pytest
 
 from abductor.core import (AbductionInstance, Relation, BOT, TOP, FragmentError,
                            formula, is_explanation)
-from abductor.langlib import one_in_k
+from abductor.langlib import clause_relation, one_in_k
 from abductor.satenum import ModelStream, EnumStats, enumerate_models
+from abductor import solvers
 from abductor.solvers import (OracleCapError, OrderingContractError, PabdAudit,
                               abd_kcnf_pos, baseline_abd, baseline_pabd,
                               enum_abd, oracle_abd, oracle_full_explanations,
                               oracle_pabd, oracle_positive_explanations,
                               pabd_enum, pabd_one_valid, pabd_recursive)
-from abductor.harness import verify
+from abductor.harness import io, verify
+from abductor.harness.cli import main as cli_main
 from abductor.harness.generators import (gen_2cnf, gen_aff, gen_equations,
                                          gen_kcnf_neg_imp, gen_kcnf_pos,
                                          gen_nae3, gen_xsat)
@@ -91,11 +93,43 @@ class TestPublishedAlgorithmGaps:
         assert 0b00 not in discarded
 
 
+ORACLES = (oracle_abd, oracle_pabd, oracle_full_explanations,
+           oracle_positive_explanations, verify.raw_abd_answer,
+           verify.raw_pabd_answer)
+
+
 class TestOracles:
     def test_cap_enforced(self):
         inst = gen_xsat(21, 0)
         with pytest.raises(OracleCapError):
             oracle_abd(inst)
+
+    def test_hypothesis_cap_enforced(self, tmp_path, capsys):
+        # n = 18 is under the cap on n; H = 1..17 is inside var(KB)
+        or2 = clause_relation((0, 0), "OR2")
+        kb = formula(18, [(or2, (v, v + 1)) for v in range(1, 18)])
+        inst = AbductionInstance(kb, frozenset(range(1, 18)), frozenset({18}))
+        for oracle in ORACLES:
+            with pytest.raises(OracleCapError, match=r"\|H\|=17 exceeds oracle cap 16"):
+                oracle(inst)
+        path = tmp_path / "wide.abd"
+        io.write(inst, str(path))
+        assert cli_main(["solve", str(path), "--algo", "oracle", "--mode", "abd"]) == 2
+        assert "error: |H|=17 exceeds oracle cap 16" in capsys.readouterr().err
+
+    def test_one_table_lookup_per_call(self, monkeypatch):
+        brute_models, lookups = solvers.brute_models, []
+
+        def counting(phi):
+            lookups.append(phi)
+            return brute_models(phi)
+
+        monkeypatch.setattr(solvers, "brute_models", counting)
+        inst = example1_instance()
+        for oracle in ORACLES:
+            lookups.clear()
+            oracle(inst)
+            assert lookups == [inst.kb], oracle.__name__
 
     def test_extension_property_on_pool_sample(self):
         import itertools
