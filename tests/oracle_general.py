@@ -30,10 +30,10 @@ def projection_counts(inst: AbductionInstance) -> tuple[Counter, Counter]:
             Counter(map(project, table_models(table ^ good))))
 
 
-def superset_sums(inst: AbductionInstance) -> tuple[dict[int, int], dict[int, int]]:
-    """The (model, violating-model) counts summed over the supersets of every
+def superset_sums(inst: AbductionInstance, count: Counter,
+                  bad: Counter) -> tuple[dict[int, int], dict[int, int]]:
+    """The projection counts (count, bad) summed over the supersets of every
     submask of the H mask, keyed in increasing order."""
-    count, bad = projection_counts(inst)
     f = dict.fromkeys(submasks(hyp_mask(inst.hypotheses)), 0)
     g = dict(f)
     for proj, c in count.items():
@@ -53,7 +53,7 @@ def explained_by_definition(inst: AbductionInstance) -> tuple[int, list[int], li
     full pattern is an H-projection of some model and of no violating one; a
     positive pattern is set by some model and by no violating one."""
     count, bad = projection_counts(inst)
-    f, g = superset_sums(inst)
+    f, g = superset_sums(inst, count, bad)
     return (sum(count.values()), sorted(p for p in count if p not in bad),
             [p for p in f if f[p] > 0 and g[p] == 0])
 
