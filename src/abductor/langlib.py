@@ -270,7 +270,7 @@ def dual_horn(k: int) -> ConstraintLanguage:
 
 def symmetric_relation(k: int, allowed_sums: Iterable[int], name: str | None = None) -> Relation:
     allowed = set(allowed_sums)
-    codes = tuple(c for c in range(1 << k) if bin(c).count("1") in allowed)
+    codes = tuple(c for c in range(1 << k) if c.bit_count() in allowed)
     return Relation(k, codes, name)
 
 

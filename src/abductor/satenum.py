@@ -35,8 +35,15 @@ TOP/BOT units are assumptions OR-ed into the root's masks, and the search
 starts by checking the constraints they touch (MiniSat, Een & Sorensson, SAT
 2003).  Any other formula is compiled per call.
 
+A satisfied node that sets every variable emits its vmask inline; one with
+unconstrained variables streams their completions in increasing order.
+
 solve_simple_sat keeps its own iterative branch-and-reduce procedure for
 positive-clause/negative-DNF instances with the (1,...,p) clause branching.
+Its node is four ints as well: bitmasks over clause and term numbers and the
+masks of the variables set to 1 and to 0, read through per-variable
+occurrence bitmasks of the clauses and terms, so a child copies no clause
+and no DNF.
 
 Stats accounting: branch_nodes counts nodes that opened branches; leaves
 counts terminal paths, where a satisfied node with f unconstrained variables
@@ -268,7 +275,12 @@ def _search(search: _Search, root, n: int, policy, stats: EnumStats) -> Iterator
         else:
             amask, vmask, live, var, touched, children = node
             if not children:
-                yield from _expand_free(vmask, full & ~amask, stats)
+                if amask == full:
+                    stats.models_emitted += 1
+                    stats.leaves += 1
+                    yield vmask
+                else:
+                    yield from _expand_free(vmask, full & ~amask, stats)
             else:
                 stats.branch_nodes += 1
                 depth += 1
@@ -368,7 +380,7 @@ def sparse_enumerate(phi: Formula, lang: ConstraintLanguage, r0: int = 1) -> Mod
 
 
 def weight(sigma: int, hmask: int) -> int:
-    return bin(sigma & hmask).count("1")
+    return (sigma & hmask).bit_count()
 
 
 def hyp_mask(hypotheses: Iterable[int]) -> int:
@@ -382,13 +394,16 @@ def enumerate_weight_ordered(phi: Formula, hypotheses: Iterable[int],
                              base: ModelStream | None = None) -> ModelStream:
     """All models sorted by non-increasing hypothesis weight w_H.
 
-    Materializes the base stream and sorts (stable, so equal weights keep the
-    base emission order).
+    Materializes the base stream into one bucket per weight and reads the
+    buckets heaviest first, so equal weights keep the base emission order.
     """
     if base is None:
         base = enumerate_models(phi)
     hmask = hyp_mask(hypotheses)
-    models = sorted(base, key=lambda s: -weight(s, hmask))
+    buckets: list[list[int]] = [[] for _ in range(hmask.bit_count() + 1)]
+    for sigma in base:
+        buckets[(sigma & hmask).bit_count()].append(sigma)
+    models = [sigma for bucket in reversed(buckets) for sigma in bucket]
     return ModelStream(iter(models), base.stats, WEIGHT_ORDERED)
 
 
@@ -431,61 +446,83 @@ def solve_simple_sat(inst: SimpleSatInstance) -> tuple[int | None, EnumStats]:
     Positive clauses are consumed with the (1,...,q) branching: branch i sets
     the first i-1 clause variables to 0 and the i-th to 1.
 
-    The search is depth-first over an explicit stack, with clauses and terms
-    held as variable bitmasks.  Returns (model bitmask | None, stats); in a
-    model, only branched-to-1 variables are set.
+    The search is depth-first over an explicit stack, and a node is four
+    ints: live, a bitmask over clause numbers, alive, a bitmask over term
+    numbers, and the masks of the variables set to 1 and to 0.  The first
+    clause is the lowest live bit.  Setting u to 1 clears the clauses and
+    terms u occurs in (cocc[u], tocc[u]) and fails if a DNF of u's terms has
+    no term left; setting variables to 0 fails if a live clause they occur in
+    has no variable left outside the zeros.  Returns (model bitmask | None,
+    stats); in a model, only branched-to-1 variables are set.
     """
     stats = EnumStats()
-    dnfs = [[hyp_mask(t) for t in d] for d in inst.negative_dnfs]
-    if any(not d for d in dnfs):
+    if any(not d for d in inst.negative_dnfs):
         stats.leaves += 1
         return None, stats
+    n = inst.num_vars
     clauses = [hyp_mask(c) for c in inst.positive_clauses]
-    ones = depth = 0
+    cocc = [0] * (n + 1)
+    for i, c in enumerate(inst.positive_clauses):
+        for v in c:
+            cocc[v] |= 1 << i
+    # tocc[v]: the terms v occurs in; dnfs_of[v]: the term bitmasks of the
+    # DNFs those terms belong to
+    tocc = [0] * (n + 1)
+    dnfs_of: list[list[int]] = [[] for _ in range(n + 1)]
+    t = 0
+    for d in inst.negative_dnfs:
+        terms = ((1 << len(d)) - 1) << t
+        for term in d:
+            for v in term:
+                tocc[v] |= 1 << t
+                if not dnfs_of[v] or dnfs_of[v][-1] != terms:
+                    dnfs_of[v].append(terms)
+            t += 1
+    live = (1 << len(clauses)) - 1
+    alive = (1 << t) - 1
+    ones = zeros = depth = 0
+    nodes = leaves = max_depth = 0
     # an entry is a node, the depth of its children, the variables of its
-    # first clause not yet branched to 1 and those already branched to 0
+    # first clause not yet branched to 1, those already branched to 0 and
+    # the clauses these occur in
     stack: list = []
-    while True:
-        if depth > stats.max_depth:
-            stats.max_depth = depth
-        if not clauses:
-            stats.leaves += 1
-            stats.models_emitted += 1
+    while True:  # at a node
+        if depth > max_depth:
+            max_depth = depth
+        if not live:
+            stats.branch_nodes, stats.max_depth = nodes, max_depth
+            stats.leaves, stats.models_emitted = leaves + 1, 1
             return ones, stats
-        stats.branch_nodes += 1
-        stack.append((clauses, dnfs, ones, depth + 1, clauses[0], 0))
+        nodes += 1
+        depth += 1
+        rest = clauses[(live & -live).bit_length() - 1] & ~zeros
+        zs = zocc = 0
         while True:  # build the next branch that is not dead on arrival
-            if not stack:
-                return None, stats
-            clauses, dnfs, ones, depth, rest, zeros = stack.pop()
             one = rest & -rest
             rest ^= one
+            u = one.bit_length()
             if rest:
-                stack.append((clauses, dnfs, ones, depth, rest, zeros | one))
-            child = _simple_branch(clauses, dnfs, one, zeros)
-            if child is not None:
-                clauses, dnfs = child
-                ones |= one
-                break
-            stats.leaves += 1
-
-
-def _simple_branch(clauses: list[int], dnfs: list[list[int]], one: int, zeros: int):
-    """The clauses and DNFs left once the first clause's variables in `zeros`
-    are 0 and `one` is 1, or None if a clause or a DNF is left empty."""
-    nclauses = []
-    for c in clauses[1:]:
-        if c & one:
-            continue
-        if c & zeros:
-            c &= ~zeros
-            if not c:
-                return None
-        nclauses.append(c)
-    ndnfs = []
-    for d in dnfs:
-        d2 = [t for t in d if not t & one]
-        if not d2:
-            return None
-        ndnfs.append(d2)
-    return nclauses, ndnfs
+                stack.append((live, alive, ones, zeros, depth, rest, zs | one,
+                              zocc | cocc[u]))
+            # the child: u is 1 and the variables of zs are 0
+            live &= ~cocc[u]
+            alive &= ~tocc[u]
+            zeros |= zs
+            for terms in dnfs_of[u]:
+                if not alive & terms:
+                    break  # a DNF of u's terms has no term left
+            else:
+                hit = zocc & live  # the live clauses the zs variables occur in
+                while hit:
+                    b = hit & -hit
+                    if not clauses[b.bit_length() - 1] & ~zeros:
+                        break  # such a clause has every variable 0
+                    hit ^= b
+                else:
+                    ones |= one
+                    break  # go down to the child
+            leaves += 1
+            if not stack:
+                stats.branch_nodes, stats.leaves, stats.max_depth = nodes, leaves, max_depth
+                return None, stats
+            live, alive, ones, zeros, depth, rest, zs, zocc = stack.pop()

@@ -84,7 +84,7 @@ def _full(mask: int, hyp: Iterable[int]) -> frozenset[int]:
 def _maximal(patterns: Iterable[int]) -> list[int]:
     """The subset-maximal bit patterns, widest first."""
     maximal: list[int] = []
-    for p in sorted(patterns, key=lambda q: -bin(q).count("1")):
+    for p in sorted(patterns, key=lambda q: -q.bit_count()):
         if not any(q != p and q & p == p for q in maximal):
             maximal.append(p)
     return maximal
@@ -397,7 +397,7 @@ def pabd_enum(inst: AbductionInstance,
     eset = ExplanationSet(frozenset(_positive(p, hyp) for p in maximal))
     if not maximal:
         return _no("pabd-enum", stream.stats), eset
-    best = max(maximal, key=lambda q: bin(q).count("1"))
+    best = max(maximal, key=int.bit_count)
     return _yes(pre, _positive(best, hyp), stream.stats, "pabd-enum"), eset
 
 

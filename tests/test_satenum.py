@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abductor.core import Relation, evaluate, formula
 from abductor.langlib import (aff, branching_closure, clause_relation,
@@ -14,6 +16,7 @@ from abductor.satenum import (LanguageContractError, SimpleSatInstance,
 from abductor.harness.bench import fit_base, simplesat_hard_instance
 from abductor.harness.generators import (gen_aff, gen_equations, gen_nae3,
                                          gen_xsat, gen_xsat_chain)
+from simplesat_reference import reference_simple_sat
 
 XSAT_LANG = branching_closure(xsat_family(3))
 
@@ -84,6 +87,23 @@ class TestEnumerate:
             st = stream.stats
             assert 0 <= st.models_emitted <= st.leaves
             assert st.branch_nodes >= 0 and st.max_depth >= 0
+
+
+    def test_total_leaves_stream_like_free_variables(self):
+        # imp on (x, x) holds for either value but stays open until x is
+        # set, so the search branches on x and never fails
+        taut = imp()
+        for n in range(5):
+            free = enumerate_models(formula(n, []))
+            half = enumerate_models(formula(n, [(taut, (n, n))] if n else []))
+            total = enumerate_models(formula(n, [(taut, (v, v)) for v in range(1, n + 1)]))
+            assert list(free) == list(half) == list(range(1 << n))
+            assert list(total) == sorted(range(1 << n),
+                                         key=lambda s: [s >> i & 1 for i in range(n)])
+            for stream in (free, half, total):
+                assert (stream.stats.leaves, stream.stats.models_emitted) == (1 << n, 1 << n)
+            assert total.stats.branch_nodes == (1 << n) - 1
+            assert half.stats.branch_nodes == min(n, 1)
 
 
 class TestDeepSearch:
@@ -224,6 +244,19 @@ class TestWeightOrdered:
         phi = formula(3, [(one_in_k(3), (1, 2, 3))])
         assert sorted(enumerate_weight_ordered(phi, {1, 2})) == brute_models(phi)
 
+    def test_equals_stable_sort_by_weight(self):
+        rng = random.Random(13)
+        ties = 0
+        for seed in range(60):
+            phi = random_formula(7, 2000 + seed)
+            hyps = set(rng.sample(range(1, 8), rng.randint(0, 7)))
+            hmask = hyp_mask(hyps)
+            models = list(enumerate_models(phi))
+            got = list(enumerate_weight_ordered(phi, hyps))
+            assert got == sorted(models, key=lambda s: -weight(s, hmask)), f"seed {seed}"
+            ties += len(models) - len({weight(s, hmask) for s in models})
+        assert ties  # equal weights occur, so the order among them is checked
+
 
 def simple_sat_brute(inst: SimpleSatInstance) -> bool:
     for sigma in range(1 << inst.num_vars):
@@ -289,7 +322,7 @@ class TestSimpleSat:
 
     def test_deep_chain_does_not_overflow(self):
         # the positive 2-CNF chain {i, i+1} opens one branching level per clause
-        n = 2000
+        n = 10000
         inst = SimpleSatInstance(n, tuple(frozenset({i, i + 1}) for i in range(1, n)), (), 2)
         model, stats = solve_simple_sat(inst)
         assert model is not None and simple_sat_model_ok(inst, model)
@@ -304,6 +337,52 @@ class TestSimpleSat:
         base, _res = fit_base(points)
         assert base <= 1.62
         assert base >= 1.55  # the family genuinely exercises the branching
+
+
+@st.composite
+def simple_sat_instances(draw) -> SimpleSatInstance:
+    """n <= 9, p <= 3, repeated clauses, empty terms and empty DNFs."""
+    n = draw(st.integers(0, 9))
+    p = draw(st.integers(1, 3))
+    variables = st.integers(1, max(n, 1))
+    clauses = draw(st.lists(st.frozensets(variables, min_size=1, max_size=p),
+                            min_size=n // 2, max_size=2 * n))
+    if clauses:
+        clauses += draw(st.lists(st.sampled_from(clauses), max_size=3))
+    terms = st.frozensets(variables, max_size=3) if n else st.just(frozenset())
+    dnfs = draw(st.lists(st.lists(terms, min_size=1, max_size=4), max_size=3))
+    if draw(st.sampled_from((False,) * 9 + (True,))):
+        dnfs.insert(draw(st.integers(0, len(dnfs))), [])
+    return SimpleSatInstance(n, tuple(draw(st.permutations(clauses))),
+                             tuple(map(tuple, dnfs)), p)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=250)
+@given(simple_sat_instances())
+def test_simple_sat_matches_the_copying_reference(inst):
+    model, stats = solve_simple_sat(inst)
+    want, want_stats = reference_simple_sat(inst)
+    assert (model, stats) == (want, want_stats)
+    assert (model is not None) == simple_sat_brute(inst)
+
+
+def test_simple_sat_matches_the_reference_on_deep_searches():
+    # the hard family walks the whole (1,2)-branching tree; the random
+    # instances mix widths and DNFs of one- and two-variable terms
+    for n in range(2, 17):
+        inst = simplesat_hard_instance(n)
+        assert solve_simple_sat(inst) == reference_simple_sat(inst)
+    rng = random.Random(11)
+    for case in range(200):
+        n = rng.randint(6, 14)
+        p = rng.randint(1, 3)
+        clauses = tuple(frozenset(rng.sample(range(1, n + 1), rng.randint(1, p)))
+                        for _ in range(rng.randint(n, 2 * n)))
+        dnfs = tuple(tuple(frozenset(rng.sample(range(1, n + 1), rng.randint(1, 2)))
+                           for _ in range(rng.randint(1, n)))
+                     for _ in range(rng.randint(0, 3)))
+        inst = SimpleSatInstance(n, clauses, dnfs, p)
+        assert solve_simple_sat(inst) == reference_simple_sat(inst), f"case {case}"
 
 
 def simple_sat_model_ok(inst: SimpleSatInstance, sigma: int) -> bool:
