@@ -88,7 +88,6 @@ class TestEnumerate:
             assert 0 <= st.models_emitted <= st.leaves
             assert st.branch_nodes >= 0 and st.max_depth >= 0
 
-
     def test_total_leaves_stream_like_free_variables(self):
         # imp on (x, x) holds for either value but stays open until x is
         # set, so the search branches on x and never fails
