@@ -14,10 +14,14 @@ classification of the result: EMPTY, FULL, UNIT (one kept position, forced to
 the value of the one code left) or OPEN.  A search meets the same few hundred
 patterns again and again, so each is filtered tuple by tuple once.
 restriction reads an entry by its key, as satenum's search does with the
-fixed positions gathered from a node's masks; restrict is the same lookup
-keyed by a scope and a {variable: value} map.  The table is emptied whenever
-the code sets it holds pass _RESTRICT_TABLE_CODES codes in all, which bounds
-its memory whatever the arity of the relations.
+fixed positions gathered from a node's masks on a miss of its per-constraint
+memo; restrict is the same lookup keyed by a scope and a {variable: value}
+map.  The table is emptied whenever the code sets it holds pass
+_RESTRICT_TABLE_CODES codes in all, which bounds the table's own memory
+whatever the arity of the relations.  A search's memos keep the entries they
+read past a clear: at most 3^k' per constraint with k' distinct scope
+variables, for as long as the search lives (a KB's compiled search lives as
+long as the KB).
 
 conjoin_literals and entails build KB ∧ literals through _extend, which skips
 re-validation and records the KB in the result's _base field; satenum.decide

@@ -16,24 +16,30 @@ A search node is three ints: amask and vmask, the masks of the assigned
 variables and of their values, and live, a bitmask over constraint numbers
 whose bit i is cleared once constraint i is dropped (satisfied or trivial) or
 consumed (as a unit or as a branched tuple).  A constraint is never stored
-restricted: its restriction under a node is read from core's one restriction
-table (bounded by core._RESTRICT_TABLE_CODES), keyed by its code set, its
-arity and the positions of its scope the node sets (hit) with their values
-(want), gathered from the masks through the variables' bits.  The entry also
-classifies the restriction as empty, full, a unit or open, so a check builds
-no dict and no scope.  The occurrence lists (variable -> constraint numbers,
-also as bitmasks) are built once per search, so a child is its masks, its
-parent's live bitmask and the constraints its branch touches, with nothing
-copied; propagation checks only the constraints touched since the last check
-(Chaff, Moskewicz et al., DAC 2001).  Formulas are read through each
-relation's cached code set, so a call copies no relation.
+restricted: a check of constraint i is one lookup in the search's memo for i,
+keyed by the node's masks under i's scope mask (the OR of its scope's
+variable bits).  The memo's miss path is core's one restriction table
+(bounded by core._RESTRICT_TABLE_CODES), keyed by the constraint's code set,
+its arity and the positions of its scope the node sets (hit) with their
+values (want), gathered from the masks through the variables' bits; the memo
+keeps the table's entry, so it outlives the table's clears.  A memo holds at
+most 3^k' keys, k' the number of distinct variables of the scope, and lives
+as long as its search.  The entry also classifies the restriction as empty,
+full, a unit or open, so a check builds no dict and no scope.  The
+occurrence lists (variable -> constraint numbers, also as bitmasks) are
+built once per search, so a child is its masks, its parent's live bitmask
+and the constraints its branch touches, with nothing copied; propagation
+checks only the constraints touched since the last check (Chaff, Moskewicz
+et al., DAC 2001).  Formulas are read through each relation's cached code
+set, so a call copies no relation.
 
 decide answers a formula built by core.conjoin_literals or core.entails (one
 with a _base) from its base's compiled search and propagated root node, built
-at the first such call and kept in the base's _compiled field; the appended
-TOP/BOT units are assumptions OR-ed into the root's masks, and the search
-starts by checking the constraints they touch (MiniSat, Een & Sorensson, SAT
-2003).  Any other formula is compiled per call.
+at the first such call and kept in the base's _compiled field, so the calls
+on one base share its memos; the appended TOP/BOT units are assumptions
+OR-ed into the root's masks, and the search starts by checking the
+constraints they touch (MiniSat, Een & Sorensson, SAT 2003).  Any other
+formula is compiled per call.
 
 A satisfied node that sets every variable emits its vmask inline; one with
 unconstrained variables streams their completions in increasing order.
@@ -98,19 +104,31 @@ class _Search:
     """A formula compiled for the search: its constraints as (code set,
     scope) pairs, and per variable v its bit 1 << (v-1), its occurrence list
     (the numbers of the constraints whose scope holds v, in order) and the
-    same constraints as a bitmask."""
+    same constraints as a bitmask.
 
-    __slots__ = ("cons", "vbits", "occ", "occbits")
+    Per constraint i it also keeps the scope mask smasks[i], the OR of its
+    scope's variable bits, and the memo memos[i] of the restriction entries
+    read so far, keyed by a << n | vmask & a with a = amask & smasks[i]
+    (injective, since vmask is a submask of amask in every node).  A check is
+    one memo lookup; core's restriction table is the miss path.  A memo holds
+    at most 3^k' keys, k' the number of distinct variables of the scope, and
+    lives as long as the search."""
+
+    __slots__ = ("cons", "n", "vbits", "occ", "occbits", "smasks", "memos")
 
     def __init__(self, cons: list[tuple[frozenset[int], tuple[int, ...]]], n: int) -> None:
         self.cons = cons
-        self.vbits = [0] + [1 << v for v in range(n)]
+        self.n = n
+        self.vbits = vbits = [0] + [1 << v for v in range(n)]
         self.occ: list[list[int]] = [[] for _ in range(n + 1)]
         self.occbits = [0] * (n + 1)
+        self.smasks = [0] * len(cons)
+        self.memos: list[dict[int, tuple]] = [{} for _ in cons]
         for i, (_, scope) in enumerate(cons):
             for v in set(scope):
                 self.occ[v].append(i)
                 self.occbits[v] |= 1 << i
+                self.smasks[i] |= vbits[v]
 
     @classmethod
     def of(cls, phi: Formula) -> "_Search":
@@ -123,19 +141,27 @@ class _Search:
         return range(m), 0, 0, (1 << m) - 1
 
     def entry(self, i: int, amask: int, vmask: int):
-        """Constraint i's restriction-table entry under the masks."""
-        codes, scope = self.cons[i]
-        hit = want = 0
-        p = 1
-        vbits = self.vbits
-        for v in scope:
-            b = vbits[v]
-            if amask & b:
-                hit |= p
-                if vmask & b:
-                    want |= p
-            p <<= 1
-        return restriction(codes, len(scope), hit, want)
+        """Constraint i's restriction-table entry under the masks: its memo's,
+        or on a miss the table's, keyed by the positions of its scope the
+        masks set (hit) and their values (want)."""
+        a = amask & self.smasks[i]
+        key = a << self.n | vmask & a
+        memo = self.memos[i]
+        entry = memo.get(key)
+        if entry is None:
+            codes, scope = self.cons[i]
+            hit = want = 0
+            p = 1
+            vbits = self.vbits
+            for v in scope:
+                b = vbits[v]
+                if amask & b:
+                    hit |= p
+                    if vmask & b:
+                        want |= p
+                p <<= 1
+            entry = memo[key] = restriction(codes, len(scope), hit, want)
+        return entry
 
     def touched(self, vs) -> list[int] | set[int]:
         """The constraints the variables `vs` occur in."""
@@ -151,14 +177,18 @@ def _propagate(search: _Search, touched, amask: int, vmask: int, live: int):
     check the constraints the forced values touch, until none is forced.
     Returns the new masks and live bitmask.  The fixpoint, and whether it
     conflicts, do not depend on the order of the checks."""
-    vbits = search.vbits
+    vbits, smasks, memos, n = search.vbits, search.smasks, search.memos, search.n
     while True:
         forced: dict[int, bool] = {}
         for i in touched:
             cbit = 1 << i
             if not live & cbit:
                 continue
-            out, keep, kind = search.entry(i, amask, vmask)
+            a = amask & smasks[i]
+            entry = memos[i].get(a << n | vmask & a)
+            if entry is None:
+                entry = search.entry(i, amask, vmask)
+            out, keep, kind = entry
             if kind == OPEN:
                 continue
             if kind == EMPTY:
@@ -215,10 +245,15 @@ def _variable_branching(search: _Search, touched, amask: int, vmask: int,
 def _tuple_branching(search: _Search, touched, amask: int, vmask: int,
                      live: int, var: int):
     """Branch on the tuples of the constraint with the best local base."""
+    smasks, memos, n = search.smasks, search.memos, search.n
     for i in touched:
         cbit = 1 << i
         if live & cbit:
-            kind = search.entry(i, amask, vmask)[2]
+            a = amask & smasks[i]
+            entry = memos[i].get(a << n | vmask & a)
+            if entry is None:
+                entry = search.entry(i, amask, vmask)
+            kind = entry[2]
             if kind == EMPTY:
                 return None
             if kind == FULL:
@@ -233,7 +268,10 @@ def _tuple_branching(search: _Search, touched, amask: int, vmask: int,
         low = rest & -rest
         rest ^= low
         i = low.bit_length() - 1
-        entry = search.entry(i, amask, vmask)
+        a = amask & smasks[i]
+        entry = memos[i].get(a << n | vmask & a)
+        if entry is None:
+            entry = search.entry(i, amask, vmask)
         base = len(entry[0]) ** (1.0 / len(entry[1]))
         if best is None or base < best:
             best, pick, (out, keep, _) = base, i, entry
@@ -251,7 +289,7 @@ def _tuple_branching(search: _Search, touched, amask: int, vmask: int,
     return amask, vmask, live ^ (1 << pick), var, search.touched(kept), children
 
 
-def _search(search: _Search, root, n: int, policy, stats: EnumStats) -> Iterator[int]:
+def _search(search: _Search, root, policy, stats: EnumStats) -> Iterator[int]:
     """Depth-first search with an explicit stack, streaming total models.
 
     A node is three ints, the masks of the assigned variables and of their
@@ -262,7 +300,7 @@ def _search(search: _Search, root, n: int, policy, stats: EnumStats) -> Iterator
     pushed in reverse, so branches are explored in policy order.
     """
     touched, amask, vmask, live = root
-    full = (1 << n) - 1
+    full = (1 << search.n) - 1
     var = 1
     depth = 0
     stack = []
@@ -331,8 +369,8 @@ def decide(phi: Formula) -> bool:
         if val:
             vmask |= bit
         new.append(v)
-    for _ in _search(search, (search.touched(new), amask, vmask, live), phi.num_vars,
-                     _variable_branching, EnumStats()):
+    for _ in _search(search, (search.touched(new), amask, vmask, live), _variable_branching,
+                     EnumStats()):
         return True
     return False
 
@@ -341,8 +379,8 @@ def enumerate_models(phi: Formula) -> ModelStream:
     """Stream exactly the set of total models over 1..num_vars, each once."""
     stats = EnumStats()
     search = _Search.of(phi)
-    return ModelStream(_search(search, search.root(), phi.num_vars, _variable_branching,
-                               stats), stats, UNORDERED)
+    return ModelStream(_search(search, search.root(), _variable_branching, stats), stats,
+                       UNORDERED)
 
 
 def sparse_enumerate(phi: Formula, lang: ConstraintLanguage, r0: int = 1) -> ModelStream:
@@ -375,8 +413,8 @@ def sparse_enumerate(phi: Formula, lang: ConstraintLanguage, r0: int = 1) -> Mod
         start.append((rel._codeset, tuple(first)))
     stats = EnumStats()
     search = _Search(start, phi.num_vars)
-    return ModelStream(_search(search, search.root(), phi.num_vars, _tuple_branching,
-                               stats), stats, UNORDERED)
+    return ModelStream(_search(search, search.root(), _tuple_branching, stats), stats,
+                       UNORDERED)
 
 
 def weight(sigma: int, hmask: int) -> int:

@@ -3,7 +3,9 @@ uncached tuple-by-tuple restriction gives, on a cold table and after its
 bound has forced a clear.  The search reads the same table with the fixed
 positions gathered from a node's (amask, vmask); those lookups, and the
 classification each entry stores, must agree with restrict on the same
-assignment, repeated scope variables included."""
+assignment, repeated scope variables included.  So must the entries the
+search's per-constraint memo returns, cold or warm, when the variables
+outside the scope change and when the table has been cleared in between."""
 
 import itertools
 
@@ -164,3 +166,57 @@ def test_repeated_variable_fixes_both_positions(cold_table):
     assert search.entry(0, 1 << 1, 1 << 1) == (frozenset({0}), (0, 1), OPEN)
     assert search.entry(0, 0b10010, 0b10010) == (frozenset(), (), EMPTY)
     assert search.entry(0, 0b10010, 0b10000) == (frozenset({0}), (), FULL)
+
+
+def _searches():
+    """One single-constraint search per relation and scope, repeated scope
+    variables included."""
+    return [(rel, scope, _Search([(rel._codeset, scope)], max(SCOPE)))
+            for rel in RELATIONS for scope in [SCOPE[:rel.arity]] + REPEATED.get(rel.arity, [])]
+
+
+def _memo_pass(searches, outside=0):
+    """Look every partial assignment of each search's scope variables up
+    through the search's memo, with the variables of the mask `outside` that
+    are not in the scope also set to 1; check each entry against restrict and
+    the direct restriction, and return the entries in lookup order."""
+    entries = []
+    for rel, scope, search in searches:
+        vs = sorted(set(scope))
+        others = outside & ~sum(1 << (v - 1) for v in vs)
+        for signs in itertools.product((None, 0, 1), repeat=len(vs)):
+            values = {v: b for v, b in zip(vs, signs) if b is not None}
+            amask = sum(1 << (v - 1) for v in values)
+            vmask = sum(1 << (v - 1) for v, b in values.items() if b)
+            entry = search.entry(0, amask | others, vmask | others)
+            codes, keep, kind = entry
+            kept = tuple(scope[i] for i in keep)
+            assert (codes, kept) == restrict(rel._codeset, scope, values), (rel, scope, values)
+            assert (codes, kept) == _direct(rel, scope, values), (rel, scope, values)
+            assert kind == _kind(codes, keep), (rel, scope, values)
+            entries.append(entry)
+        # one key per partial assignment of the k' distinct scope variables
+        assert len(search.memos[0]) == 3 ** len(vs), (rel, scope)
+    return entries
+
+
+def test_memo_lookups_match_restrict_cold_and_warm(cold_table):
+    searches = _searches()
+    cold = _memo_pass(searches)
+    assert len(cold) > 2000
+    # the second pass reads every entry from the memo the first filled: the
+    # key ignores the variables outside the scope
+    warm = _memo_pass(searches, outside=(1 << max(SCOPE)) - 1)
+    assert all(w is c for w, c in zip(warm, cold)) and len(warm) == len(cold)
+
+
+def test_memo_entries_outlive_forced_table_clears(cold_table, monkeypatch):
+    monkeypatch.setattr(core, "_RESTRICT_TABLE_CODES", 64)
+    searches = _searches()
+    cold = _memo_pass(searches)
+    # the bound has cleared the table, so it no longer holds most of the
+    # entries the memos hold
+    held = {id(entry) for entry in core._restrict_table.values()}
+    assert sum(id(entry) not in held for entry in cold) > len(cold) // 2
+    warm = _memo_pass(searches, outside=(1 << max(SCOPE)) - 1)
+    assert all(w is c for w, c in zip(warm, cold)) and len(warm) == len(cold)

@@ -2,13 +2,17 @@
 on generated formulas with n <= 8: repeated scope variables, the 0-ary
 constants, empty and full relations.  decide is also run differentially:
 interleaved conjoin_literals/entails calls on one KB, whose compiled root they
-share, against a freshly built public Formula.  On instances over the same
-formulas, every solver verify.check_solvers runs agrees with the brute-force
-oracle.  Derandomized, so tier-1 stays deterministic."""
+share, against a freshly built public Formula, and once more with the
+restriction table bounded so tightly that the search memos' entries outlive
+its clears.  On instances over the same formulas, every solver
+verify.check_solvers runs agrees with the brute-force oracle.  Derandomized,
+so tier-1 stays deterministic."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abductor import core
 from abductor.core import (BOT, FALSE0, TOP, TRUE0, AbductionInstance,
                            Constraint, Formula, Relation, columns,
                            conjoin_literals, entails, formula, table_models,
@@ -146,6 +150,36 @@ class TestSearchProperties:
             else:
                 assert decide(fast) is bool(table), call
                 assert decide(public) is bool(table), call
+
+    @settings(PROPERTY, max_examples=60)
+    @given(kbs(), st.data())
+    def test_memo_entries_outlive_table_clears(self, kb, data):
+        """decide on one base interleaved with sparse_enumerate, while a tiny
+        table bound clears the restriction table over and over."""
+        n = kb.num_vars
+        cols = columns(n)
+        steps = st.one_of(calls(kb), formulas(rels=st.sampled_from(XSAT_RELATIONS),
+                                              max_constraints=12))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_RESTRICT_TABLE_CODES", 8)
+            for step in data.draw(st.lists(steps, min_size=1, max_size=8)):
+                if isinstance(step, Formula):
+                    got = list(sparse_enumerate(step, XSAT_LANG))
+                    assert sorted(got) == table_models(truth_table(step))
+                    continue
+                fast = conjoin_literals(kb, step[1])
+                if step[0] == "chain":
+                    fast = conjoin_literals(fast, step[2])
+                table = truth_table(Formula(n, fast.constraints))
+                if step[0] == "entails":
+                    want = not any(table & cols[m - 1][0] for m in step[2])
+                    assert entails(fast, step[2], decide) is want, step
+                else:
+                    assert decide(fast) is bool(table), step
+        if kb._compiled is not None:
+            search = kb._compiled[0]
+            for (_, scope), memo in zip(search.cons, search.memos):
+                assert len(memo) <= 3 ** len(set(scope))
 
 
 @st.composite
