@@ -10,8 +10,8 @@ temporary directories, as tools/bench_record.py does.  Pair i runs
 both trees for every workload, one run at a time, the base first in even
 pairs and the change first in odd ones.  For every workload and every
 end-to-end metric of BENCHMARK.json it prints both medians, their ratio, the
-interquartile range of the base's runs and of the change's, and in how many
-pairs the change was better.
+interquartile range of the base's runs and of the change's, in how many
+pairs the change was better, and both values of every pair.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ def summarise(metrics: list[dict], base: list[dict], change: list[dict]) -> list
                      f"ratio {mc / mb if mb else float('nan'):6.3f}  "
                      f"IQR base {iqr(b):8.3g} change {iqr(c):8.3g}  "
                      f"change better {wins}/{len(b)}")
+        lines.append("    pairs (base/change): "
+                     + "  ".join(f"{x:.4g}/{y:.4g}" for x, y in zip(b, c)))
     failed = [r for r in base + change if not r.get("correct") or r.get("failed")]
     if failed:
         lines.append(f"  {len(failed)} runs not correct or with failed operations")
