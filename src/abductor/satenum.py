@@ -185,10 +185,7 @@ def _propagate(search: _Search, touched, amask: int, vmask: int, live: int):
             if not live & cbit:
                 continue
             a = amask & smasks[i]
-            entry = memos[i].get(a << n | vmask & a)
-            if entry is None:
-                entry = search.entry(i, amask, vmask)
-            out, keep, kind = entry
+            out, keep, kind = memos[i].get(a << n | vmask & a) or search.entry(i, amask, vmask)
             if kind == OPEN:
                 continue
             if kind == EMPTY:
@@ -250,10 +247,7 @@ def _tuple_branching(search: _Search, touched, amask: int, vmask: int,
         cbit = 1 << i
         if live & cbit:
             a = amask & smasks[i]
-            entry = memos[i].get(a << n | vmask & a)
-            if entry is None:
-                entry = search.entry(i, amask, vmask)
-            kind = entry[2]
+            kind = (memos[i].get(a << n | vmask & a) or search.entry(i, amask, vmask))[2]
             if kind == EMPTY:
                 return None
             if kind == FULL:
@@ -269,9 +263,7 @@ def _tuple_branching(search: _Search, touched, amask: int, vmask: int,
         rest ^= low
         i = low.bit_length() - 1
         a = amask & smasks[i]
-        entry = memos[i].get(a << n | vmask & a)
-        if entry is None:
-            entry = search.entry(i, amask, vmask)
+        entry = memos[i].get(a << n | vmask & a) or search.entry(i, amask, vmask)
         base = len(entry[0]) ** (1.0 / len(entry[1]))
         if best is None or base < best:
             best, pick, (out, keep, _) = base, i, entry
