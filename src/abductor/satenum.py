@@ -22,16 +22,14 @@ variable bits).  The memo's miss path is core's one restriction table
 (bounded by core._RESTRICT_TABLE_CODES), keyed by the constraint's code set,
 its arity and the positions of its scope the node sets (hit) with their
 values (want), gathered from the masks through the variables' bits; the memo
-keeps the table's entry, so it outlives the table's clears.  A memo holds at
-most 3^k' keys, k' the number of distinct variables of the scope, and lives
-as long as its search.  The entry also classifies the restriction as empty,
-full, a unit or open, so a check builds no dict and no scope.  The
-occurrence lists (variable -> constraint numbers, also as bitmasks) are
-built once per search, so a child is its masks, its parent's live bitmask
-and the constraints its branch touches, with nothing copied; propagation
-checks only the constraints touched since the last check (Chaff, Moskewicz
-et al., DAC 2001).  Formulas are read through each relation's cached code
-set, so a call copies no relation.
+keeps the table's entry, so it outlives the table's clears.  The entry also
+classifies the restriction as empty, full, a unit or open, so a check builds
+no dict and no scope.  The occurrence lists (variable -> constraint numbers,
+also as bitmasks) are built once per search, so a child is its masks, its
+parent's live bitmask and the constraints its branch touches, with nothing
+copied; propagation checks only the constraints touched since the last check
+(Chaff, Moskewicz et al., DAC 2001).  Formulas are read through each
+relation's cached code set, so a call copies no relation.
 
 decide answers a formula built by core.conjoin_literals or core.entails (one
 with a _base) from its base's compiled search and propagated root node, built
