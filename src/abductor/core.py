@@ -25,8 +25,10 @@ long as the KB).
 
 conjoin_literals and entails build KB ∧ literals through _extend, which skips
 re-validation and records the KB in the result's _base field; satenum.decide
-finds the KB's compiled search there and keeps it in the KB's _compiled field.
-Neither field takes part in ==, hash or repr.
+finds the KB's compiled search there and keeps it in the KB's _compiled field,
+with the search's memos and its cube (the masks of the last satisfied node a
+decide call on the KB reached).  All three live as long as the KB, so they
+outlive a benchmark round.  Neither field takes part in ==, hash or repr.
 
 truth_table is the bit-parallel form of evaluate, which stays the definition:
 one Python int per variable column (bit s holds the variable's value in
@@ -237,7 +239,8 @@ class Formula:
     # set by _extend: the formula whose constraints this one extends by TOP/BOT
     # units, so satenum.decide can start from that formula's compiled search
     _base: "Formula | None" = field(default=None, init=False, repr=False, compare=False)
-    # satenum's compiled search root of this formula as a base, built lazily
+    # satenum's compiled search and root of this formula as a base, built
+    # lazily; the search keeps its memos and its cube
     _compiled: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -37,10 +37,21 @@ at the first such call and kept in the base's _compiled field, so the calls
 on one base share its memos; the appended TOP/BOT units are assumptions
 OR-ed into the root's masks, and the search starts by checking the
 constraints they touch (MiniSat, Een & Sorensson, SAT 2003).  Any other
-formula is compiled per call.
+formula is compiled per call.  The base's search also keeps one cube: the
+(amask, vmask) of the last satisfied node a decide call on the base reached.
+Before searching, decide answers True if the new masks agree with the cube on
+every variable both set, since every completion of the cube is a model of the
+base whatever literals the earlier call assumed, and so is every completion
+of the cube extended by the new literals (the counterexample cache of KLEE,
+Cadar, Dunbar & Engler, OSDI 2008, as one witness).  A searched True replaces
+the cube; a False leaves it.
 
-A satisfied node that sets every variable emits its vmask inline; one with
-unconstrained variables streams their completions in increasing order.
+A satisfied node has live == 0: every constraint is full under its masks, or
+was consumed as a unit or a branched tuple whose values the masks hold, so
+every completion of its masks is a model.  The search yields the (amask, vmask) of each satisfied
+node, and decide reads the first; for enumeration, a node that sets every
+variable emits its vmask inline, and one with unconstrained variables streams
+their completions in increasing order.
 
 solve_simple_sat keeps its own iterative branch-and-reduce procedure for
 positive-clause/negative-DNF instances with the (1,...,p) clause branching.
@@ -110,9 +121,14 @@ class _Search:
     (injective, since vmask is a submask of amask in every node).  A check is
     one memo lookup; core's restriction table is the miss path.  A memo holds
     at most 3^k' keys, k' the number of distinct variables of the scope, and
-    lives as long as the search."""
+    lives as long as the search.
 
-    __slots__ = ("cons", "n", "vbits", "occ", "occbits", "smasks", "memos")
+    cube is None, or the (amask, vmask) of the last satisfied node decide
+    reached on a KB's compiled search: every completion of it is a model of
+    the KB, so decide answers True unsearched when the new literals agree
+    with it.  A search compiled per call never gets one."""
+
+    __slots__ = ("cons", "n", "vbits", "occ", "occbits", "smasks", "memos", "cube")
 
     def __init__(self, cons: list[tuple[frozenset[int], tuple[int, ...]]], n: int) -> None:
         self.cons = cons
@@ -122,6 +138,7 @@ class _Search:
         self.occbits = [0] * (n + 1)
         self.smasks = [0] * len(cons)
         self.memos: list[dict[int, tuple]] = [{} for _ in cons]
+        self.cube: tuple[int, int] | None = None
         for i, (_, scope) in enumerate(cons):
             for v in set(scope):
                 self.occ[v].append(i)
@@ -202,15 +219,6 @@ def _propagate(search: _Search, touched, amask: int, vmask: int, live: int):
         touched = search.touched(forced)
 
 
-def _expand_free(vmask: int, free: int, stats: EnumStats) -> Iterator[int]:
-    """vmask completed in every way on the variables of the mask `free`, in
-    increasing order."""
-    for sub in submasks(free):
-        stats.models_emitted += 1
-        stats.leaves += 1
-        yield vmask | sub
-
-
 # A branching policy takes a node (the constraints touched since its last
 # check, its masks and its live bitmask) and the parent's branch variable.  It
 # returns None on a conflict, or (amask, vmask, live, branch variable, touched,
@@ -279,8 +287,9 @@ def _tuple_branching(search: _Search, touched, amask: int, vmask: int,
     return amask, vmask, live ^ (1 << pick), var, search.touched(kept), children
 
 
-def _search(search: _Search, root, policy, stats: EnumStats) -> Iterator[int]:
-    """Depth-first search with an explicit stack, streaming total models.
+def _search(search: _Search, root, policy, stats: EnumStats) -> Iterator[tuple[int, int]]:
+    """Depth-first search with an explicit stack, streaming the (amask, vmask)
+    of every satisfied node.
 
     A node is three ints, the masks of the assigned variables and of their
     values and the live bitmask over constraint numbers, plus the constraints
@@ -290,7 +299,6 @@ def _search(search: _Search, root, policy, stats: EnumStats) -> Iterator[int]:
     pushed in reverse, so branches are explored in policy order.
     """
     touched, amask, vmask, live = root
-    full = (1 << search.n) - 1
     var = 1
     depth = 0
     stack = []
@@ -303,12 +311,7 @@ def _search(search: _Search, root, policy, stats: EnumStats) -> Iterator[int]:
         else:
             amask, vmask, live, var, touched, children = node
             if not children:
-                if amask == full:
-                    stats.models_emitted += 1
-                    stats.leaves += 1
-                    yield vmask
-                else:
-                    yield from _expand_free(vmask, full & ~amask, stats)
+                yield amask, vmask
             else:
                 stats.branch_nodes += 1
                 depth += 1
@@ -317,6 +320,23 @@ def _search(search: _Search, root, policy, stats: EnumStats) -> Iterator[int]:
         if not stack:
             return
         amask, vmask, live, var, depth, touched = stack.pop()
+
+
+def _models(search: _Search, root, policy, stats: EnumStats) -> Iterator[int]:
+    """The total models of _search's satisfied nodes: a node that sets every
+    variable is one model, emitted inline; one with unconstrained variables
+    is completed in every way on them, in increasing order."""
+    full = (1 << search.n) - 1
+    for amask, vmask in _search(search, root, policy, stats):
+        if amask == full:
+            stats.models_emitted += 1
+            stats.leaves += 1
+            yield vmask
+        else:
+            for sub in submasks(full & ~amask):
+                stats.models_emitted += 1
+                stats.leaves += 1
+                yield vmask | sub
 
 
 def _compile(phi: Formula):
@@ -331,7 +351,9 @@ def decide(phi: Formula) -> bool:
 
     A formula built by core._extend is its _base plus TOP/BOT units: the
     search starts from the base's compiled root, built once and kept in
-    base._compiled, with the units OR-ed into its masks as assumptions."""
+    base._compiled, with the units OR-ed into its masks as assumptions.  If
+    those masks agree with the search's cube, the answer is True unsearched;
+    otherwise a searched True makes the first satisfied node the cube."""
     base = phi._base
     if base is None:
         search, root = _compile(phi)
@@ -359,17 +381,23 @@ def decide(phi: Formula) -> bool:
         if val:
             vmask |= bit
         new.append(v)
-    for _ in _search(search, (search.touched(new), amask, vmask, live), _variable_branching,
-                     EnumStats()):
+    cube = search.cube
+    if cube is not None and not (vmask ^ cube[1]) & amask & cube[0]:
         return True
-    return False
+    node = next(_search(search, (search.touched(new), amask, vmask, live), _variable_branching,
+                        EnumStats()), None)
+    if node is None:
+        return False
+    if base is not None:
+        search.cube = node
+    return True
 
 
 def enumerate_models(phi: Formula) -> ModelStream:
     """Stream exactly the set of total models over 1..num_vars, each once."""
     stats = EnumStats()
     search = _Search.of(phi)
-    return ModelStream(_search(search, search.root(), _variable_branching, stats), stats,
+    return ModelStream(_models(search, search.root(), _variable_branching, stats), stats,
                        UNORDERED)
 
 
@@ -403,7 +431,7 @@ def sparse_enumerate(phi: Formula, lang: ConstraintLanguage, r0: int = 1) -> Mod
         start.append((rel._codeset, tuple(first)))
     stats = EnumStats()
     search = _Search(start, phi.num_vars)
-    return ModelStream(_search(search, search.root(), _tuple_branching, stats), stats,
+    return ModelStream(_models(search, search.root(), _tuple_branching, stats), stats,
                        UNORDERED)
 
 

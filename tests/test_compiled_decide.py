@@ -6,6 +6,9 @@ must equal decide on the same constraints built with the public constructor
 import itertools
 import random
 
+import pytest
+
+from abductor import satenum
 from abductor.core import (BOT, FALSE0, TOP, TRUE0, Constraint, Formula,
                            Relation, columns, conjoin_literals, entails,
                            formula, truth_table)
@@ -67,6 +70,36 @@ def random_kb(rng: random.Random, n: int) -> Formula:
     return formula(n, cons)
 
 
+def positive_chain() -> Formula:
+    """The positive 2-clauses (x1 ∨ x2), (x2 ∨ x3), (x3 ∨ x4)."""
+    return formula(4, [(clause_relation((0, 0)), (v, v + 1)) for v in range(1, 4)])
+
+
+def completions(cube: tuple[int, int], n: int) -> int:
+    """The assignments over 1..n that extend the cube, as a truth-table bit
+    set."""
+    amask, vmask = cube
+    out = (1 << (1 << n)) - 1
+    for v, col in enumerate(columns(n), 1):
+        if amask >> (v - 1) & 1:
+            out &= col[vmask >> (v - 1) & 1]
+    return out
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The compiled searches satenum._search is entered with, in call order."""
+    seen = []
+    search = satenum._search
+
+    def spy(s, *args):
+        seen.append(s)
+        return search(s, *args)
+
+    monkeypatch.setattr(satenum, "_search", spy)
+    return seen
+
+
 class TestCompiledDecide:
     def test_exhaustive_kbs(self):
         kbs = list(dict.fromkeys(inst.kb for inst in verify.exhaustive_instances()))
@@ -122,3 +155,58 @@ class TestCompiledDecide:
         assert decide(public)
         assert public._base is None and public._compiled is None
         assert kb._compiled is None
+
+    def test_a_cube_hit_does_not_search(self, monkeypatch):
+        kb = positive_chain()
+        assert decide(conjoin_literals(kb, [1]))
+        search = kb._compiled[0]
+        # x1 assumed; x2 = 0 is the first branch and forces x3 = 1; x4 is free
+        cube = search.cube
+        assert cube == (0b0111, 0b0101)
+        assert not completions(cube, 4) & ~truth_table(kb)
+
+        def no_search(*args):
+            raise AssertionError("searched on a cube hit")
+
+        monkeypatch.setattr(satenum, "_search", no_search)
+        for lits in ([], [1, -2, 3], [3, 4], [-4]):
+            assert decide(conjoin_literals(kb, lits)), lits
+        assert decide(conjoin_literals(conjoin_literals(kb, [-2]), [3]))
+        # KB ∧ x1 ∧ -x2 is the cube's own query
+        assert not entails(conjoin_literals(kb, [1]), [2], decide)
+        assert search.cube is cube
+
+    def test_cube_misses_search(self, searches):
+        kb = positive_chain()
+        assert decide(conjoin_literals(kb, [1]))
+        search = kb._compiled[0]
+        assert search.cube == (0b0111, 0b0101)
+        table = truth_table(kb)
+        # x2 = 1 is against the cube and satisfiable: the search replaces it
+        searches.clear()
+        assert decide(conjoin_literals(kb, [2])) is True
+        assert searches == [search]
+        cube = search.cube
+        assert cube[0] & 0b0010 and cube[1] & 0b0010
+        assert not completions(cube, 4) & ~table
+        # x2 = 0 is against the new cube and, with x3 = 0, unsatisfiable: the
+        # search answers False and keeps the cube
+        lits = [-2, -3]
+        assert not truth_table(Formula(4, kb.constraints + units(lits)))
+        searches.clear()
+        assert decide(conjoin_literals(kb, lits)) is False
+        assert searches == [search]
+        assert search.cube is cube
+
+    def test_public_formula_leaves_no_cube(self, searches):
+        kb = positive_chain()
+        assert decide(conjoin_literals(kb, [1]))
+        cube = kb._compiled[0].cube
+        # the same constraints against the cube, through the public constructor
+        public = Formula(kb.num_vars, kb.constraints + units([-1, 2, -3, 4]))
+        searches.clear()
+        assert decide(public)
+        assert len(searches) == 1 and searches[0] is not kb._compiled[0]
+        assert searches[0].cube is None
+        assert kb._compiled[0].cube is cube
+        assert public._base is None and public._compiled is None

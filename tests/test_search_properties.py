@@ -4,9 +4,10 @@ constants, empty and full relations.  decide is also run differentially:
 interleaved conjoin_literals/entails calls on one KB, whose compiled root they
 share, against a freshly built public Formula, and once more with the
 restriction table bounded so tightly that the search memos' entries outlive
-its clears.  On instances over the same formulas, every solver
-verify.check_solvers runs agrees with the brute-force oracle.  Derandomized,
-so tier-1 stays deterministic."""
+its clears.  After each of those calls, every completion of the cube
+decide keeps for the KB is a model of it.  On instances over the same
+formulas, every solver verify.check_solvers runs agrees with the brute-force
+oracle.  Derandomized, so tier-1 stays deterministic."""
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +101,29 @@ def calls(draw, kb: Formula):
     return kind, lits, draw(literal_lists(n))
 
 
+@st.composite
+def assumptions(draw, n: int) -> list[int]:
+    """At most four literals on distinct variables, so a conflict comes from
+    the KB and decide's unit loop lets the query reach the cube check."""
+    if n == 0:
+        return []
+    signs = draw(st.dictionaries(st.integers(1, n), st.booleans(), max_size=4))
+    return [v if val else -v for v, val in signs.items()]
+
+
+@st.composite
+def assumption_calls(draw, kb: Formula):
+    """One call on the KB as in `calls`, on assumptions."""
+    n = kb.num_vars
+    lits = draw(assumptions(n))
+    kind = draw(st.sampled_from(("sat", "entails", "chain")))
+    if kind == "sat":
+        return kind, lits
+    if kind == "entails":
+        return kind, lits, draw(st.lists(st.integers(1, n), max_size=3)) if n else []
+    return kind, lits, draw(assumptions(n))
+
+
 class TestSearchProperties:
     @PROPERTY
     @given(formulas())
@@ -150,6 +174,34 @@ class TestSearchProperties:
             else:
                 assert decide(fast) is bool(table), call
                 assert decide(public) is bool(table), call
+
+    @settings(PROPERTY, max_examples=100)
+    @given(kbs(), st.data())
+    def test_every_completion_of_the_cube_is_a_model(self, kb, data):
+        """After each call on one base, the cube decide keeps in the base's
+        search covers models of the base only."""
+        n = kb.num_vars
+        cols = columns(n)
+        base_table = truth_table(kb)
+        for call in data.draw(st.lists(assumption_calls(kb), min_size=1, max_size=8)):
+            fast = conjoin_literals(kb, call[1])
+            if call[0] == "chain":
+                fast = conjoin_literals(fast, call[2])
+            table = truth_table(Formula(n, fast.constraints))
+            if call[0] == "entails":
+                want = not any(table & cols[m - 1][0] for m in call[2])
+                assert entails(fast, call[2], decide) is want, call
+            else:
+                assert decide(fast) is bool(table), call
+            cube = kb._compiled[0].cube if kb._compiled is not None else None
+            if cube is None:
+                continue
+            amask, vmask = cube
+            extensions = (1 << (1 << n)) - 1
+            for v in range(1, n + 1):
+                if amask >> (v - 1) & 1:
+                    extensions &= cols[v - 1][vmask >> (v - 1) & 1]
+            assert extensions and not extensions & ~base_table, (call, cube)
 
     @settings(PROPERTY, max_examples=60)
     @given(kbs(), st.data())
