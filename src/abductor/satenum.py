@@ -37,21 +37,20 @@ at the first such call and kept in the base's _compiled field, so the calls
 on one base share its memos; the appended TOP/BOT units are assumptions
 OR-ed into the root's masks, and the search starts by checking the
 constraints they touch (MiniSat, Een & Sorensson, SAT 2003).  Any other
-formula is compiled per call.  The base's search also keeps one cube: the
+formula is compiled per call.  The base's search also keeps one cube, the
 (amask, vmask) of the last satisfied node a decide call on the base reached.
-Before searching, decide answers True if the new masks agree with the cube on
-every variable both set, since every completion of the cube is a model of the
-base whatever literals the earlier call assumed, and so is every completion
-of the cube extended by the new literals (the counterexample cache of KLEE,
-Cadar, Dunbar & Engler, OSDI 2008, as one witness).  A searched True replaces
-the cube; a False leaves it.
+decide answers True without searching when the new masks agree with the cube
+on every variable both set: every completion of the cube is a model of the
+base, whatever literals that call assumed, and the agreeing literals extend
+it (the counterexample cache of KLEE, Cadar, Dunbar & Engler, OSDI 2008, kept
+as one witness).  A searched True replaces the cube; a False leaves it.
 
 A satisfied node has live == 0: every constraint is full under its masks, or
 was consumed as a unit or a branched tuple whose values the masks hold, so
-every completion of its masks is a model.  The search yields the (amask, vmask) of each satisfied
-node, and decide reads the first; for enumeration, a node that sets every
-variable emits its vmask inline, and one with unconstrained variables streams
-their completions in increasing order.
+every completion of its masks is a model.  The search yields the (amask,
+vmask) of each satisfied node, and decide reads the first; for enumeration, a
+node that sets every variable emits its vmask inline, and one with
+unconstrained variables streams their completions in increasing order.
 
 solve_simple_sat keeps its own iterative branch-and-reduce procedure for
 positive-clause/negative-DNF instances with the (1,...,p) clause branching.

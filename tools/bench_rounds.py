@@ -4,8 +4,8 @@ Run from the root of a checkout, after `python3 perfbench/run.py ... --trace 0`:
 
     python3 tools/bench_rounds.py
 
-Caches that outlive a round (a compiled KB's search and its memos, the
-restriction table) make later rounds cheaper than the first, so a gain seen
+Caches that outlive a round (a compiled KB's search, its memos and its cube,
+the restriction table) make later rounds cheaper than the first, so a gain seen
 in the median over rounds must also hold on first rounds alone.  For every
 record `perfbench/out/*-trace0.json` it prints the number of rounds, the
 median over operations of the first round's normalised time divided by the
