@@ -4,10 +4,11 @@ constants, empty and full relations.  decide is also run differentially:
 interleaved conjoin_literals/entails calls on one KB, whose compiled root they
 share, against a freshly built public Formula, and once more with the
 restriction table bounded so tightly that the search memos' entries outlive
-its clears.  After each of those calls, every completion of the cube
-decide keeps for the KB is a model of it.  On instances over the same
-formulas, every solver verify.check_solvers runs agrees with the brute-force
-oracle.  Derandomized, so tier-1 stays deterministic."""
+its clears.  After each call of such a sequence whose literals sit on
+distinct variables, every completion of the cube decide keeps for the KB is
+a model of it.  On instances over the same formulas, every solver
+verify.check_solvers runs agrees with the brute-force oracle.  Derandomized,
+so tier-1 stays deterministic."""
 
 import pytest
 from hypothesis import given, settings
