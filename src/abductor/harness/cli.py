@@ -20,25 +20,11 @@ from ..reductions import (CnfFormula, abd2cnf_to_cnfsat, abd_to_pabd_4cnf,
                           abd_to_simplesat, cnfsat_to_abd_lb,
                           eliminate_constants, kcnf_to_nae, negimp_to_pos)
 from ..satenum import LanguageContractError
-from ..solvers import (OracleCapError, abd_kcnf_pos, baseline_abd,
-                       baseline_pabd, enum_abd, oracle_abd, oracle_pabd,
-                       pabd_enum, pabd_one_valid, pabd_recursive)
+from ..solvers import ENGINES, OracleCapError
 from . import bench, generators, io, verify
 
 USAGE_ERRORS = (FragmentError, StructureError, OracleCapError,
                 LanguageContractError, io.ParseError, ValueError, OSError)
-
-SOLVERS = {
-    ("abd", "oracle"): oracle_abd,
-    ("abd", "baseline"): baseline_abd,
-    ("abd", "enum"): lambda inst: enum_abd(inst)[0],
-    ("abd", "simplesat"): abd_kcnf_pos,
-    ("pabd", "oracle"): oracle_pabd,
-    ("pabd", "baseline"): baseline_pabd,
-    ("pabd", "pabd-rec"): pabd_recursive,
-    ("pabd", "pabd-enum"): lambda inst: pabd_enum(inst)[0],
-    ("pabd", "one-valid"): pabd_one_valid,
-}
 
 GEN_INT_FLAGS = ("n", "m", "k", "colors", "per_color", "num_x", "num_y",
                  "terms", "clauses", "width")
@@ -50,13 +36,11 @@ def _default_seed() -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = io.parse(args.file)
-    key = (args.mode, args.algo)
-    if key not in SOLVERS:
-        print(f"error: algorithm '{args.algo}' is not applicable to mode "
-              f"'{args.mode}'", file=sys.stderr)
-        return 2
+    engine = next((e for e in ENGINES if (e.mode, e.algo) == (args.mode, args.algo)), None)
+    if engine is None:
+        raise ValueError(f"algorithm '{args.algo}' is not applicable to mode '{args.mode}'")
     t0 = time.perf_counter()
-    res = SOLVERS[key](inst)
+    res, _ = engine.run(inst)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     record = io.result_record(
         answer=res.answer,
@@ -206,10 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("file")
-    p.add_argument("--algo", required=True,
-                   choices=["oracle", "baseline", "enum", "pabd-rec",
-                            "pabd-enum", "simplesat", "one-valid"])
-    p.add_argument("--mode", required=True, choices=["abd", "pabd"])
+    p.add_argument("--algo", required=True, choices=list(dict.fromkeys(e.algo for e in ENGINES)))
+    p.add_argument("--mode", required=True, choices=list(dict.fromkeys(e.mode for e in ENGINES)))
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("gen", help="generate an instance")

@@ -15,19 +15,15 @@ from typing import Callable, Iterable, Iterator
 
 from ..core import (AbductionInstance, Constraint, Formula, Relation,
                     BOT, TOP, is_explanation, preprocess)
-from ..langlib import (ConstraintLanguage, LanguageError, clause_relation,
-                       is_one_valid, nae, one_in_k, parity)
+from ..langlib import LanguageError, clause_relation, nae, one_in_k, parity
 from ..reductions import (IMP_REL, abd2cnf_to_cnfsat, abd_to_pabd_4cnf,
-                          abd_to_simplesat, clique_to_abd, cnfsat_to_abd_lb,
+                          clique_to_abd, cnfsat_to_abd_lb,
                           colorful_clique_exists, eliminate_constants,
                           is_kcnf_formula, is_neg_imp_formula, kcnf_to_nae,
                           negimp_to_pos, qbf_to_abd4cnf, qbf_truth)
-from ..satenum import solve_simple_sat
-from ..solvers import (PabdAudit, abd_kcnf_pos, baseline_abd, baseline_pabd,
-                       enum_abd, explained, oracle_abd,
+from ..solvers import (ENGINES, PabdAudit, explained, oracle_abd,
                        oracle_full_explanations, oracle_pabd,
-                       oracle_positive_explanations, pabd_enum,
-                       pabd_one_valid, pabd_recursive)
+                       oracle_positive_explanations, pabd_recursive)
 from . import generators, io
 
 # reduction outputs above this many variables are not checked by the oracles
@@ -69,52 +65,41 @@ def raw_pabd_answer(inst: AbductionInstance) -> bool:
 # ---------------------------------------------------------------------------
 
 def check_solvers(inst: AbductionInstance) -> list[Finding]:
+    """Every row of solvers.ENGINES that applies to inst against the oracles."""
     text = io.write_text(inst)
     fails: list[Finding] = []
 
     def bad(kind: str, detail: str) -> None:
         fails.append(Finding(kind, detail, text))
 
-    pre = preprocess(inst).instance
-    truth_abd = oracle_abd(inst)
-    truth_pabd = oracle_pabd(inst)
-    full_set = oracle_full_explanations(inst)
-    _all_pos, max_pos = oracle_positive_explanations(inst)
-
-    def check_result(name: str, res, truth) -> None:
-        if res.answer != truth.answer:
-            bad(name, f"answer {res.answer} vs oracle {truth.answer}")
+    truth = {"abd": oracle_abd(inst).answer, "pabd": oracle_pabd(inst).answer}
+    sets = {"full": ("full-explanation", oracle_full_explanations(inst), len),
+            "maximal": ("maximal-positive", oracle_positive_explanations(inst)[1],
+                        lambda s: sorted(map(sorted, s)))}
+    for e in ENGINES:
+        if e.algo == "oracle" or e.applies and not e.applies(inst):
+            continue
+        audit = PabdAudit() if e.solve is pabd_recursive else None
+        res, eset = e.run(inst) if audit is None else e.run(inst, audit=audit)
+        if res.answer != truth[e.mode]:
+            bad(e.name, f"answer {res.answer} vs oracle {truth[e.mode]}")
         elif res.answer and res.witness is not None:
             if not is_explanation(inst, res.witness.literals):
-                bad(name, f"witness {sorted(res.witness.literals)} is not an explanation")
-
-    check_result("baseline-abd", baseline_abd(inst), truth_abd)
-    res, eset = enum_abd(inst)
-    check_result("enum-abd", res, truth_abd)
-    if eset.explanations != full_set:
-        bad("enum-abd-set", f"full-explanation set mismatch "
-            f"({len(eset.explanations)} vs {len(full_set)})")
-
-    check_result("baseline-pabd", baseline_pabd(inst), truth_pabd)
-    audit = PabdAudit()
-    check_result("pabd-rec", pabd_recursive(inst, audit=audit), truth_pabd)
-    h = len(pre.hypotheses)
-    if audit.duplicate_visits:
-        bad("pabd-rec-audit", f"{audit.duplicate_visits} duplicate subset visits")
-    if len(audit.visited) > (1 << h):
-        bad("pabd-rec-audit", f"visited {len(audit.visited)} subsets > 2^|H|")
-    if audit.max_depth > h + 1:
-        bad("pabd-rec-audit", f"depth {audit.max_depth} > |H|+1={h + 1}")
-    res, pset = pabd_enum(inst)
-    check_result("pabd-enum", res, truth_pabd)
-    if pset.explanations != max_pos:
-        bad("pabd-enum-set", f"maximal-positive set mismatch "
-            f"({sorted(map(sorted, pset.explanations))} vs {sorted(map(sorted, max_pos))})")
-
-    if is_kcnf_formula(inst.kb, positive=True) and pre.is_normalized():
-        check_result("simplesat", abd_kcnf_pos(inst), truth_abd)
-    if is_one_valid(ConstraintLanguage(frozenset(inst.kb.relations()))):
-        check_result("one-valid", pabd_one_valid(inst), truth_pabd)
+                bad(e.name, f"witness {sorted(res.witness.literals)} is not an explanation")
+        if eset is not None:
+            label, oracle_set, show = sets[e.explanations]
+            if eset.explanations != oracle_set:
+                bad(f"{e.name}-set", f"{label} set mismatch "
+                    f"({show(eset.explanations)} vs {show(oracle_set)})")
+        if audit is None:
+            continue
+        h = len(preprocess(inst).instance.hypotheses)
+        if audit.duplicate_visits:
+            bad(f"{e.name}-audit", f"{audit.duplicate_visits} duplicate subset visits")
+        if len(audit.visited) > (1 << h):
+            bad(f"{e.name}-audit", f"visited {len(audit.visited)} subsets > 2^|H|")
+        if audit.max_depth > h + 1:
+            bad(f"{e.name}-audit", f"depth {audit.max_depth} > |H|+1={h + 1}")
     return fails
 
 
@@ -137,13 +122,6 @@ def check_reductions(inst: AbductionInstance) -> tuple[list[Finding], list[Findi
                 if out_abd != truth:
                     fails.append(Finding(f"negimp-to-pos/{mode}",
                                          f"answer flipped (input {truth})", text))
-
-    if is_kcnf_formula(inst.kb, positive=True) and pre.is_normalized():
-        simple, _rep = abd_to_simplesat(pre)
-        model, _stats = solve_simple_sat(simple)
-        if (model is not None) != in_abd:
-            fails.append(Finding("abd-to-simplesat",
-                                 f"SimpleSAT {(model is not None)} vs oracle {in_abd}", text))
 
     if is_kcnf_formula(inst.kb, k=4):
         out, _rep = abd_to_pabd_4cnf(pre)
@@ -272,6 +250,8 @@ def random_instances(per_family: int, max_n: int = 12,
                      seed: int = 0) -> Iterator[tuple[str, AbductionInstance]]:
     if max_n < 4:
         raise ValueError(f"random instances need max_n >= 4, got {max_n}")
+    if per_family < 1:
+        raise ValueError(f"random instances need per_family >= 1, got {per_family}")
     sizes = list(range(4, max_n + 1))
     for family, gen in RANDOM_FAMILIES.items():
         for i in range(per_family):

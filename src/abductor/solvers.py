@@ -1,7 +1,9 @@
 """Abduction solvers: definitional brute-force oracles, the 2^|H| baselines,
 the model-enumeration algorithms (full-class and weight-ordered positive), the
 polynomial-space recursive positive solver, the 1-valid shortcut, and the
-positive-clause pipeline through SimpleSAT.
+positive-clause pipeline through SimpleSAT.  ENGINES is the one list of them
+that `abductor solve`, verify.check_solvers (in row order) and the golden node
+counts read; adding an engine is adding a row.
 
 Every solver preprocesses its input (see core.preprocess) and returns an
 AbdResult whose witness, when present, passes core.is_explanation on the
@@ -31,7 +33,7 @@ from .core import (AbductionInstance, Explanation, FragmentError, Formula,
                    conjoin_literals, entails, preprocess, satisfies_vars,
                    submasks, SatDecider, columns, table_models, truth_table)
 from .langlib import ConstraintLanguage, is_one_valid
-from .reductions import ReductionReport, abd_to_simplesat
+from .reductions import ReductionReport, abd_to_simplesat, is_kcnf_formula
 from .satenum import (EnumStats, ModelStream, WEIGHT_ORDERED, decide,
                       enumerate_models, enumerate_weight_ordered, hyp_mask,
                       solve_simple_sat, weight)
@@ -405,12 +407,16 @@ def pabd_enum(inst: AbductionInstance,
 # coNP shortcut for 1-valid languages
 # ---------------------------------------------------------------------------
 
+def one_valid_kb(inst: AbductionInstance) -> bool:
+    """Where pabd_one_valid applies: every relation of KB holds on all ones."""
+    return is_one_valid(ConstraintLanguage(frozenset(inst.kb.relations())))
+
+
 def pabd_one_valid(inst: AbductionInstance) -> AbdResult:
     """For 1-valid knowledge bases a positive explanation exists iff H itself
     is one, and KB ∧ H is consistent for free, so only the |M| entailment
     checks remain."""
-    lang = ConstraintLanguage(frozenset(inst.kb.relations()))
-    if not is_one_valid(lang):
+    if not one_valid_kb(inst):
         raise FragmentError("knowledge base is not 1-valid")
     pre = preprocess(inst)
     stats = EnumStats()
@@ -428,6 +434,11 @@ def pabd_one_valid(inst: AbductionInstance) -> AbdResult:
 # positive k-CNF pipeline through SimpleSAT
 # ---------------------------------------------------------------------------
 
+def positive_cnf(inst: AbductionInstance) -> bool:
+    """Where abd_kcnf_pos applies (abd_to_simplesat's input check)."""
+    return is_kcnf_formula(inst.kb, positive=True) and preprocess(inst).instance.is_normalized()
+
+
 def abd_kcnf_pos(inst: AbductionInstance) -> AbdResult:
     """Symmetric abduction over positive clauses via the SimpleSAT reduction;
     a model of the reduced instance maps to the negative explanation holding
@@ -442,3 +453,30 @@ def abd_kcnf_pos(inst: AbductionInstance) -> AbdResult:
         return AbdResult(False, None, stats, "simplesat", report)
     lits = frozenset(-h for h in inst.hypotheses if not (model >> (h - 1)) & 1)
     return _yes(pre, lits, stats, "simplesat", report)
+
+
+@dataclass
+class Engine:
+    name: str  # AbdResult.algorithm, and the kind of verify's findings
+    mode: str  # `abductor solve --mode`
+    algo: str  # `abductor solve --algo`
+    solve: Callable
+    explanations: str | None = None  # "full"/"maximal": oracle set of its ExplanationSet
+    applies: Callable[[AbductionInstance], bool] | None = None  # None: everywhere
+
+    def run(self, inst: AbductionInstance, **kw) -> tuple[AbdResult, ExplanationSet | None]:
+        out = self.solve(inst, **kw)
+        return out if self.explanations else (out, None)
+
+
+ENGINES: tuple[Engine, ...] = (
+    Engine("oracle-abd", "abd", "oracle", oracle_abd),
+    Engine("oracle-pabd", "pabd", "oracle", oracle_pabd),
+    Engine("baseline-abd", "abd", "baseline", baseline_abd),
+    Engine("enum-abd", "abd", "enum", enum_abd, "full"),
+    Engine("baseline-pabd", "pabd", "baseline", baseline_pabd),
+    Engine("pabd-rec", "pabd", "pabd-rec", pabd_recursive),
+    Engine("pabd-enum", "pabd", "pabd-enum", pabd_enum, "maximal"),
+    Engine("simplesat", "abd", "simplesat", abd_kcnf_pos, applies=positive_cnf),
+    Engine("one-valid", "pabd", "one-valid", pabd_one_valid, applies=one_valid_kb),
+)

@@ -18,21 +18,19 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from typing import Callable, Iterator
+from typing import Iterator
 
-from abductor.core import AbductionInstance, Relation, formula, preprocess
-from abductor.langlib import (ConstraintLanguage, aff, branching_closure, imp,
-                              is_one_valid, xsat_family)
-from abductor.reductions import is_kcnf_formula
+from abductor.core import AbductionInstance, Relation, formula
+from abductor.langlib import aff, branching_closure, imp, xsat_family
 from abductor.satenum import decide, solve_simple_sat, sparse_enumerate
-from abductor.solvers import (abd_kcnf_pos, baseline_abd, baseline_pabd,
-                              enum_abd, pabd_enum, pabd_one_valid,
-                              pabd_recursive)
+from abductor.solvers import ENGINES
 from abductor.harness import generators, verify
 from abductor.harness.bench import baseline_hard_instance, simplesat_hard_instance
 
 COMMAND = "PYTHONPATH=src python3 tests/golden_nodes.py > BENCH_nodes.json"
 RANDOM_SEEDS = (0, 1, 2)  # random_instances(40, 12, s)
+# the rows of solvers.ENGINES by function name, which is the "engine" of an entry
+ENGINE = {e.solve.__name__: e for e in ENGINES}
 
 
 def _sha(items) -> str:
@@ -62,18 +60,14 @@ def _entry(engine: str, family: str, n: int, seed: int, answer, stats,
             "sat_trace": None if sat is None else _sha(sat.calls)}
 
 
-def _with_sat(engine: str, solver: Callable, family: str, n: int, seed: int,
-              inst: AbductionInstance) -> dict:
+def _with_sat(engine: str, family: str, n: int, seed: int, inst: AbductionInstance) -> dict:
     sat = _CountingSat()
-    res = solver(inst, sat=sat)
+    res = ENGINE[engine].solve(inst, sat=sat)
     return _entry(engine, family, n, seed, res.answer, res.stats, res.witness, sat)
 
 
-def _solver(engine: str, solver: Callable, family: str, n: int, seed: int,
-            inst: AbductionInstance) -> dict:
-    res = solver(inst)
-    if isinstance(res, tuple):  # the enumeration solvers also return a set
-        res = res[0]
+def _solver(engine: str, family: str, n: int, seed: int, inst: AbductionInstance) -> dict:
+    res, _ = ENGINE[engine].run(inst)
     return _entry(engine, family, n, seed, res.answer, res.stats, res.witness)
 
 
@@ -111,37 +105,32 @@ def entries() -> Iterator[dict]:
     for n in range(8, 26):
         yield _simplesat(n)
     for n in range(7, 12):
-        yield _with_sat("baseline_abd", baseline_abd, "baseline-full-h", n, 0,
-                        baseline_hard_instance(n))
+        yield _with_sat("baseline_abd", "baseline-full-h", n, 0, baseline_hard_instance(n))
     for n in range(4, 17, 2):
         for seed in range(3):
             yield _sparse("aff", n, seed, generators.gen_aff(n, seed), aff_lang, 1)
     # implication chains, xsat-chain and the NOR2 deep-descent chain
     for n in (8, 16, 32, 64):
         inst = _implication_chain(n)
-        yield _solver("enum_abd", enum_abd, "implication-chain", n, 0, inst)
-        yield _solver("pabd_enum", pabd_enum, "implication-chain", n, 0, inst)
-        yield _with_sat("pabd_recursive", pabd_recursive, "implication-chain", n, 0, inst)
+        yield _solver("enum_abd", "implication-chain", n, 0, inst)
+        yield _solver("pabd_enum", "implication-chain", n, 0, inst)
+        yield _with_sat("pabd_recursive", "implication-chain", n, 0, inst)
     for m in range(1, 13):
         inst = generators.gen_xsat_chain(m)
-        yield _solver("enum_abd", enum_abd, "xsat-chain", 2 * m, 0, inst)
-        yield _solver("pabd_enum", pabd_enum, "xsat-chain", 2 * m, 0, inst)
+        yield _solver("enum_abd", "xsat-chain", 2 * m, 0, inst)
+        yield _solver("pabd_enum", "xsat-chain", 2 * m, 0, inst)
     for n in (8, 32, 128):
-        yield _with_sat("pabd_recursive", pabd_recursive, "nor2-chain", n, 0, _nor2_chain(n))
+        yield _with_sat("pabd_recursive", "nor2-chain", n, 0, _nor2_chain(n))
     # every exact engine on the seeded random families
     for s in RANDOM_SEEDS:
         for i, (family, inst) in enumerate(verify.random_instances(40, 12, s)):
             n, seed = inst.num_vars, s * 100003 + i % 40
-            yield _with_sat("baseline_abd", baseline_abd, family, n, seed, inst)
-            yield _with_sat("baseline_pabd", baseline_pabd, family, n, seed, inst)
-            yield _with_sat("pabd_recursive", pabd_recursive, family, n, seed, inst)
-            yield _solver("enum_abd", enum_abd, family, n, seed, inst)
-            yield _solver("pabd_enum", pabd_enum, family, n, seed, inst)
-            if (is_kcnf_formula(inst.kb, positive=True)
-                    and preprocess(inst).instance.is_normalized()):
-                yield _solver("abd_kcnf_pos", abd_kcnf_pos, family, n, seed, inst)
-            if is_one_valid(ConstraintLanguage(frozenset(inst.kb.relations()))):
-                yield _solver("pabd_one_valid", pabd_one_valid, family, n, seed, inst)
+            for engine in ("baseline_abd", "baseline_pabd", "pabd_recursive"):
+                yield _with_sat(engine, family, n, seed, inst)
+            for engine in ("enum_abd", "pabd_enum", "abd_kcnf_pos", "pabd_one_valid"):
+                applies = ENGINE[engine].applies
+                if applies is None or applies(inst):
+                    yield _solver(engine, family, n, seed, inst)
 
 
 def render(rows) -> str:

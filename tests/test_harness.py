@@ -7,8 +7,8 @@ import pytest
 from abductor.core import AbductionInstance, Relation, formula, preprocess
 from abductor.langlib import one_in_k
 from abductor.satenum import EnumStats
-from abductor.solvers import AbdResult
-from abductor.harness import bench, cli, generators, io, verify
+from abductor.solvers import ENGINES, AbdResult
+from abductor.harness import bench, generators, io, verify
 from abductor.harness.cli import main as cli_main
 
 from test_core import example1_instance
@@ -116,7 +116,7 @@ class TestVerifySweeps:
             truth = verify.oracle_abd(inst)
             return AbdResult(not truth.answer, None, EnumStats(), "baseline-abd")
 
-        monkeypatch.setattr(verify, "baseline_abd", broken)
+        monkeypatch.setattr(next(e for e in ENGINES if e.name == "baseline-abd"), "solve", broken)
         inst = generators.gen_xsat(6, 0)
         fails = verify.check_solvers(inst)
         assert any(f.kind == "baseline-abd" for f in fails)
@@ -208,25 +208,31 @@ class TestCli:
         def crash(inst):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(cli.SOLVERS, ("abd", "oracle"), crash)
+        monkeypatch.setattr(next(e for e in ENGINES if e.name == "oracle-abd"), "solve", crash)
         path = tmp_path / "x.abd"
         io.write(generators.gen_xsat(4, 0), str(path))
         assert self.run("solve", str(path), "--algo", "oracle", "--mode", "abd") == 2
         err = capsys.readouterr().err
         assert err.rstrip().endswith("error: internal: RuntimeError: boom")
 
+    def test_every_engine_answers_solve(self, tmp_path, capsys):
+        """Each ENGINES row answers `solve` under its own name with its mode's
+        oracle exit code, on the first of these instances it applies to."""
+        insts = [generators.gen_xsat(7, 4), generators.gen_kcnf_pos(8, 1, k=2)]
+        oracles = {"abd": verify.oracle_abd, "pabd": verify.oracle_pabd}
+        for e in ENGINES:
+            inst = next(i for i in insts if e.applies is None or e.applies(i))
+            path = tmp_path / "x.abd"
+            io.write(inst, str(path))
+            code = self.run("solve", str(path), "--algo", e.algo, "--mode", e.mode)
+            out = json.loads(capsys.readouterr().out)
+            assert code == (0 if oracles[e.mode](inst).answer else 1), e.name
+            assert out["algorithm"] == e.name
+
     def test_solve_inapplicable_combo(self, tmp_path):
         path = tmp_path / "x.abd"
         io.write(generators.gen_xsat(4, 0), str(path))
         assert self.run("solve", str(path), "--algo", "pabd-rec", "--mode", "abd") == 2
-
-    def test_oracle_vs_enum_same_answer(self, tmp_path, capsys):
-        path = tmp_path / "x.abd"
-        io.write(generators.gen_xsat(7, 4), str(path))
-        c1 = self.run("solve", str(path), "--algo", "oracle", "--mode", "abd")
-        capsys.readouterr()
-        c2 = self.run("solve", str(path), "--algo", "enum", "--mode", "abd")
-        assert c1 == c2
 
     def test_gen_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.abd", tmp_path / "b.abd"
@@ -287,6 +293,13 @@ class TestCli:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and "max_n >= 4" in err
         assert "internal" not in err and "\n" not in err
+
+    def test_verify_per_family_below_one_is_a_usage_error(self, capsys):
+        for value in ("0", "-3"):
+            assert self.run("verify", "--per-family", value) == 2
+            out = capsys.readouterr()
+            assert not out.out
+            assert out.err == f"error: random instances need per_family >= 1, got {value}\n"
 
     def test_console_script_entry(self):
         proc = subprocess.run([sys.executable, "-m", "abductor.harness.cli",

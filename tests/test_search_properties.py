@@ -159,7 +159,8 @@ class TestSearchProperties:
     def test_decide_on_one_base_is_a_fresh_compile(self, kb, data):
         n = kb.num_vars
         cols = columns(n)
-        for call in data.draw(st.lists(calls(kb), min_size=1, max_size=8)):
+        queries = st.one_of(calls(kb), assumption_calls(kb))
+        for call in data.draw(st.lists(queries, min_size=1, max_size=8)):
             if call[0] == "chain":
                 fast = conjoin_literals(conjoin_literals(kb, call[1]), call[2])
             else:
@@ -211,8 +212,8 @@ class TestSearchProperties:
         table bound clears the restriction table over and over."""
         n = kb.num_vars
         cols = columns(n)
-        steps = st.one_of(calls(kb), formulas(rels=st.sampled_from(XSAT_RELATIONS),
-                                              max_constraints=12))
+        steps = st.one_of(st.one_of(calls(kb), assumption_calls(kb)),
+                          formulas(rels=st.sampled_from(XSAT_RELATIONS), max_constraints=12))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "_RESTRICT_TABLE_CODES", 8)
             for step in data.draw(st.lists(steps, min_size=1, max_size=8)):

@@ -8,10 +8,10 @@ from abductor.langlib import clause_relation, one_in_k
 from abductor.satenum import ModelStream, EnumStats, enumerate_models
 from abductor import solvers
 from abductor.solvers import (OracleCapError, OrderingContractError, PabdAudit,
-                              abd_kcnf_pos, baseline_abd, baseline_pabd,
-                              enum_abd, oracle_abd, oracle_full_explanations,
-                              oracle_pabd, oracle_positive_explanations,
-                              pabd_enum, pabd_one_valid, pabd_recursive)
+                              abd_kcnf_pos, baseline_abd, enum_abd, oracle_abd,
+                              oracle_full_explanations, oracle_pabd,
+                              oracle_positive_explanations, pabd_enum,
+                              pabd_one_valid, pabd_recursive)
 from abductor.harness import io, verify
 from abductor.harness.cli import main as cli_main
 from abductor.harness.generators import (gen_2cnf, gen_aff, gen_equations,
@@ -38,16 +38,16 @@ def alg2_killer() -> AbductionInstance:
                              frozenset({1, 2, 3}), frozenset({4}))
 
 
+def results(inst):
+    """(row name, AbdResult) of every solvers.ENGINES row that applies to inst."""
+    return [(e.name, e.run(inst)[0]) for e in solvers.ENGINES
+            if e.applies is None or e.applies(inst)]
+
+
 class TestExample1:
     def test_all_solvers_say_yes(self):
-        inst = example1_instance()
-        assert oracle_abd(inst).answer
-        assert oracle_pabd(inst).answer
-        assert baseline_abd(inst).answer
-        assert baseline_pabd(inst).answer
-        assert enum_abd(inst)[0].answer
-        assert pabd_recursive(inst).answer
-        assert pabd_enum(inst)[0].answer
+        for name, res in results(example1_instance()):
+            assert res.answer, name
 
     def test_enum_abd_full_set_contains_e1(self):
         _, eset = enum_abd(example1_instance())
@@ -64,10 +64,9 @@ class TestExample1:
 
     def test_witnesses_are_explanations(self):
         inst = example1_instance()
-        for res in (baseline_abd(inst), baseline_pabd(inst), enum_abd(inst)[0],
-                    pabd_recursive(inst), pabd_enum(inst)[0]):
-            assert res.witness is not None
-            assert is_explanation(inst, res.witness.literals)
+        for name, res in results(inst):
+            assert res.witness is not None, name
+            assert is_explanation(inst, res.witness.literals), name
 
 
 class TestPublishedAlgorithmGaps:
@@ -150,9 +149,8 @@ class TestEmptyEdges:
         # KB forces m true, H empty: E = {} explains
         kb = formula(2, [(TOP, (2,)), (one_in_k(2), (1, 2))])
         inst = AbductionInstance(kb, frozenset(), frozenset({2}))
-        for res in (oracle_abd(inst), oracle_pabd(inst), baseline_abd(inst),
-                    baseline_pabd(inst), pabd_recursive(inst)):
-            assert res.answer
+        for name, res in results(inst):
+            assert res.answer, name
 
     def test_empty_hypotheses_kb_does_not_entail(self):
         kb = formula(2, [(one_in_k(2), (1, 2))])
@@ -175,9 +173,8 @@ class TestEmptyEdges:
     def test_unsat_kb_all_no(self):
         kb = formula(2, [(Relation(2, ()), (1, 2))])
         inst = AbductionInstance(kb, frozenset({1}), frozenset({2}))
-        for res in (oracle_abd(inst), oracle_pabd(inst), baseline_abd(inst),
-                    enum_abd(inst)[0], pabd_recursive(inst), pabd_enum(inst)[0]):
-            assert not res.answer
+        for name, res in results(inst):
+            assert not res.answer, name
 
 
 class TestPabdRecursiveContract:
@@ -270,6 +267,24 @@ class TestFragmentSolvers:
         inst = gen_nae3(5, 0)
         with pytest.raises(FragmentError):
             abd_kcnf_pos(inst)
+
+    @pytest.mark.parametrize("pool, selected", [
+        ("exhaustive_instances", {"simplesat": 156, "one-valid": 1107}),
+        ("preprocess_audit_instances", {"simplesat": 324, "one-valid": 1792}),
+    ])
+    def test_engine_predicates_match_their_solvers(self, pool, selected):
+        """A row's solver raises FragmentError only where its `applies` is
+        false; the counts pin the instances check_solvers runs it on."""
+        insts = list(getattr(verify, pool)())
+        counts = {}
+        for e in (e for e in solvers.ENGINES if e.applies is not None):
+            counts[e.name] = sum(map(e.applies, insts))
+            for inst in insts:
+                try:
+                    e.run(inst)
+                except FragmentError:
+                    assert not e.applies(inst), (e.name, io.write_text(inst))
+        assert counts == selected
 
 
 class TestRandomAgreement:

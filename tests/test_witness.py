@@ -5,25 +5,11 @@ still contain +m to imply it."""
 
 import json
 
-from abductor.core import AbductionInstance, FragmentError, formula, is_explanation
+from abductor.core import AbductionInstance, formula, is_explanation
 from abductor.langlib import clause_relation
-from abductor.solvers import (abd_kcnf_pos, baseline_abd, baseline_pabd,
-                              enum_abd, oracle_abd, oracle_pabd, pabd_enum,
-                              pabd_one_valid, pabd_recursive)
+from abductor.solvers import ENGINES
 from abductor.harness import io, verify
 from abductor.harness.cli import main as cli_main
-
-SOLVERS = {
-    "oracle-abd": oracle_abd,
-    "oracle-pabd": oracle_pabd,
-    "baseline-abd": baseline_abd,
-    "baseline-pabd": baseline_pabd,
-    "enum-abd": lambda inst: enum_abd(inst)[0],
-    "pabd-rec": pabd_recursive,
-    "pabd-enum": lambda inst: pabd_enum(inst)[0],
-    "one-valid": pabd_one_valid,
-    "simplesat": abd_kcnf_pos,
-}
 
 
 def self_explained_instance() -> AbductionInstance:
@@ -34,33 +20,32 @@ def self_explained_instance() -> AbductionInstance:
 
 def test_self_explained_manifestation_is_in_every_witness():
     inst = self_explained_instance()
-    for name, solve in SOLVERS.items():
-        res = solve(inst)
-        assert res.answer, name
-        assert 3 in res.witness.literals, name
-        assert is_explanation(inst, res.witness.literals), name
+    for e in ENGINES:
+        res, _ = e.run(inst)
+        assert res.answer, e.name
+        assert 3 in res.witness.literals, e.name
+        assert is_explanation(inst, res.witness.literals), e.name
 
 
 def test_cli_witness_explains_the_file(tmp_path, capsys):
     path = tmp_path / "self.abd"
     io.write(self_explained_instance(), str(path))
-    for algo, mode in (("oracle", "abd"), ("pabd-rec", "pabd")):
-        assert cli_main(["solve", str(path), "--algo", algo, "--mode", mode]) == 0
+    for e in ENGINES:
+        assert cli_main(["solve", str(path), "--algo", e.algo, "--mode", e.mode]) == 0
         witness = json.loads(capsys.readouterr().out)["witness"]
-        assert 3 in witness, algo
+        assert 3 in witness, e.name
 
 
 def test_every_witness_explains_the_callers_instance():
     bad = []
     checked = 0
     for inst in verify.preprocess_audit_instances():
-        for name, solve in SOLVERS.items():
-            try:
-                res = solve(inst)
-            except FragmentError:
-                continue  # one-valid and simplesat reject other fragments
+        for e in ENGINES:
+            if e.applies is not None and not e.applies(inst):
+                continue
+            res, _ = e.run(inst)
             if res.answer and not is_explanation(inst, res.witness.literals):
-                bad.append(f"{name}: {sorted(res.witness.literals)} on "
+                bad.append(f"{e.name}: {sorted(res.witness.literals)} on "
                            f"{io.write_text(inst)!r}")
         checked += 1
     assert checked == 4096
