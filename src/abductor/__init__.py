@@ -4,7 +4,7 @@ oracles for cross-validation."""
 
 from .core import (AbductionInstance, Assignment, Constraint, Explanation,
                    Formula, FragmentError, PreprocessResult, Relation,
-                   StructureError, conjoin_literals, evaluate, formula,
+                   StructureError, evaluate, formula,
                    is_explanation, preprocess)
 from .langlib import (ConstraintLanguage, SparsityCertificate,
                       branching_closure, check_sparsity, derive_inequality,
@@ -25,7 +25,7 @@ __all__ = [
     "Formula", "FragmentError", "ModelStream", "PreprocessResult", "Relation",
     "SimpleSatInstance", "SparsityCertificate", "StructureError",
     "abd_kcnf_pos", "baseline_abd", "baseline_pabd", "branching_closure",
-    "check_sparsity", "conjoin_literals", "decide", "derive_inequality",
+    "check_sparsity", "decide", "derive_inequality",
     "enum_abd", "enumerate_models", "enumerate_weight_ordered", "evaluate",
     "formula", "is_complement_invariant", "is_explanation", "is_non_trivial",
     "is_one_valid", "minor", "oracle_abd", "oracle_pabd",

@@ -20,15 +20,14 @@ map.  The table is emptied whenever the code sets it holds pass
 _RESTRICT_TABLE_CODES codes in all, which bounds the table's own memory
 whatever the arity of the relations.  A search's memos keep the entries they
 read past a clear: at most 3^k' per constraint with k' distinct scope
-variables, for as long as the search lives (a KB's compiled search lives as
-long as the KB).
+variables, for as long as the search lives (a compiled KB lives for one
+solver call).
 
-conjoin_literals and entails build KB ∧ literals through _extend, which skips
-re-validation and records the KB in the result's _base field; satenum.decide
-finds the KB's compiled search there and keeps it in the KB's _compiled field,
-with the search's memos and its cube (the masks of the last satisfied node a
-decide call on the KB reached).  All three live as long as the KB, so they
-outlive a benchmark round.  Neither field takes part in ==, hash or repr.
+A SAT call is a question about one KB under literals: KB ∧ E, or KB ∧ E ∧ ¬m.
+A SatDecider answers it as sat(compiled KB, literals), on a KB compiled once
+by satenum.compile_kb; entails asks sat(kb, E + [¬m]) for each manifestation
+m, and is_explanation compiles the instance's KB once.  Formula is a plain
+frozen dataclass: no engine state hangs off it.
 
 truth_table is the bit-parallel form of evaluate, which stays the definition:
 one Python int per variable column (bit s holds the variable's value in
@@ -41,12 +40,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 Assignment = int
 Literal = int
 
-SatDecider = Callable[["Formula"], bool]
+# (a KB compiled by satenum.compile_kb, literals) -> KB ∧ literals has a model
+SatDecider = Callable[[Any, Sequence[int]], bool]
 
 
 class StructureError(ValueError):
@@ -236,12 +236,6 @@ class Formula:
 
     num_vars: int
     constraints: tuple[Constraint, ...]
-    # set by _extend: the formula whose constraints this one extends by TOP/BOT
-    # units, so satenum.decide can start from that formula's compiled search
-    _base: "Formula | None" = field(default=None, init=False, repr=False, compare=False)
-    # satenum's compiled search and root of this formula as a base, built
-    # lazily; the search keeps its memos and its cube
-    _compiled: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "constraints", tuple(self.constraints))
@@ -394,63 +388,31 @@ class Explanation:
             raise StructureError("explanation literals are inconsistent")
 
 
-def _extend(phi: Formula, units: tuple[Constraint, ...]) -> Formula:
-    """phi ∧ units as a Formula, without re-checking phi's constraints: phi is
-    valid already, and the callers range-check the TOP/BOT units.  The result
-    records as its _base the formula phi itself extends, or else phi, so every
-    constraint past its base's is a unit."""
-    out = object.__new__(Formula)
-    object.__setattr__(out, "num_vars", phi.num_vars)
-    object.__setattr__(out, "constraints", phi.constraints + units)
-    object.__setattr__(out, "_base", phi if phi._base is None else phi._base)
-    return out
-
-
-# literal -> the unit constraint forcing it (two per variable at most), built
-# once by the public constructor
-_units: dict[Literal, Constraint] = {}
-
-
-def _unit(lit: Literal, num_vars: int) -> Constraint:
-    """The TOP (lit > 0) or BOT (lit < 0) constraint on |lit|, which must lie
-    in 1..num_vars."""
-    if not 1 <= abs(lit) <= num_vars:
-        raise StructureError(f"literal {lit} outside variable range")
-    con = _units.get(lit)
-    if con is None:
-        con = _units[lit] = Constraint(TOP if lit > 0 else BOT, (abs(lit),))
-    return con
-
-
-def conjoin_literals(phi: Formula, lits: Iterable[Literal]) -> Formula:
-    """KB ∧ E realized by forcing each literal with a TOP/BOT unary constraint."""
-    n = phi.num_vars
-    return _extend(phi, tuple([_unit(l, n) for l in lits]))
-
-
-def entails(phi: Formula, manifestations: Iterable[int], sat: SatDecider) -> bool:
-    """phi ⊨ M, decided as one unsatisfiability check of phi ∧ ¬m per
-    manifestation m, in the given order and stopping at the first failure."""
-    n = phi.num_vars
+def entails(kb, lits: Iterable[Literal], manifestations: Iterable[int],
+            sat: SatDecider) -> bool:
+    """KB ∧ lits ⊨ M for a compiled KB, decided as one unsatisfiability check
+    of KB ∧ lits ∧ ¬m per manifestation m, in the given order and stopping at
+    the first failure."""
+    lits = list(lits)
     for m in manifestations:
         if m < 1:
             raise StructureError(f"manifestation {m} outside variable range")
-        if sat(_extend(phi, (_unit(-m, n),))):
+        if sat(kb, lits + [-m]):
             return False
     return True
 
 
 def is_explanation(inst: AbductionInstance, lits: Iterable[Literal]) -> bool:
     """Check the two defining conditions: KB∧E satisfiable and KB∧E entails M."""
-    from .satenum import decide  # local import to avoid a cycle
+    from .satenum import compile_kb, decide  # local import to avoid a cycle
     lits = frozenset(lits)
     for l in lits:
         if abs(l) not in inst.hypotheses:
             raise StructureError(f"literal {l} not over the hypothesis set")
     if not literals_consistent(lits):
         return False
-    base = conjoin_literals(inst.kb, lits)
-    return decide(base) and entails(base, inst.manifestations, decide)
+    kb = compile_kb(inst.kb)
+    return decide(kb, lits) and entails(kb, lits, inst.manifestations, decide)
 
 
 TRIVIALLY_NO = "trivially-no"

@@ -15,10 +15,10 @@ from typing import Sequence
 
 from .core import (AbductionInstance, BOT, Constraint, FragmentError, Formula,
                    Relation, FALSE0, StructureError, TOP, columns,
-                   conjoin_literals, decode_tuple, preprocess)
+                   decode_tuple, preprocess)
 from .langlib import (ConstraintLanguage, InequalityGadget, clause_relation,
                       derive_inequality, imp, nae)
-from .satenum import SimpleSatInstance, decide
+from .satenum import SimpleSatInstance, compile_kb, decide
 
 
 class ReductionContractError(RuntimeError):
@@ -162,10 +162,10 @@ def negimp_to_pos(inst: AbductionInstance) -> tuple[AbductionInstance, Reduction
                     seen.add(scope)
                     out_cons.append(Constraint(clause_relation((0, 0), "OR2"), scope))
     man_lits = frozenset(man)
+    compiled = compile_kb(kb)
     for size in range(1, k + 1):
         for subset in itertools.combinations(sorted(hyp), size):
-            probe = conjoin_literals(kb, man_lits | frozenset(subset))
-            if not decide(probe):
+            if not decide(compiled, man_lits | frozenset(subset)):
                 scope = tuple(subset)
                 if scope not in seen:
                     seen.add(scope)

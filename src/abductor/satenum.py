@@ -31,19 +31,20 @@ copied; propagation checks only the constraints touched since the last check
 (Chaff, Moskewicz et al., DAC 2001).  Formulas are read through each
 relation's cached code set, so a call copies no relation.
 
-decide answers a formula built by core.conjoin_literals or core.entails (one
-with a _base) from its base's compiled search and propagated root node, built
-at the first such call and kept in the base's _compiled field, so the calls
-on one base share its memos; the appended TOP/BOT units are assumptions
-OR-ed into the root's masks, and the search starts by checking the
-constraints they touch (MiniSat, Een & Sorensson, SAT 2003).  Any other
-formula is compiled per call.  The base's search also keeps one cube, the
-(amask, vmask) of the last satisfied node a decide call on the base reached.
-decide answers True without searching when the new masks agree with the cube
-on every variable both set: every completion of the cube is a model of the
-base, whatever literals that call assumed, and the agreeing literals extend
-it (the counterexample cache of KLEE, Cadar, Dunbar & Engler, OSDI 2008, kept
-as one witness).  A searched True replaces the cube; a False leaves it.
+decide answers KB ∧ literals on a KB that compile_kb compiled: its search
+and its propagated root, in the search's start slot.  The literals are
+assumptions OR-ed into the root's masks, and the search starts by checking
+the constraints they touch (MiniSat, Een & Sorensson, SAT 2003; the IPASIR
+assumption interface, Balyo, Biere, Iser & Sinz, AI 241, 2016).  The solvers
+compile their KB once per call, so the calls of one solver call share its
+memos, and nothing outlives the solver call.  The compiled KB also keeps one
+cube, the (amask, vmask) of the last satisfied node a decide call on it
+reached.  decide answers True without searching when the new masks agree
+with the cube on every variable both set: every completion of the cube is a
+model of the KB, whatever literals that call assumed, and the agreeing
+literals extend it (the counterexample cache of KLEE, Cadar, Dunbar &
+Engler, OSDI 2008, kept as one witness).  A searched True replaces the cube;
+a False leaves it.
 
 A satisfied node has live == 0: every constraint is full under its masks, or
 was consumed as a unit or a branched tuple whose values the masks hold, so
@@ -70,7 +71,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
-from .core import EMPTY, FULL, OPEN, UNIT, Formula, restriction, submasks
+from .core import (EMPTY, FULL, OPEN, UNIT, Formula, StructureError, restriction,
+                   submasks)
 from .langlib import ConstraintLanguage, minor
 
 
@@ -122,12 +124,13 @@ class _Search:
     at most 3^k' keys, k' the number of distinct variables of the scope, and
     lives as long as the search.
 
-    cube is None, or the (amask, vmask) of the last satisfied node decide
-    reached on a KB's compiled search: every completion of it is a model of
-    the KB, so decide answers True unsearched when the new literals agree
-    with it.  A search compiled per call never gets one."""
+    A KB compiled by compile_kb also holds start, its propagated root
+    (amask, vmask, live), or None on a conflict, and cube: None, or the
+    (amask, vmask) of the last satisfied node decide reached on it.  Every
+    completion of the cube is a model of the KB, so decide answers True
+    unsearched when the new literals agree with it."""
 
-    __slots__ = ("cons", "n", "vbits", "occ", "occbits", "smasks", "memos", "cube")
+    __slots__ = ("cons", "n", "vbits", "occ", "occbits", "smasks", "memos", "cube", "start")
 
     def __init__(self, cons: list[tuple[frozenset[int], tuple[int, ...]]], n: int) -> None:
         self.cons = cons
@@ -338,57 +341,51 @@ def _models(search: _Search, root, policy, stats: EnumStats) -> Iterator[int]:
                 yield vmask | sub
 
 
-def _compile(phi: Formula):
-    """phi's compiled search and its propagated root (amask, vmask, live), or
-    None on a conflict."""
-    search = _Search.of(phi)
-    return search, _propagate(search, *search.root())
+def compile_kb(kb: Formula) -> _Search:
+    """The KB compiled for decide: its search, with the propagated root in
+    start.  A solver compiles its KB once per call."""
+    search = _Search.of(kb)
+    search.start = _propagate(search, *search.root())
+    return search
 
 
-def decide(phi: Formula) -> bool:
-    """True iff the formula has a model (free variables are irrelevant).
+def decide(kb: _Search, lits: Iterable[int] = ()) -> bool:
+    """True iff KB ∧ lits has a model (free variables are irrelevant), for a
+    KB compiled by compile_kb.
 
-    A formula built by core._extend is its _base plus TOP/BOT units: the
-    search starts from the base's compiled root, built once and kept in
-    base._compiled, with the units OR-ed into its masks as assumptions.  If
-    those masks agree with the search's cube, the answer is True unsearched;
-    otherwise a searched True makes the first satisfied node the cube."""
-    base = phi._base
-    if base is None:
-        search, root = _compile(phi)
-        units = ()
-    else:
-        if base._compiled is None:
-            object.__setattr__(base, "_compiled", _compile(base))
-        search, root = base._compiled
-        units = phi.constraints[len(base.constraints):]
-    if root is None:
-        return False
-    amask, vmask, live = root
-    vbits = search.vbits
+    The literals are assumptions OR-ed into the masks of the KB's root.  If
+    those masks agree with the KB's cube, the answer is True unsearched;
+    otherwise a searched True makes the first satisfied node the cube.
+    Raises StructureError on a literal 0 or past the KB's variables."""
+    start = kb.start
+    amask, vmask, live = start or (0, 0, 0)
+    vbits, n = kb.vbits, kb.n
+    clash = start is None
     new = []
-    for con in units:
-        v = con.scope[0]
+    for lit in lits:
+        v = lit if lit > 0 else -lit
+        if not 0 < v <= n:
+            raise StructureError(f"literal {lit} outside variable range")
         bit = vbits[v]
-        val = con.relation.codes[0]  # TOP holds the one tuple 1, BOT holds 0
         if amask & bit:
-            # a unit against a value the root forced, or x and -x together
-            if (vmask & bit != 0) != val:
-                return False
+            # a literal against a value the root forced, or x and -x together
+            if (vmask & bit != 0) != (lit > 0):
+                clash = True
             continue
         amask |= bit
-        if val:
+        if lit > 0:
             vmask |= bit
         new.append(v)
-    cube = search.cube
+    if clash:
+        return False
+    cube = kb.cube
     if cube is not None and not (vmask ^ cube[1]) & amask & cube[0]:
         return True
-    node = next(_search(search, (search.touched(new), amask, vmask, live), _variable_branching,
+    node = next(_search(kb, (kb.touched(new), amask, vmask, live), _variable_branching,
                         EnumStats()), None)
     if node is None:
         return False
-    if base is not None:
-        search.cube = node
+    kb.cube = node
     return True
 
 

@@ -29,14 +29,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .core import (AbductionInstance, Explanation, FragmentError, Formula,
-                   OracleCapError, PreprocessResult, TRIVIALLY_NO,
-                   conjoin_literals, entails, preprocess, satisfies_vars,
-                   submasks, SatDecider, columns, table_models, truth_table)
+                   OracleCapError, PreprocessResult, TRIVIALLY_NO, entails,
+                   preprocess, satisfies_vars, submasks, SatDecider, columns,
+                   table_models, truth_table)
 from .langlib import ConstraintLanguage, is_one_valid
 from .reductions import ReductionReport, abd_to_simplesat, is_kcnf_formula
-from .satenum import (EnumStats, ModelStream, WEIGHT_ORDERED, decide,
-                      enumerate_models, enumerate_weight_ordered, hyp_mask,
-                      solve_simple_sat, weight)
+from .satenum import (EnumStats, ModelStream, WEIGHT_ORDERED, compile_kb,
+                      decide, enumerate_models, enumerate_weight_ordered,
+                      hyp_mask, solve_simple_sat, weight)
 
 
 class OrderingContractError(RuntimeError):
@@ -69,8 +69,9 @@ def _yes(pre: PreprocessResult, lits: Iterable[int], stats: EnumStats,
                      stats, algorithm, report)
 
 
-def _no(algorithm: str, stats: EnumStats | None = None) -> AbdResult:
-    return AbdResult(False, None, stats or EnumStats(), algorithm)
+def _no(algorithm: str, stats: EnumStats | None = None,
+        report: ReductionReport | None = None) -> AbdResult:
+    return AbdResult(False, None, stats or EnumStats(), algorithm, report)
 
 
 def _positive(mask: int, hyp: Iterable[int]) -> frozenset[int]:
@@ -145,16 +146,17 @@ def oracle_abd(inst: AbductionInstance) -> AbdResult:
     """Ground truth for symmetric abduction: the witness is the full
     candidate of the lowest pattern that explains (an explanation exists iff
     a full one does)."""
+    algorithm = "oracle-abd"
     pre = preprocess(inst)
     if pre.verdict == TRIVIALLY_NO:
-        return _no("oracle-abd")
+        return _no(algorithm)
     inst = pre.instance
     models, full, _ = explained(inst)
     stats = _oracle_stats(inst.kb, models)
     if not full:
-        return _no("oracle-abd", stats)
+        return _no(algorithm, stats)
     return _yes(pre, _full((full & -full).bit_length() - 1, sorted(inst.hypotheses)),
-                stats, "oracle-abd")
+                stats, algorithm)
 
 
 def oracle_full_explanations(inst: AbductionInstance) -> frozenset[frozenset[int]]:
@@ -170,16 +172,17 @@ def oracle_pabd(inst: AbductionInstance) -> AbdResult:
     """Ground truth for positive abduction (E ⊆ H is an explanation iff some
     model sets E true and no model setting E true violates M): the witness is
     the first pattern of highest popcount that explains."""
+    algorithm = "oracle-pabd"
     pre = preprocess(inst)
     if pre.verdict == TRIVIALLY_NO:
-        return _no("oracle-pabd")
+        return _no(algorithm)
     inst = pre.instance
     models, _, positive = explained(inst)
     stats = _oracle_stats(inst.kb, models)
     if not positive:
-        return _no("oracle-pabd", stats)
+        return _no(algorithm, stats)
     best = max(table_models(positive), key=int.bit_count)
-    return _yes(pre, _positive(best, sorted(inst.hypotheses)), stats, "oracle-pabd")
+    return _yes(pre, _positive(best, sorted(inst.hypotheses)), stats, algorithm)
 
 
 def oracle_positive_explanations(inst: AbductionInstance) -> tuple[frozenset[frozenset[int]],
@@ -208,16 +211,16 @@ def _baseline(inst: AbductionInstance, sat: SatDecider, algorithm: str,
     if pre.verdict == TRIVIALLY_NO:
         return _no(algorithm, stats)
     inst = pre.instance
+    kb = compile_kb(inst.kb)
     hyp = sorted(inst.hypotheses)
     for mask in submasks(hyp_mask(hyp)):
         stats.branch_nodes += 1
         lits = candidate(mask, hyp)
-        base = conjoin_literals(inst.kb, lits)
         stats.leaves += 1
-        if not sat(base):
+        if not sat(kb, lits):
             continue
         stats.leaves += len(inst.manifestations)
-        if entails(base, inst.manifestations, sat):
+        if entails(kb, lits, inst.manifestations, sat):
             return _yes(pre, lits, stats, algorithm)
     return _no(algorithm, stats)
 
@@ -242,9 +245,10 @@ def enum_abd(inst: AbductionInstance,
     """Partition the models of KB by their H-restriction and discard a class
     as soon as one member violates M; the survivors are exactly the full
     explanations."""
+    algorithm = "enum-abd"
     pre = preprocess(inst)
     if pre.verdict == TRIVIALLY_NO:
-        return _no("enum-abd"), ExplanationSet(frozenset())
+        return _no(algorithm), ExplanationSet(frozenset())
     inst = pre.instance
     if stream is None:
         stream = enumerate_models(inst.kb)
@@ -263,8 +267,8 @@ def enum_abd(inst: AbductionInstance,
     hyp = sorted(inst.hypotheses)
     eset = ExplanationSet(frozenset(_full(p, hyp) for p in potential))
     if not potential:
-        return _no("enum-abd", stream.stats), eset
-    return _yes(pre, _full(min(potential), hyp), stream.stats, "enum-abd"), eset
+        return _no(algorithm, stream.stats), eset
+    return _yes(pre, _full(min(potential), hyp), stream.stats, algorithm), eset
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +306,13 @@ def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
     An explicit stack holds one (D, delta, next child) entry per level: space
     stays O(|H|^2) cells and depth is not bounded by the recursion limit.
     """
+    algorithm = "pabd-rec"
     pre = preprocess(inst)
     stats = EnumStats()
     if pre.verdict == TRIVIALLY_NO:
-        return _no("pabd-rec", stats)
+        return _no(algorithm, stats)
     inst = pre.instance
+    kb = compile_kb(inst.kb)
     hyp = tuple(sorted(inst.hypotheses))
     man = sorted(inst.manifestations)
     stack: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
@@ -322,13 +328,13 @@ def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
             if e in audit.visited:
                 audit.duplicate_visits += 1
             audit.visited.add(e)
-        base_g = conjoin_literals(inst.kb, e | frozenset(-x for x in hyp if x not in e))
-        if not entails(base_g, man, sat):
+        g = e | frozenset(-x for x in hyp if x not in e)
+        if not entails(kb, g, man, sat):
             stats.leaves += 1
-        elif sat(base_g):
+        elif sat(kb, g):
             stats.leaves += 1
-            if entails(conjoin_literals(inst.kb, e), man, sat):
-                return _yes(pre, e, stats, "pabd-rec")
+            if entails(kb, e, man, sat):
+                return _yes(pre, e, stats, algorithm)
             # else a superset pattern violates M: the whole subtree is dead
         elif d:
             stack.append((d, delta, 0))
@@ -338,7 +344,7 @@ def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
         while stack and stack[-1][2] == len(stack[-1][0]):
             stack.pop()
         if not stack:
-            return _no("pabd-rec", stats)
+            return _no(algorithm, stats)
         pd, pdelta, i = stack[-1]
         stack[-1] = (pd, pdelta, i + 1)
         d, delta = pd[i + 1:], pdelta + pd[:i]
@@ -360,9 +366,10 @@ def pabd_enum(inst: AbductionInstance,
     The verified survivors, filtered to subset-maximal elements, are exactly
     the subset-maximal positive explanations.
     """
+    algorithm = "pabd-enum"
     pre = preprocess(inst)
     if pre.verdict == TRIVIALLY_NO:
-        return _no("pabd-enum"), ExplanationSet(frozenset())
+        return _no(algorithm), ExplanationSet(frozenset())
     inst = pre.instance
     if stream is None:
         stream = enumerate_weight_ordered(inst.kb, inst.hypotheses)
@@ -398,9 +405,9 @@ def pabd_enum(inst: AbductionInstance,
     hyp = sorted(inst.hypotheses)
     eset = ExplanationSet(frozenset(_positive(p, hyp) for p in maximal))
     if not maximal:
-        return _no("pabd-enum", stream.stats), eset
+        return _no(algorithm, stream.stats), eset
     best = max(maximal, key=int.bit_count)
-    return _yes(pre, _positive(best, hyp), stream.stats, "pabd-enum"), eset
+    return _yes(pre, _positive(best, hyp), stream.stats, algorithm), eset
 
 
 # ---------------------------------------------------------------------------
@@ -416,18 +423,18 @@ def pabd_one_valid(inst: AbductionInstance) -> AbdResult:
     """For 1-valid knowledge bases a positive explanation exists iff H itself
     is one, and KB ∧ H is consistent for free, so only the |M| entailment
     checks remain."""
+    algorithm = "one-valid"
     if not one_valid_kb(inst):
         raise FragmentError("knowledge base is not 1-valid")
     pre = preprocess(inst)
     stats = EnumStats()
     if pre.verdict == TRIVIALLY_NO:
-        return _no("one-valid", stats)
+        return _no(algorithm, stats)
     inst = pre.instance
-    base = conjoin_literals(inst.kb, inst.hypotheses)
     stats.leaves = len(inst.manifestations)
-    if entails(base, inst.manifestations, decide):
-        return _yes(pre, inst.hypotheses, stats, "one-valid")
-    return _no("one-valid", stats)
+    if entails(compile_kb(inst.kb), inst.hypotheses, inst.manifestations, decide):
+        return _yes(pre, inst.hypotheses, stats, algorithm)
+    return _no(algorithm, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -443,16 +450,17 @@ def abd_kcnf_pos(inst: AbductionInstance) -> AbdResult:
     """Symmetric abduction over positive clauses via the SimpleSAT reduction;
     a model of the reduced instance maps to the negative explanation holding
     ¬h exactly for the hypotheses the model sets to 0."""
+    algorithm = "simplesat"
     pre = preprocess(inst)
     if pre.verdict == TRIVIALLY_NO:
-        return _no("simplesat")
+        return _no(algorithm)
     inst = pre.instance
     simple, report = abd_to_simplesat(inst)
     model, stats = solve_simple_sat(simple)
     if model is None:
-        return AbdResult(False, None, stats, "simplesat", report)
+        return _no(algorithm, stats, report)
     lits = frozenset(-h for h in inst.hypotheses if not (model >> (h - 1)) & 1)
-    return _yes(pre, lits, stats, "simplesat", report)
+    return _yes(pre, lits, stats, algorithm, report)
 
 
 @dataclass

@@ -8,7 +8,8 @@ Each line of "entries" is one (engine, family, n, seed) run.  It holds
 the answer and witness, the EnumStats counters (branch_nodes, leaves,
 models_emitted, max_depth) and, for engines that take a `sat=` callback, the
 number of SAT calls and a sha256 of the (constraint count, result) sequence
-of those calls.  For a model stream, the answer is a sha256 of the models in
+of those calls, where a call sat(kb, lits) counts |KB| + |lits| constraints
+(a KB and one unit constraint per literal).  For a model stream, the answer is a sha256 of the models in
 emission order.  Node counts do not depend on the machine, so
 test_golden_nodes.py recomputes the file and compares it exactly.
 """
@@ -43,9 +44,9 @@ class _CountingSat:
     def __init__(self) -> None:
         self.calls: list[tuple[int, bool]] = []
 
-    def __call__(self, phi) -> bool:
-        result = decide(phi)
-        self.calls.append((len(phi.constraints), result))
+    def __call__(self, kb, lits) -> bool:
+        result = decide(kb, lits)
+        self.calls.append((len(kb.cons) + len(lits), result))
         return result
 
 

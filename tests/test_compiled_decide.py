@@ -1,20 +1,23 @@
-"""satenum.decide on a formula built by core._extend starts from its base's
-compiled root and applies the appended units as assumptions.  Its answers
-must equal decide on the same constraints built with the public constructor
-(no _base, compiled per call) and the brute-force truth table."""
+"""satenum.decide on a KB compiled by compile_kb starts from the KB's
+propagated root and applies the literals as assumptions.  Its answers must
+equal decide on a fresh compile of KB ∧ literals, built with the public
+constructor as the KB's constraints plus one TOP/BOT unit per literal, and
+the brute-force truth table.  A compiled KB, its memos and its cube belong to
+one solver call."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from abductor import satenum
-from abductor.core import (BOT, FALSE0, TOP, TRUE0, Constraint, Formula,
-                           Relation, columns, conjoin_literals, entails,
+from abductor import satenum, solvers
+from abductor.core import (BOT, FALSE0, TOP, TRUE0, AbductionInstance,
+                           Constraint, Formula, Relation, columns, entails,
                            formula, truth_table)
 from abductor.harness import verify
 from abductor.langlib import clause_relation, imp, nae, one_in_k, parity
-from abductor.satenum import decide
+from abductor.satenum import compile_kb, decide
 
 
 def units(lits) -> tuple[Constraint, ...]:
@@ -31,23 +34,23 @@ def literal_sets(n: int, max_size: int):
 
 def check_kb(kb: Formula, max_size: int) -> int:
     """Compare the three answers for KB ∧ E and for the entailment KB ∧ E ⊨ m
-    on every literal set E; return the number of sets checked."""
+    on every literal set E, all on one compiled KB; return the number of sets
+    checked."""
     n = kb.num_vars
     cols = columns(n)
+    compiled = compile_kb(kb)
     count = 0
     for lits in literal_sets(n, max_size):
-        fast = conjoin_literals(kb, lits)
         public = Formula(n, kb.constraints + units(lits))
-        assert fast._base is kb and public._base is None
         table = truth_table(public)
         want = bool(table)
-        assert decide(fast) is want, (kb, lits)
-        assert decide(public) is want, (kb, lits)
+        assert decide(compiled, lits) is want, (kb, lits)
+        assert decide(compile_kb(public)) is want, (kb, lits)
         for m in range(1, n + 1):
             # KB ∧ E ⊨ m iff no model of KB ∧ E sets m to 0
             entailed = not table & cols[m - 1][0]
-            assert entails(fast, [m], decide) is entailed, (kb, lits, m)
-            assert entails(public, [m], decide) is entailed, (kb, lits, m)
+            assert entails(compiled, lits, [m], decide) is entailed, (kb, lits, m)
+            assert entails(compile_kb(public), (), [m], decide) is entailed, (kb, lits, m)
         count += 1
     return count
 
@@ -118,50 +121,55 @@ class TestCompiledDecide:
                    formula(3, [(one_in_k(2), (1, 2)), (Relation(2, ()), (2, 3))]),
                    formula(2, [(TOP, (1,)), (imp(), (1, 2)), (BOT, (2,))])):
             assert check_kb(kb, 2) == 1 + 2 * kb.num_vars + kb.num_vars * (2 * kb.num_vars - 1)
-            assert not decide(conjoin_literals(kb, []))
+            compiled = compile_kb(kb)
+            assert compiled.start is None
+            assert not decide(compiled)
 
     def test_literals_on_variables_the_root_forces(self):
         kb = formula(4, [(TOP, (1,)), (imp(), (1, 2)), (one_in_k(2), (2, 3))])
-        assert decide(conjoin_literals(kb, [1, 2, -3]))
-        assert not decide(conjoin_literals(kb, [-2]))
-        assert not decide(conjoin_literals(kb, [3]))
-        assert not decide(conjoin_literals(kb, [2, -2]))
-        assert entails(conjoin_literals(kb, [4]), [1, 2], decide)
-        assert not entails(conjoin_literals(kb, []), [3], decide)
+        compiled = compile_kb(kb)
+        assert decide(compiled, [1, 2, -3])
+        assert not decide(compiled, [-2])
+        assert not decide(compiled, [3])
+        assert not decide(compiled, [2, -2])
+        assert entails(compiled, [4], [1, 2], decide)
+        assert not entails(compiled, [], [3], decide)
         check_kb(kb, 8)
 
     def test_no_variables(self):
         for kb, want in ((Formula(0, ()), True), (formula(0, [(TRUE0, ())]), True),
                          (formula(0, [(FALSE0, ())]), False)):
-            assert decide(kb) is want
-            assert decide(conjoin_literals(kb, [])) is want
+            assert decide(compile_kb(kb)) is want
+            assert decide(compile_kb(kb), []) is want
             assert check_kb(kb, 2) == 1
 
-    def test_the_base_is_compiled_once(self):
-        kb = formula(3, [(one_in_k(2), (1, 2)), (imp(), (2, 3))])
-        assert kb._compiled is None
-        assert decide(conjoin_literals(kb, [1]))
-        compiled = kb._compiled
-        assert compiled is not None
-        assert not entails(conjoin_literals(kb, [1]), [2], decide)
-        assert decide(conjoin_literals(kb, [-1, 3]))
-        assert kb._compiled is compiled
-        # extending an extended formula keeps the root as the base
-        assert conjoin_literals(conjoin_literals(kb, [1]), [3])._base is kb
+    def test_the_base_is_compiled_once(self, searches):
+        """decide and entails calls on one compiled KB all search on it."""
+        compiled = compile_kb(formula(3, [(one_in_k(2), (1, 2)), (imp(), (2, 3))]))
+        assert decide(compiled, [1])
+        assert not entails(compiled, [1], [2], decide)
+        assert decide(compiled, [-1, 3])
+        assert searches and all(s is compiled for s in searches)
 
     def test_public_formula_stores_nothing(self):
         kb = formula(3, [(one_in_k(2), (1, 2))])
         public = Formula(3, kb.constraints + units([1, -2, 3]))
-        assert decide(public)
-        assert public._base is None and public._compiled is None
-        assert kb._compiled is None
+        assert [f.name for f in dataclasses.fields(Formula)] == ["num_vars", "constraints"]
+        assert decide(compile_kb(public))
+        assert decide(compile_kb(kb), [1, -2, 3])
+        inst = AbductionInstance(kb, frozenset({1, 2}), frozenset({3}))
+        for engine in solvers.ENGINES:
+            if engine.applies is None or engine.applies(inst):
+                engine.run(inst)
+        for phi in (kb, public):
+            assert vars(phi) == {"num_vars": 3, "constraints": phi.constraints}
 
     def test_a_cube_hit_does_not_search(self, monkeypatch):
         kb = positive_chain()
-        assert decide(conjoin_literals(kb, [1]))
-        search = kb._compiled[0]
+        compiled = compile_kb(kb)
+        assert decide(compiled, [1])
         # x1 assumed; x2 = 0 is the first branch and forces x3 = 1; x4 is free
-        cube = search.cube
+        cube = compiled.cube
         assert cube == (0b0111, 0b0101)
         assert not completions(cube, 4) & ~truth_table(kb)
 
@@ -169,24 +177,23 @@ class TestCompiledDecide:
             raise AssertionError("searched on a cube hit")
 
         monkeypatch.setattr(satenum, "_search", no_search)
-        for lits in ([], [1, -2, 3], [3, 4], [-4]):
-            assert decide(conjoin_literals(kb, lits)), lits
-        assert decide(conjoin_literals(conjoin_literals(kb, [-2]), [3]))
+        for lits in ([], [1, -2, 3], [3, 4], [-4], [-2, 3]):
+            assert decide(compiled, lits), lits
         # KB ∧ x1 ∧ -x2 is the cube's own query
-        assert not entails(conjoin_literals(kb, [1]), [2], decide)
-        assert search.cube is cube
+        assert not entails(compiled, [1], [2], decide)
+        assert compiled.cube is cube
 
     def test_cube_misses_search(self, searches):
         kb = positive_chain()
-        assert decide(conjoin_literals(kb, [1]))
-        search = kb._compiled[0]
-        assert search.cube == (0b0111, 0b0101)
+        compiled = compile_kb(kb)
+        assert decide(compiled, [1])
+        assert compiled.cube == (0b0111, 0b0101)
         table = truth_table(kb)
         # x2 = 1 is against the cube and satisfiable: the search replaces it
         searches.clear()
-        assert decide(conjoin_literals(kb, [2])) is True
-        assert searches == [search]
-        cube = search.cube
+        assert decide(compiled, [2]) is True
+        assert searches == [compiled]
+        cube = compiled.cube
         assert cube[0] & 0b0010 and cube[1] & 0b0010
         assert not completions(cube, 4) & ~table
         # x2 = 0 is against the new cube and, with x3 = 0, unsatisfiable: the
@@ -194,19 +201,45 @@ class TestCompiledDecide:
         lits = [-2, -3]
         assert not truth_table(Formula(4, kb.constraints + units(lits)))
         searches.clear()
-        assert decide(conjoin_literals(kb, lits)) is False
-        assert searches == [search]
-        assert search.cube is cube
+        assert decide(compiled, lits) is False
+        assert searches == [compiled]
+        assert compiled.cube is cube
 
     def test_public_formula_leaves_no_cube(self, searches):
         kb = positive_chain()
-        assert decide(conjoin_literals(kb, [1]))
-        cube = kb._compiled[0].cube
+        compiled = compile_kb(kb)
+        assert decide(compiled, [1])
+        cube = compiled.cube
         # the same constraints against the cube, through the public constructor
-        public = Formula(kb.num_vars, kb.constraints + units([-1, 2, -3, 4]))
+        public = compile_kb(Formula(kb.num_vars, kb.constraints + units([-1, 2, -3, 4])))
+        assert public.cube is None
         searches.clear()
         assert decide(public)
-        assert len(searches) == 1 and searches[0] is not kb._compiled[0]
-        assert searches[0].cube is None
-        assert kb._compiled[0].cube is cube
-        assert public._base is None and public._compiled is None
+        assert searches == [public]
+        assert compiled.cube is cube
+        # a second compile of the same KB starts without the first one's cube
+        again = compile_kb(kb)
+        assert again.cube is None
+        searches.clear()
+        assert decide(again, [1])
+        assert searches == [again]
+
+    def test_each_solver_call_compiles_its_own_kb(self, searches):
+        """A solver call compiles its KB once, and two solver calls in a row
+        on one KB search on different compiled KBs, so a cube set during the
+        first call is not seen by the second."""
+        kb = positive_chain()
+        inst = AbductionInstance(kb, frozenset({1, 2}), frozenset({3}))
+        for solve in (solvers.baseline_abd, solvers.baseline_pabd, solvers.pabd_recursive):
+            searches.clear()
+            first = solve(inst)
+            calls = len(searches)
+            second = solve(inst)
+            assert first == second, solve
+            assert searches[:calls] and searches[calls:], solve
+            one, two = searches[0], searches[calls]
+            assert one is not two and all(s is one for s in searches[:calls])
+            # the first call left a cube, and the second call searched anew
+            assert one.cube is not None and two.cube is not None, solve
+            assert all(s is two for s in searches[calls:])
+            assert len(searches) == 2 * calls, solve

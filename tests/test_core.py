@@ -5,11 +5,11 @@ import pytest
 from abductor.core import (AbductionInstance, Constraint, Formula, Relation,
                            StructureError, TRIVIALLY_NO, TRIVIALLY_REDUCED,
                            UNCHANGED, BOT, TOP, assignment_from_values,
-                           conjoin_literals, entails, evaluate, formula,
-                           is_explanation, preprocess)
+                           entails, evaluate, formula, is_explanation,
+                           preprocess)
 from abductor.harness import io
 from abductor.langlib import clause_relation, one_in_k
-from abductor.satenum import decide
+from abductor.satenum import compile_kb, decide
 from abductor.solvers import brute_models
 
 
@@ -113,70 +113,58 @@ class TestIsExplanation:
 class TestConjoin:
     def test_bot_top_constraints(self):
         phi = formula(2, [(one_in_k(2), (1, 2))])
-        forced = conjoin_literals(phi, {1, -2})
-        assert forced.constraints[-2:] == (Constraint(TOP, (1,)), Constraint(BOT, (2,)))
-        assert decide(forced) is False or decide(forced) is True  # total
+        for lits in ([1, -2], [1, 2], [-1, -2], [2]):
+            public = Formula(2, phi.constraints + tuple(
+                Constraint(TOP if l > 0 else BOT, (abs(l),)) for l in lits))
+            assert decide(compile_kb(phi), lits) is bool(brute_models(public)), lits
 
     def test_literal_out_of_range(self):
         with pytest.raises(StructureError):
-            conjoin_literals(formula(1, []), {2})
+            decide(compile_kb(formula(1, [])), [2])
 
     @pytest.mark.parametrize("lit", [0, 4, -4])
     def test_literal_zero_or_past_num_vars(self, lit):
+        kb = compile_kb(formula(3, [(one_in_k(2), (1, 2))]))
         with pytest.raises(StructureError):
-            conjoin_literals(formula(3, [(one_in_k(2), (1, 2))]), {1, lit})
+            decide(kb, [1, lit])
+        # also after a literal that clashes with the first, and on a KB that
+        # conflicts at its root
+        with pytest.raises(StructureError):
+            decide(kb, [1, -1, lit])
+        with pytest.raises(StructureError):
+            decide(compile_kb(formula(3, [(Relation(2, ()), (1, 2))])), [lit])
 
     @pytest.mark.parametrize("m", [0, 4, -1])
     def test_entails_manifestation_out_of_range(self, m):
-        phi = formula(3, [(one_in_k(2), (1, 2))])
+        kb = compile_kb(formula(3, [(one_in_k(2), (1, 2))]))
         with pytest.raises(StructureError):
-            entails(phi, [m], decide)
+            entails(kb, [], [m], decide)
 
     def test_extended_formula_equals_the_public_constructor(self):
+        """entails asks the SAT callback KB ∧ E ∧ ¬m, and decide on the
+        compiled KB with those literals answers as a fresh compile of the
+        public formula with one TOP/BOT unit per literal."""
         phi = formula(3, [(one_in_k(2), (1, 2)), (clause_relation((0, 1)), (2, 3))])
+        kb = compile_kb(phi)
+        seen = []
+        assert not entails(kb, [1], [3, 2], lambda k, lits: seen.append((k, lits)) or True)
+        assert seen == [(kb, [1, -3])]
         public = Formula(3, phi.constraints + (Constraint(TOP, (1,)), Constraint(BOT, (3,))))
-        fast = conjoin_literals(phi, [1, -3])
-        assert fast == public and hash(fast) == hash(public)
-        seen = []
-        entails(phi, [3], lambda f: seen.append(f) or True)
-        public = Formula(3, phi.constraints + (Constraint(BOT, (3,)),))
-        assert seen == [public] and hash(seen[0]) == hash(public)
-
-    def test_unit_constraints_are_built_once(self):
-        phi = formula(3, [(TOP, (2,))])
-        first = conjoin_literals(phi, [1, -3]).constraints[1:]
-        again = conjoin_literals(phi, [1, -3]).constraints[1:]
-        assert first == (Constraint(TOP, (1,)), Constraint(BOT, (3,)))
-        assert all(a is b for a, b in zip(first, again))
-        seen = []
-        entails(phi, [3], lambda f: seen.append(f) or False)
-        assert seen[0].constraints[-1] is first[1]
+        assert decide(kb, [1, -3]) is decide(compile_kb(public))
 
     def test_compiled_base_leaves_equality_repr_and_text_alone(self):
         kb = formula(3, [(one_in_k(2), (1, 2)), (clause_relation((0, 1)), (2, 3))])
-        fast = conjoin_literals(kb, [1, -3])
         public = Formula(3, kb.constraints + (Constraint(TOP, (1,)), Constraint(BOT, (3,))))
-        assert decide(fast) == decide(public)
-        assert kb._compiled is not None and fast._base is kb
-        assert fast == public and hash(fast) == hash(public)
-        assert repr(fast) == repr(public)
-        assert "_base" not in repr(fast) and "_compiled" not in repr(kb)
-        hyp, man = frozenset({1, 3}), frozenset({2})
-        assert (io.write_text(AbductionInstance(fast, hyp, man))
-                == io.write_text(AbductionInstance(public, hyp, man)))
+        text = io.write_text(AbductionInstance(kb, frozenset({1, 3}), frozenset({2})))
         brute_models.cache_clear()
-        models = brute_models(public)
-        assert brute_models(fast) == models
-        assert brute_models.cache_info().hits == 1
+        models = brute_models(kb)
+        assert decide(compile_kb(kb), [1, -3]) == decide(compile_kb(public))
+        assert is_explanation(AbductionInstance(kb, frozenset({1, 3}), frozenset({2})), {-1})
         again = formula(3, [(one_in_k(2), (1, 2)), (clause_relation((0, 1)), (2, 3))])
         assert kb == again and hash(kb) == hash(again) and repr(kb) == repr(again)
-
-    def test_extended_formula_hits_the_oracle_cache(self):
-        phi = formula(3, [(one_in_k(2), (1, 2))])
-        public = Formula(3, phi.constraints + (Constraint(TOP, (2,)),))
-        brute_models.cache_clear()
-        models = brute_models(public)
-        assert brute_models(conjoin_literals(phi, [2])) == models
+        assert (io.write_text(AbductionInstance(kb, frozenset({1, 3}), frozenset({2})))
+                == text)
+        assert brute_models(again) == models
         assert brute_models.cache_info().hits == 1
 
 

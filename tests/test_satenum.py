@@ -10,7 +10,7 @@ from abductor.langlib import (aff, branching_closure, clause_relation,
                               equations_family, imp, nae, one_in_k, parity,
                               xsat_family)
 from abductor.satenum import (LanguageContractError, SimpleSatInstance,
-                              WEIGHT_ORDERED, decide, enumerate_models,
+                              WEIGHT_ORDERED, compile_kb, decide, enumerate_models,
                               enumerate_weight_ordered, hyp_mask,
                               solve_simple_sat, sparse_enumerate, weight)
 from abductor.harness.bench import fit_base, simplesat_hard_instance
@@ -44,20 +44,20 @@ def random_formula(n, seed):
 
 class TestDecide:
     def test_diagonal_inequality_unsat(self):
-        assert not decide(formula(1, [(one_in_k(2), (1, 1))]))
+        assert not decide(compile_kb(formula(1, [(one_in_k(2), (1, 1))])))
 
     def test_empty_formula_sat(self):
-        assert decide(formula(3, []))
+        assert decide(compile_kb(formula(3, [])))
 
     def test_example_like_conjunction(self):
         phi = formula(3, [(clause_relation((0, 0)), (1, 2)),
                           (one_in_k(2), (2, 3))])
-        assert decide(phi)
+        assert decide(compile_kb(phi))
 
     def test_agrees_with_bruteforce(self):
         for seed in range(80):
             phi = random_formula(6, seed)
-            assert decide(phi) == bool(brute_models(phi)), f"seed {seed}"
+            assert decide(compile_kb(phi)) == bool(brute_models(phi)), f"seed {seed}"
 
 
 class TestEnumerate:
@@ -111,7 +111,7 @@ class TestDeepSearch:
         # Python's default recursion limit long before depth 1200
         n = 1200
         kb = formula(n, [(imp(), (i, i + 1)) for i in range(1, n)])
-        assert decide(kb)
+        assert decide(compile_kb(kb))
         assert next(iter(enumerate_models(kb))) == 0
 
     def test_long_implication_chain_drains(self):

@@ -1,12 +1,12 @@
 """Property tests of the one search core against the bit-parallel truth table,
 on generated formulas with n <= 8: repeated scope variables, the 0-ary
 constants, empty and full relations.  decide is also run differentially:
-interleaved conjoin_literals/entails calls on one KB, whose compiled root they
-share, against a freshly built public Formula, and once more with the
-restriction table bounded so tightly that the search memos' entries outlive
-its clears.  After each call of such a sequence whose literals sit on
-distinct variables, every completion of the cube decide keeps for the KB is
-a model of it.  On instances over the same formulas, every solver
+interleaved decide/entails calls on one compiled KB, whose root and memos
+they share, against a fresh compile of the public Formula KB ∧ literals, and
+once more with the restriction table bounded so tightly that the search
+memos' entries outlive its clears.  After each call of such a sequence whose
+literals sit on distinct variables, every completion of the cube the
+compiled KB keeps is a model of the KB.  On instances over the same formulas, every solver
 verify.check_solvers runs agrees with the brute-force oracle.  Derandomized,
 so tier-1 stays deterministic."""
 
@@ -16,12 +16,11 @@ from hypothesis import strategies as st
 
 from abductor import core
 from abductor.core import (BOT, FALSE0, TOP, TRUE0, AbductionInstance,
-                           Constraint, Formula, Relation, columns,
-                           conjoin_literals, entails, formula, table_models,
-                           truth_table)
+                           Constraint, Formula, Relation, columns, entails,
+                           formula, table_models, truth_table)
 from abductor.langlib import branching_closure, xsat_family
 from abductor.harness import verify
-from abductor.satenum import decide, enumerate_models, sparse_enumerate
+from abductor.satenum import compile_kb, decide, enumerate_models, sparse_enumerate
 
 XSAT_LANG = branching_closure(xsat_family(3))
 XSAT_RELATIONS = list(XSAT_LANG)
@@ -105,7 +104,7 @@ def calls(draw, kb: Formula):
 @st.composite
 def assumptions(draw, n: int) -> list[int]:
     """At most four literals on distinct variables, so a conflict comes from
-    the KB and decide's unit loop lets the query reach the cube check."""
+    the KB and decide's literal loop lets the query reach the cube check."""
     if n == 0:
         return []
     signs = draw(st.dictionaries(st.integers(1, n), st.booleans(), max_size=4))
@@ -125,6 +124,11 @@ def assumption_calls(draw, kb: Formula):
     return kind, lits, draw(assumptions(n))
 
 
+def literals(call) -> list[int]:
+    """The literals a call assumes: E, or E then F for a chain."""
+    return call[1] + call[2] if call[0] == "chain" else call[1]
+
+
 class TestSearchProperties:
     @PROPERTY
     @given(formulas())
@@ -139,11 +143,11 @@ class TestSearchProperties:
     @PROPERTY
     @given(formulas(), st.data())
     def test_decide_is_the_truth_table(self, phi, data):
-        assert decide(phi) is bool(truth_table(phi))
+        kb = compile_kb(phi)
+        assert decide(kb) is bool(truth_table(phi))
         lits = data.draw(literal_lists(phi.num_vars))
-        extended = conjoin_literals(phi, lits)
-        assert decide(extended) is bool(truth_table(Formula(phi.num_vars,
-                                                            extended.constraints)))
+        assert decide(kb, lits) is bool(truth_table(Formula(phi.num_vars,
+                                                            phi.constraints + units(lits))))
 
     @settings(PROPERTY, max_examples=100)
     @given(formulas(rels=st.sampled_from(XSAT_RELATIONS)))
@@ -159,43 +163,39 @@ class TestSearchProperties:
     def test_decide_on_one_base_is_a_fresh_compile(self, kb, data):
         n = kb.num_vars
         cols = columns(n)
+        compiled = compile_kb(kb)
         queries = st.one_of(calls(kb), assumption_calls(kb))
         for call in data.draw(st.lists(queries, min_size=1, max_size=8)):
-            if call[0] == "chain":
-                fast = conjoin_literals(conjoin_literals(kb, call[1]), call[2])
-            else:
-                fast = conjoin_literals(kb, call[1])
-            assert fast._base is kb
-            public = Formula(n, fast.constraints)
+            lits = literals(call)
+            public = Formula(n, kb.constraints + units(lits))
             table = truth_table(public)
             if call[0] == "entails":
                 # KB ∧ E ⊨ M iff no model of KB ∧ E sets some m in M to 0
                 want = not any(table & cols[m - 1][0] for m in call[2])
-                assert entails(fast, call[2], decide) is want, call
-                assert entails(public, call[2], decide) is want, call
+                assert entails(compiled, lits, call[2], decide) is want, call
+                assert entails(compile_kb(public), (), call[2], decide) is want, call
             else:
-                assert decide(fast) is bool(table), call
-                assert decide(public) is bool(table), call
+                assert decide(compiled, lits) is bool(table), call
+                assert decide(compile_kb(public)) is bool(table), call
 
     @settings(PROPERTY, max_examples=100)
     @given(kbs(), st.data())
     def test_every_completion_of_the_cube_is_a_model(self, kb, data):
-        """After each call on one base, the cube decide keeps in the base's
-        search covers models of the base only."""
+        """After each call on one compiled KB, the cube decide keeps in it
+        covers models of the KB only."""
         n = kb.num_vars
         cols = columns(n)
         base_table = truth_table(kb)
+        compiled = compile_kb(kb)
         for call in data.draw(st.lists(assumption_calls(kb), min_size=1, max_size=8)):
-            fast = conjoin_literals(kb, call[1])
-            if call[0] == "chain":
-                fast = conjoin_literals(fast, call[2])
-            table = truth_table(Formula(n, fast.constraints))
+            lits = literals(call)
+            table = truth_table(Formula(n, kb.constraints + units(lits)))
             if call[0] == "entails":
                 want = not any(table & cols[m - 1][0] for m in call[2])
-                assert entails(fast, call[2], decide) is want, call
+                assert entails(compiled, lits, call[2], decide) is want, call
             else:
-                assert decide(fast) is bool(table), call
-            cube = kb._compiled[0].cube if kb._compiled is not None else None
+                assert decide(compiled, lits) is bool(table), call
+            cube = compiled.cube
             if cube is None:
                 continue
             amask, vmask = cube
@@ -208,10 +208,11 @@ class TestSearchProperties:
     @settings(PROPERTY, max_examples=60)
     @given(kbs(), st.data())
     def test_memo_entries_outlive_table_clears(self, kb, data):
-        """decide on one base interleaved with sparse_enumerate, while a tiny
-        table bound clears the restriction table over and over."""
+        """decide on one compiled KB interleaved with sparse_enumerate, while
+        a tiny table bound clears the restriction table over and over."""
         n = kb.num_vars
         cols = columns(n)
+        compiled = compile_kb(kb)
         steps = st.one_of(st.one_of(calls(kb), assumption_calls(kb)),
                           formulas(rels=st.sampled_from(XSAT_RELATIONS), max_constraints=12))
         with pytest.MonkeyPatch.context() as mp:
@@ -221,19 +222,15 @@ class TestSearchProperties:
                     got = list(sparse_enumerate(step, XSAT_LANG))
                     assert sorted(got) == table_models(truth_table(step))
                     continue
-                fast = conjoin_literals(kb, step[1])
-                if step[0] == "chain":
-                    fast = conjoin_literals(fast, step[2])
-                table = truth_table(Formula(n, fast.constraints))
+                lits = literals(step)
+                table = truth_table(Formula(n, kb.constraints + units(lits)))
                 if step[0] == "entails":
                     want = not any(table & cols[m - 1][0] for m in step[2])
-                    assert entails(fast, step[2], decide) is want, step
+                    assert entails(compiled, lits, step[2], decide) is want, step
                 else:
-                    assert decide(fast) is bool(table), step
-        if kb._compiled is not None:
-            search = kb._compiled[0]
-            for (_, scope), memo in zip(search.cons, search.memos):
-                assert len(memo) <= 3 ** len(set(scope))
+                    assert decide(compiled, lits) is bool(table), step
+        for (_, scope), memo in zip(compiled.cons, compiled.memos):
+            assert len(memo) <= 3 ** len(set(scope))
 
 
 @st.composite

@@ -2,8 +2,8 @@ import sys
 
 import pytest
 
-from abductor.core import (AbductionInstance, Relation, BOT, TOP, FragmentError,
-                           formula, is_explanation)
+from abductor.core import (AbductionInstance, Relation, BOT, TOP, TRIVIALLY_NO,
+                           FragmentError, formula, is_explanation, preprocess)
 from abductor.langlib import clause_relation, one_in_k
 from abductor.satenum import ModelStream, EnumStats, enumerate_models
 from abductor import solvers
@@ -285,6 +285,26 @@ class TestFragmentSolvers:
                 except FragmentError:
                     assert not e.applies(inst), (e.name, io.write_text(inst))
         assert counts == selected
+
+    def test_every_engine_names_its_result(self):
+        """Every ENGINES row's result carries the row's name, on a yes, a no
+        and a trivially-no instance of positive clauses, which every row's
+        solver accepts."""
+        clause = clause_relation((0, 0))
+        chain = formula(3, [(clause, (1, 2)), (clause, (2, 3))])
+        cases = {
+            True: AbductionInstance(formula(3, [(TOP, (3,)), (clause, (1, 2))]),
+                                    frozenset({1, 2}), frozenset({3})),
+            False: AbductionInstance(chain, frozenset({1}), frozenset({3})),
+            "trivially-no": AbductionInstance(formula(3, [(clause, (1, 2))]),
+                                              frozenset({1}), frozenset({3})),
+        }
+        for want, inst in cases.items():
+            assert (preprocess(inst).verdict == TRIVIALLY_NO) is (want == "trivially-no")
+            for e in solvers.ENGINES:
+                res = e.run(inst)[0]
+                assert res.algorithm == e.name, (res.algorithm, want)
+                assert res.answer is (want is True), (e.name, want)
 
 
 class TestRandomAgreement:
