@@ -4,14 +4,14 @@ oracles for cross-validation."""
 
 from .core import (AbductionInstance, Assignment, Constraint, Explanation,
                    Formula, FragmentError, PreprocessResult, Relation,
-                   StructureError, evaluate, formula,
-                   is_explanation, preprocess)
+                   StructureError, evaluate, formula, is_explanation,
+                   preprocess)
 from .langlib import (ConstraintLanguage, SparsityCertificate,
                       branching_closure, check_sparsity, derive_inequality,
                       is_complement_invariant, is_non_trivial, is_one_valid,
                       minor, substitute)
-from .satenum import (EnumStats, ModelStream, SimpleSatInstance, decide,
-                      enumerate_models, enumerate_weight_ordered,
+from .satenum import (EnumStats, ModelStream, SimpleSatInstance, compile_kb,
+                      decide, enumerate_models, enumerate_weight_ordered,
                       solve_simple_sat, sparse_enumerate)
 from .solvers import (AbdResult, ExplanationSet, abd_kcnf_pos, baseline_abd,
                       baseline_pabd, enum_abd, oracle_abd, oracle_pabd,
@@ -25,7 +25,7 @@ __all__ = [
     "Formula", "FragmentError", "ModelStream", "PreprocessResult", "Relation",
     "SimpleSatInstance", "SparsityCertificate", "StructureError",
     "abd_kcnf_pos", "baseline_abd", "baseline_pabd", "branching_closure",
-    "check_sparsity", "decide", "derive_inequality",
+    "check_sparsity", "compile_kb", "decide", "derive_inequality",
     "enum_abd", "enumerate_models", "enumerate_weight_ordered", "evaluate",
     "formula", "is_complement_invariant", "is_explanation", "is_non_trivial",
     "is_one_valid", "minor", "oracle_abd", "oracle_pabd",

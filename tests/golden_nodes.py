@@ -9,9 +9,10 @@ the answer and witness, the EnumStats counters (branch_nodes, leaves,
 models_emitted, max_depth) and, for engines that take a `sat=` callback, the
 number of SAT calls and a sha256 of the (constraint count, result) sequence
 of those calls, where a call sat(kb, lits) counts |KB| + |lits| constraints
-(a KB and one unit constraint per literal).  For a model stream, the answer is a sha256 of the models in
-emission order.  Node counts do not depend on the machine, so
-test_golden_nodes.py recomputes the file and compares it exactly.
+(the KB's and one unit per literal).  For a model stream, the answer is a
+sha256 of the models in emission order.  Node counts do not depend on the
+machine, so test_golden_nodes.py recomputes the file and compares it
+exactly.
 """
 
 from __future__ import annotations

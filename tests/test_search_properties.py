@@ -6,9 +6,9 @@ they share, against a fresh compile of the public Formula KB ∧ literals, and
 once more with the restriction table bounded so tightly that the search
 memos' entries outlive its clears.  After each call of such a sequence whose
 literals sit on distinct variables, every completion of the cube the
-compiled KB keeps is a model of the KB.  On instances over the same formulas, every solver
-verify.check_solvers runs agrees with the brute-force oracle.  Derandomized,
-so tier-1 stays deterministic."""
+compiled KB keeps is a model of the KB.  On instances over the same
+formulas, every solver verify.check_solvers runs agrees with the brute-force
+oracle.  Derandomized, so tier-1 stays deterministic."""
 
 import pytest
 from hypothesis import given, settings
