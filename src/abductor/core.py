@@ -23,11 +23,11 @@ read past a clear: at most 3^k' per constraint with k' distinct scope
 variables, for as long as the search lives (a compiled KB lives for one
 solver call).
 
-A SAT call is a question about one KB under literals: KB ∧ E, or KB ∧ E ∧ ¬m.
-A SatDecider answers it as sat(compiled KB, literals), on a KB compiled once
-by satenum.compile_kb; entails asks sat(kb, E + [¬m]) for each manifestation
-m, and is_explanation compiles the instance's KB once.  Formula is a plain
-frozen dataclass: no engine state hangs off it.
+A SAT call asks KB ∧ E or KB ∧ E ∧ ¬m as sat(KB, pos, neg) on a KB compiled
+once by satenum.compile_kb, with E as the variable-bit masks of its positive
+and negated literals (literal_masks converts a literal list); entails asks
+sat(kb, pos, neg | bit(m)) per manifestation m.  Formula is a plain frozen
+dataclass: no engine state hangs off it.
 
 truth_table is the bit-parallel form of evaluate, which stays the definition:
 one Python int per variable column (bit s holds the variable's value in
@@ -40,13 +40,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 Assignment = int
 Literal = int
 
-# (a KB compiled by satenum.compile_kb, literals) -> KB ∧ literals has a model
-SatDecider = Callable[[Any, Sequence[int]], bool]
+# (compiled KB, pos, neg) -> KB ∧ the assumptions has a model (module docstring)
+SatDecider = Callable[[Any, int, int], bool]
 
 
 class StructureError(ValueError):
@@ -145,6 +145,14 @@ def restrict(codes: frozenset[int] | tuple[int, ...], scope: tuple[int, ...],
         bit <<= 1
     out, keep, _ = restriction(codes, len(scope), hit, want)
     return out, tuple([scope[i] for i in keep])
+
+
+def hyp_mask(variables: Iterable[int]) -> int:
+    """The variable-bit mask of a set of variables: bit v-1 for variable v."""
+    m = 0
+    for v in variables:
+        m |= 1 << (v - 1)
+    return m
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -349,11 +357,6 @@ def satisfies_vars(sigma: Assignment, vs: Iterable[int]) -> bool:
     return all((sigma >> (v - 1)) & 1 for v in vs)
 
 
-def literals_consistent(lits: Iterable[Literal]) -> bool:
-    s = set(lits)
-    return all(-l not in s for l in s)
-
-
 @dataclass(frozen=True)
 class AbductionInstance:
     kb: Formula
@@ -384,20 +387,28 @@ class Explanation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "literals", frozenset(self.literals))
-        if not literals_consistent(self.literals):
+        pos, neg = literal_masks(self.literals)
+        if pos & neg:
             raise StructureError("explanation literals are inconsistent")
 
 
-def entails(kb, lits: Iterable[Literal], manifestations: Iterable[int],
-            sat: SatDecider) -> bool:
-    """KB ∧ lits ⊨ M for a compiled KB, decided as one unsatisfiability check
-    of KB ∧ lits ∧ ¬m per manifestation m, in the given order and stopping at
-    the first failure."""
+def literal_masks(lits: Iterable[Literal]) -> tuple[int, int]:
+    """(pos, neg): the variable-bit masks of the positive and negated literals."""
     lits = list(lits)
+    if 0 in lits:
+        raise StructureError("literal 0 names no variable")
+    return hyp_mask([l for l in lits if l > 0]), hyp_mask([-l for l in lits if l < 0])
+
+
+def entails(kb, pos: int, neg: int, manifestations: Iterable[int],
+            sat: SatDecider) -> bool:
+    """KB ∧ E ⊨ M for a compiled KB and E given as the masks (pos, neg),
+    decided as one unsatisfiability check of KB ∧ E ∧ ¬m per manifestation
+    m, in the given order and stopping at the first failure."""
     for m in manifestations:
         if m < 1:
             raise StructureError(f"manifestation {m} outside variable range")
-        if sat(kb, lits + [-m]):
+        if sat(kb, pos, neg | 1 << (m - 1)):
             return False
     return True
 
@@ -405,14 +416,11 @@ def entails(kb, lits: Iterable[Literal], manifestations: Iterable[int],
 def is_explanation(inst: AbductionInstance, lits: Iterable[Literal]) -> bool:
     """Check the two defining conditions: KB∧E satisfiable and KB∧E entails M."""
     from .satenum import compile_kb, decide  # local import to avoid a cycle
-    lits = frozenset(lits)
-    for l in lits:
-        if abs(l) not in inst.hypotheses:
-            raise StructureError(f"literal {l} not over the hypothesis set")
-    if not literals_consistent(lits):
-        return False
+    pos, neg = literal_masks(lits)
+    if (pos | neg) & ~hyp_mask(inst.hypotheses):
+        raise StructureError("a literal is not over the hypothesis set")
     kb = compile_kb(inst.kb)
-    return decide(kb, lits) and entails(kb, lits, inst.manifestations, decide)
+    return decide(kb, pos, neg) and entails(kb, pos, neg, inst.manifestations, decide)
 
 
 TRIVIALLY_NO = "trivially-no"

@@ -9,6 +9,7 @@ kernelization device and is not answer-preserving on all inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -65,13 +66,16 @@ def raw_pabd_answer(inst: AbductionInstance) -> bool:
 # ---------------------------------------------------------------------------
 
 def check_solvers(inst: AbductionInstance) -> list[Finding]:
-    """Every row of solvers.ENGINES that applies to inst against the oracles."""
+    """Every row of solvers.ENGINES that applies to inst against the oracles.
+    Each distinct witness is checked once; each row that returns a bad one
+    is a finding."""
     text = io.write_text(inst)
     fails: list[Finding] = []
 
     def bad(kind: str, detail: str) -> None:
         fails.append(Finding(kind, detail, text))
 
+    explains = functools.cache(functools.partial(is_explanation, inst))
     truth = {"abd": oracle_abd(inst).answer, "pabd": oracle_pabd(inst).answer}
     sets = {"full": ("full-explanation", oracle_full_explanations(inst), len),
             "maximal": ("maximal-positive", oracle_positive_explanations(inst)[1],
@@ -84,7 +88,7 @@ def check_solvers(inst: AbductionInstance) -> list[Finding]:
         if res.answer != truth[e.mode]:
             bad(e.name, f"answer {res.answer} vs oracle {truth[e.mode]}")
         elif res.answer and res.witness is not None:
-            if not is_explanation(inst, res.witness.literals):
+            if not explains(res.witness.literals):
                 bad(e.name, f"witness {sorted(res.witness.literals)} is not an explanation")
         if eset is not None:
             label, oracle_set, show = sets[e.explanations]

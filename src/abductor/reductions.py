@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .core import (AbductionInstance, BOT, Constraint, FragmentError, Formula,
                    Relation, FALSE0, StructureError, TOP, columns,
-                   decode_tuple, preprocess)
+                   decode_tuple, hyp_mask, preprocess)
 from .langlib import (ConstraintLanguage, InequalityGadget, clause_relation,
                       derive_inequality, imp, nae)
 from .satenum import SimpleSatInstance, compile_kb, decide
@@ -161,11 +161,11 @@ def negimp_to_pos(inst: AbductionInstance) -> tuple[AbductionInstance, Reduction
                 if scope not in seen:
                     seen.add(scope)
                     out_cons.append(Constraint(clause_relation((0, 0), "OR2"), scope))
-    man_lits = frozenset(man)
+    man_mask = hyp_mask(man)
     compiled = compile_kb(kb)
     for size in range(1, k + 1):
         for subset in itertools.combinations(sorted(hyp), size):
-            if not decide(compiled, man_lits | frozenset(subset)):
+            if not decide(compiled, man_mask | hyp_mask(subset)):
                 scope = tuple(subset)
                 if scope not in seen:
                     seen.add(scope)

@@ -31,18 +31,18 @@ copied; propagation checks only the constraints touched since the last check
 (Chaff, Moskewicz et al., DAC 2001).  Formulas are read through each
 relation's cached code set, so a call copies no relation.
 
-decide answers KB ∧ literals on a KB that compile_kb compiled: its search
-and its propagated root, in the search's start slot.  The literals are
-assumptions OR-ed into the root's masks, and the search starts by checking
-the constraints they touch (MiniSat, Een & Sorensson, SAT 2003; the IPASIR
-assumption interface, Balyo, Biere, Iser & Sinz, AI 241, 2016).  The solvers
+decide answers KB ∧ assumptions on a KB compiled by compile_kb (its search
+and propagated root, in start).  The assumptions are two variable-bit masks,
+positive and negated, OR-ed into the root's masks, and the search starts at
+the constraints of the newly set variables (MiniSat, Een & Sorensson, SAT
+2003; IPASIR, Balyo, Biere, Iser & Sinz, AI 241, 2016).  The solvers
 compile their KB once per call, so the calls of one solver call share its
 memos, and nothing outlives the solver call.  The compiled KB also keeps one
 cube, the (amask, vmask) of the last satisfied node a decide call on it
 reached.  decide answers True without searching when the new masks agree
 with the cube on every variable both set: every completion of the cube is a
-model of the KB, whatever literals that call assumed, and the agreeing
-literals extend it (the counterexample cache of KLEE, Cadar, Dunbar &
+model of the KB, whatever that call assumed, and the agreeing assumptions
+extend it (the counterexample cache of KLEE, Cadar, Dunbar &
 Engler, OSDI 2008, kept as one witness).  A searched True replaces the cube;
 a False leaves it.
 
@@ -71,8 +71,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
-from .core import (EMPTY, FULL, OPEN, UNIT, Formula, StructureError, restriction,
-                   submasks)
+from .core import (EMPTY, FULL, OPEN, UNIT, Formula, StructureError, hyp_mask,
+                   restriction, submasks)
 from .langlib import ConstraintLanguage, minor
 
 
@@ -128,7 +128,7 @@ class _Search:
     (amask, vmask, live), or None on a conflict, and cube: None, or the
     (amask, vmask) of the last satisfied node decide reached on it.  Every
     completion of the cube is a model of the KB, so decide answers True
-    unsearched when the new literals agree with it."""
+    unsearched when the new masks agree with it."""
 
     __slots__ = ("cons", "n", "vbits", "occ", "occbits", "smasks", "memos", "cube", "start")
 
@@ -349,39 +349,32 @@ def compile_kb(kb: Formula) -> _Search:
     return search
 
 
-def decide(kb: _Search, lits: Iterable[int] = ()) -> bool:
-    """True iff KB ∧ lits has a model (free variables are irrelevant), for a
-    KB compiled by compile_kb.
+def decide(kb: _Search, pos: int = 0, neg: int = 0) -> bool:
+    """True iff KB ∧ the assumptions has a model, for a KB compiled by
+    compile_kb; pos and neg are the variable-bit masks of the assumed
+    positive and negated literals.
 
-    The literals are assumptions OR-ed into the masks of the KB's root.  If
-    those masks agree with the KB's cube, the answer is True unsearched;
-    otherwise a searched True makes the first satisfied node the cube.
-    Raises StructureError on a literal 0 or past the KB's variables."""
-    start = kb.start
-    amask, vmask, live = start or (0, 0, 0)
-    vbits, n = kb.vbits, kb.n
-    clash = start is None
-    new = []
-    for lit in lits:
-        v = lit if lit > 0 else -lit
-        if not 0 < v <= n:
-            raise StructureError(f"literal {lit} outside variable range")
-        bit = vbits[v]
-        if amask & bit:
-            # a literal against a value the root forced, or x and -x together
-            if (vmask & bit != 0) != (lit > 0):
-                clash = True
-            continue
-        amask |= bit
-        if lit > 0:
-            vmask |= bit
-        new.append(v)
-    if clash:
+    The masks are OR-ed into those of the KB's root.  If the result agrees
+    with the KB's cube, the answer is True unsearched; otherwise a searched
+    True makes the first satisfied node the cube.  Raises StructureError on
+    a mask bit past the KB's variables, before any other check."""
+    if (pos | neg) >> kb.n:
+        raise StructureError(f"assumption past variable {kb.n}")
+    amask, vmask, live = kb.start or (0, 0, 0)
+    # a root conflict, x and ¬x assumed, or an assumption against a forced value
+    if kb.start is None or pos & neg or (pos & ~vmask | neg & vmask) & amask:
         return False
-    cube = kb.cube
-    if cube is not None and not (vmask ^ cube[1]) & amask & cube[0]:
+    new = (pos | neg) & ~amask
+    amask |= new
+    vmask |= pos
+    if (cube := kb.cube) is not None and not (vmask ^ cube[1]) & amask & cube[0]:
         return True
-    node = next(_search(kb, (kb.touched(new), amask, vmask, live), _variable_branching,
+    touched = set()  # the constraints of the newly set variables
+    while new:
+        b = new & -new
+        touched.update(kb.occ[b.bit_length()])
+        new ^= b
+    node = next(_search(kb, (touched, amask, vmask, live), _variable_branching,
                         EnumStats()), None)
     if node is None:
         return False
@@ -433,13 +426,6 @@ def sparse_enumerate(phi: Formula, lang: ConstraintLanguage, r0: int = 1) -> Mod
 
 def weight(sigma: int, hmask: int) -> int:
     return (sigma & hmask).bit_count()
-
-
-def hyp_mask(hypotheses: Iterable[int]) -> int:
-    m = 0
-    for v in hypotheses:
-        m |= 1 << (v - 1)
-    return m
 
 
 def enumerate_weight_ordered(phi: Formula, hypotheses: Iterable[int],

@@ -203,37 +203,38 @@ def oracle_positive_explanations(inst: AbductionInstance) -> tuple[frozenset[fro
 # ---------------------------------------------------------------------------
 
 def _baseline(inst: AbductionInstance, sat: SatDecider, algorithm: str,
-              candidate: Callable[[int, list[int]], frozenset[int]]) -> AbdResult:
-    """Try candidate(mask, sorted H) for the 2^|H| submasks of the H mask in
-    increasing order, which is binary counting over sorted H."""
+              full: bool) -> AbdResult:
+    """Try the positive or full candidate of each of the 2^|H| submasks of
+    the H mask in increasing order, which is binary counting over sorted H."""
     pre = preprocess(inst)
     stats = EnumStats()
     if pre.verdict == TRIVIALLY_NO:
         return _no(algorithm, stats)
     inst = pre.instance
     kb = compile_kb(inst.kb)
-    hyp = sorted(inst.hypotheses)
-    for mask in submasks(hyp_mask(hyp)):
+    hmask = hyp_mask(inst.hypotheses)
+    for mask in submasks(hmask):
         stats.branch_nodes += 1
-        lits = candidate(mask, hyp)
+        neg = hmask ^ mask if full else 0
         stats.leaves += 1
-        if not sat(kb, lits):
+        if not sat(kb, mask, neg):
             continue
         stats.leaves += len(inst.manifestations)
-        if entails(kb, lits, inst.manifestations, sat):
-            return _yes(pre, lits, stats, algorithm)
+        if entails(kb, mask, neg, inst.manifestations, sat):
+            witness = (_full if full else _positive)(mask, inst.hypotheses)
+            return _yes(pre, witness, stats, algorithm)
     return _no(algorithm, stats)
 
 
 def baseline_abd(inst: AbductionInstance, sat: SatDecider = decide) -> AbdResult:
     """Try all 2^|H| full candidates; per candidate one satisfiability check
     and one unsatisfiability check per manifestation."""
-    return _baseline(inst, sat, "baseline-abd", _full)
+    return _baseline(inst, sat, "baseline-abd", full=True)
 
 
 def baseline_pabd(inst: AbductionInstance, sat: SatDecider = decide) -> AbdResult:
     """As baseline_abd but over the 2^|H| positive subsets E ⊆ H."""
-    return _baseline(inst, sat, "baseline-pabd", _positive)
+    return _baseline(inst, sat, "baseline-pabd", full=False)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +304,9 @@ def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
         previously removed elements into delta, so each subset of H is
         visited at most once.
 
-    An explicit stack holds one (D, delta, next child) entry per level: space
-    stays O(|H|^2) cells and depth is not bounded by the recursion limit.
+    D, delta and E are variable-bit masks, and G is the assumptions (E, H − E).
+    An explicit stack holds one (D, delta, D's bits not yet removed) entry per
+    level: space stays O(|H|^2) bits, and depth is not bounded by recursion.
     """
     algorithm = "pabd-rec"
     pre = preprocess(inst)
@@ -313,41 +315,41 @@ def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
         return _no(algorithm, stats)
     inst = pre.instance
     kb = compile_kb(inst.kb)
-    hyp = tuple(sorted(inst.hypotheses))
+    hmask = hyp_mask(inst.hypotheses)
     man = sorted(inst.manifestations)
-    stack: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
-    d, delta = hyp, ()
+    stack: list[tuple[int, int, int]] = []
+    d, delta = hmask, 0
     while True:
         depth = len(stack) + 1
         stats.branch_nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
-        e = frozenset(d) | frozenset(delta)
+        e = d | delta
         if audit is not None:
             audit.max_depth = max(audit.max_depth, depth)
-            audit.max_frame_cells = max(audit.max_frame_cells, len(d) + len(delta))
-            if e in audit.visited:
-                audit.duplicate_visits += 1
-            audit.visited.add(e)
-        g = e | frozenset(-x for x in hyp if x not in e)
-        if not entails(kb, g, man, sat):
+            audit.max_frame_cells = max(audit.max_frame_cells, d.bit_count() + delta.bit_count())
+            visit = _positive(e, inst.hypotheses)
+            audit.duplicate_visits += visit in audit.visited
+            audit.visited.add(visit)
+        if not entails(kb, e, hmask ^ e, man, sat):
             stats.leaves += 1
-        elif sat(kb, g):
+        elif sat(kb, e, hmask ^ e):
             stats.leaves += 1
-            if entails(kb, e, man, sat):
-                return _yes(pre, e, stats, algorithm)
+            if entails(kb, e, 0, man, sat):
+                return _yes(pre, _positive(e, inst.hypotheses), stats, algorithm)
             # else a superset pattern violates M: the whole subtree is dead
         elif d:
-            stack.append((d, delta, 0))
+            stack.append((d, delta, d))
         else:
             stats.leaves += 1
         # preorder: the next child of the deepest level that has one left
-        while stack and stack[-1][2] == len(stack[-1][0]):
+        while stack and not stack[-1][2]:
             stack.pop()
         if not stack:
             return _no(algorithm, stats)
-        pd, pdelta, i = stack[-1]
-        stack[-1] = (pd, pdelta, i + 1)
-        d, delta = pd[i + 1:], pdelta + pd[:i]
+        pd, pdelta, rest = stack[-1]
+        b = rest & -rest  # remove b, keep D above b, lock D below b
+        stack[-1] = (pd, pdelta, rest ^ b)
+        d, delta = pd & ~((b << 1) - 1), pdelta | pd & (b - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +434,7 @@ def pabd_one_valid(inst: AbductionInstance) -> AbdResult:
         return _no(algorithm, stats)
     inst = pre.instance
     stats.leaves = len(inst.manifestations)
-    if entails(compile_kb(inst.kb), inst.hypotheses, inst.manifestations, decide):
+    if entails(compile_kb(inst.kb), hyp_mask(inst.hypotheses), 0, inst.manifestations, decide):
         return _yes(pre, inst.hypotheses, stats, algorithm)
     return _no(algorithm, stats)
 

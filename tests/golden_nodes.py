@@ -8,8 +8,8 @@ Each line of "entries" is one (engine, family, n, seed) run.  It holds
 the answer and witness, the EnumStats counters (branch_nodes, leaves,
 models_emitted, max_depth) and, for engines that take a `sat=` callback, the
 number of SAT calls and a sha256 of the (constraint count, result) sequence
-of those calls, where a call sat(kb, lits) counts |KB| + |lits| constraints
-(the KB's and one unit per literal).  For a model stream, the answer is a
+of those calls, where a call sat(kb, pos, neg) counts |KB| + |pos| + |neg|
+constraints (the KB's and one unit per assumed literal; see _CountingSat).  For a model stream, the answer is a
 sha256 of the models in emission order.  Node counts do not depend on the
 machine, so test_golden_nodes.py recomputes the file and compares it
 exactly.
@@ -40,14 +40,20 @@ def _sha(items) -> str:
 
 
 class _CountingSat:
-    """A `sat=` callback that records every call to satenum.decide."""
+    """A `sat=` callback that records every call to satenum.decide, counting
+    |KB| + |pos| + |neg| constraints.  This is the |KB| + |lits| that the
+    file was first written with, when a call took a list of literals: no
+    call on these pools lists a literal twice or both x and ¬x (the
+    manifestation ¬m never lands on an assumed hypothesis, since no
+    instance here keeps a variable in both H and M after preprocessing), so
+    each literal is one mask bit."""
 
     def __init__(self) -> None:
         self.calls: list[tuple[int, bool]] = []
 
-    def __call__(self, kb, lits) -> bool:
-        result = decide(kb, lits)
-        self.calls.append((len(kb.cons) + len(lits), result))
+    def __call__(self, kb, pos: int, neg: int) -> bool:
+        result = decide(kb, pos, neg)
+        self.calls.append((len(kb.cons) + pos.bit_count() + neg.bit_count(), result))
         return result
 
 

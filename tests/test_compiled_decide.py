@@ -1,9 +1,9 @@
 """satenum.decide on a KB compiled by compile_kb starts from the KB's
-propagated root and applies the literals as assumptions.  Its answers must
-equal decide on a fresh compile of KB ∧ literals, built with the public
-constructor as the KB's constraints plus one TOP/BOT unit per literal, and
-the brute-force truth table.  A compiled KB, its memos and its cube belong to
-one solver call."""
+propagated root and applies the literals, given as the masks of
+core.literal_masks, as assumptions.  Its answers must equal decide on a fresh
+compile of KB ∧ literals, built with the public constructor as the KB's
+constraints plus one TOP/BOT unit per literal, and the brute-force truth
+table.  A compiled KB, its memos and its cube belong to one solver call."""
 
 import dataclasses
 import itertools
@@ -13,8 +13,8 @@ import pytest
 
 from abductor import satenum, solvers
 from abductor.core import (BOT, FALSE0, TOP, TRUE0, AbductionInstance,
-                           Constraint, Formula, Relation, columns, entails,
-                           formula, truth_table)
+                           Constraint, Formula, Relation, StructureError, columns,
+                           entails, formula, literal_masks, truth_table)
 from abductor.harness import verify
 from abductor.langlib import clause_relation, imp, nae, one_in_k, parity
 from abductor.satenum import compile_kb, decide
@@ -44,13 +44,14 @@ def check_kb(kb: Formula, max_size: int) -> int:
         public = Formula(n, kb.constraints + units(lits))
         table = truth_table(public)
         want = bool(table)
-        assert decide(compiled, lits) is want, (kb, lits)
+        pos, neg = literal_masks(lits)
+        assert decide(compiled, pos, neg) is want, (kb, lits)
         assert decide(compile_kb(public)) is want, (kb, lits)
         for m in range(1, n + 1):
             # KB ∧ E ⊨ m iff no model of KB ∧ E sets m to 0
             entailed = not table & cols[m - 1][0]
-            assert entails(compiled, lits, [m], decide) is entailed, (kb, lits, m)
-            assert entails(compile_kb(public), (), [m], decide) is entailed, (kb, lits, m)
+            assert entails(compiled, pos, neg, [m], decide) is entailed, (kb, lits, m)
+            assert entails(compile_kb(public), 0, 0, [m], decide) is entailed, (kb, lits, m)
         count += 1
     return count
 
@@ -128,27 +129,71 @@ class TestCompiledDecide:
     def test_literals_on_variables_the_root_forces(self):
         kb = formula(4, [(TOP, (1,)), (imp(), (1, 2)), (one_in_k(2), (2, 3))])
         compiled = compile_kb(kb)
-        assert decide(compiled, [1, 2, -3])
-        assert not decide(compiled, [-2])
-        assert not decide(compiled, [3])
-        assert not decide(compiled, [2, -2])
-        assert entails(compiled, [4], [1, 2], decide)
-        assert not entails(compiled, [], [3], decide)
+        assert decide(compiled, *literal_masks([1, 2, -3]))
+        assert not decide(compiled, *literal_masks([-2]))
+        assert not decide(compiled, *literal_masks([3]))
+        assert not decide(compiled, *literal_masks([2, -2]))
+        assert entails(compiled, *literal_masks([4]), [1, 2], decide)
+        assert not entails(compiled, 0, 0, [3], decide)
         check_kb(kb, 8)
+
+    def test_assumption_masks_that_clash(self):
+        """x and ¬x assumed together, and an assumption against a value the
+        root forced, answer False before the cube is looked at."""
+        kb = formula(4, [(TOP, (1,)), (imp(), (1, 2)), (one_in_k(2), (2, 3))])
+        compiled = compile_kb(kb)
+        assert compiled.start[:2] == (0b0111, 0b0011)
+        assert decide(compiled, 0b1000, 0)
+        assert compiled.cube is not None
+        assert not decide(compiled, 0b1000, 0b1000)
+        assert not decide(compiled, 0b1001, 0b1100)
+        # ¬x2 against the forced x2 = 1, x3 against the forced x3 = 0
+        assert not decide(compiled, 0, 0b0010)
+        assert not decide(compiled, 0b0100, 0)
+        # agreeing with the forced values is no clash
+        assert decide(compiled, 0b0011, 0b0100)
+        # ¬m on an assumed m: KB ∧ E ⊨ m; on an assumed ¬m: not, when KB ∧ E has a model
+        assert entails(compiled, 0b1000, 0, [4], decide)
+        assert not entails(compiled, 0, 0b1000, [4], decide)
+        assert entails(compiled, 0, 0, [1, 2], decide)
+        check_kb(kb, 8)
+
+    @pytest.mark.parametrize("pos, neg", [(0b10000, 0), (0, 0b10000), (0b10001, 0b00001),
+                                          (-1, 0), (0, -2)])
+    def test_a_mask_bit_past_the_variables(self, pos, neg):
+        """A bit past n raises, also together with x and ¬x, after a clash
+        with the root and on a KB that conflicts at its root."""
+        compiled = compile_kb(formula(4, [(TOP, (1,))]))
+        with pytest.raises(StructureError):
+            decide(compiled, pos, neg)
+        with pytest.raises(StructureError):
+            decide(compiled, pos | 0b0010, neg | 0b0011)
+        with pytest.raises(StructureError):
+            decide(compile_kb(formula(4, [(FALSE0, ())])), pos, neg)
+        with pytest.raises(StructureError):
+            entails(compiled, 0, 0, [5], decide)
+
+    def test_literal_masks(self):
+        assert literal_masks([]) == (0, 0)
+        assert literal_masks([1, -2, 3, -3, 3]) == (0b101, 0b110)
+        assert literal_masks(iter([-5])) == (0, 0b10000)
+        for lits in ([0], [1, 0, -2]):
+            with pytest.raises(StructureError):
+                literal_masks(lits)
 
     def test_no_variables(self):
         for kb, want in ((Formula(0, ()), True), (formula(0, [(TRUE0, ())]), True),
                          (formula(0, [(FALSE0, ())]), False)):
             assert decide(compile_kb(kb)) is want
-            assert decide(compile_kb(kb), []) is want
+            assert decide(compile_kb(kb), 0, 0) is want
             assert check_kb(kb, 2) == 1
 
     def test_the_base_is_compiled_once(self, searches):
         """decide and entails calls on one compiled KB all search on it."""
         compiled = compile_kb(formula(3, [(one_in_k(2), (1, 2)), (imp(), (2, 3))]))
-        assert decide(compiled, [1])
-        assert not entails(compiled, [1], [2], decide)
-        assert decide(compiled, [-1, 3])
+        assert decide(compiled, *literal_masks([1]))
+        assert not entails(compiled, *literal_masks([1]), [2], decide)
+        assert decide(compiled, *literal_masks([-1, 3]))
         assert searches and all(s is compiled for s in searches)
 
     def test_public_formula_stores_nothing(self):
@@ -156,7 +201,7 @@ class TestCompiledDecide:
         public = Formula(3, kb.constraints + units([1, -2, 3]))
         assert [f.name for f in dataclasses.fields(Formula)] == ["num_vars", "constraints"]
         assert decide(compile_kb(public))
-        assert decide(compile_kb(kb), [1, -2, 3])
+        assert decide(compile_kb(kb), *literal_masks([1, -2, 3]))
         inst = AbductionInstance(kb, frozenset({1, 2}), frozenset({3}))
         for engine in solvers.ENGINES:
             if engine.applies is None or engine.applies(inst):
@@ -167,7 +212,7 @@ class TestCompiledDecide:
     def test_a_cube_hit_does_not_search(self, monkeypatch):
         kb = positive_chain()
         compiled = compile_kb(kb)
-        assert decide(compiled, [1])
+        assert decide(compiled, *literal_masks([1]))
         # x1 assumed; x2 = 0 is the first branch and forces x3 = 1; x4 is free
         cube = compiled.cube
         assert cube == (0b0111, 0b0101)
@@ -178,20 +223,20 @@ class TestCompiledDecide:
 
         monkeypatch.setattr(satenum, "_search", no_search)
         for lits in ([], [1, -2, 3], [3, 4], [-4], [-2, 3]):
-            assert decide(compiled, lits), lits
+            assert decide(compiled, *literal_masks(lits)), lits
         # KB ∧ x1 ∧ -x2 is the cube's own query
-        assert not entails(compiled, [1], [2], decide)
+        assert not entails(compiled, *literal_masks([1]), [2], decide)
         assert compiled.cube is cube
 
     def test_cube_misses_search(self, searches):
         kb = positive_chain()
         compiled = compile_kb(kb)
-        assert decide(compiled, [1])
+        assert decide(compiled, *literal_masks([1]))
         assert compiled.cube == (0b0111, 0b0101)
         table = truth_table(kb)
         # x2 = 1 is against the cube and satisfiable: the search replaces it
         searches.clear()
-        assert decide(compiled, [2]) is True
+        assert decide(compiled, *literal_masks([2])) is True
         assert searches == [compiled]
         cube = compiled.cube
         assert cube[0] & 0b0010 and cube[1] & 0b0010
@@ -201,14 +246,14 @@ class TestCompiledDecide:
         lits = [-2, -3]
         assert not truth_table(Formula(4, kb.constraints + units(lits)))
         searches.clear()
-        assert decide(compiled, lits) is False
+        assert decide(compiled, *literal_masks(lits)) is False
         assert searches == [compiled]
         assert compiled.cube is cube
 
     def test_public_formula_leaves_no_cube(self, searches):
         kb = positive_chain()
         compiled = compile_kb(kb)
-        assert decide(compiled, [1])
+        assert decide(compiled, *literal_masks([1]))
         cube = compiled.cube
         # the same constraints against the cube, through the public constructor
         public = compile_kb(Formula(kb.num_vars, kb.constraints + units([-1, 2, -3, 4])))
@@ -221,7 +266,7 @@ class TestCompiledDecide:
         again = compile_kb(kb)
         assert again.cube is None
         searches.clear()
-        assert decide(again, [1])
+        assert decide(again, *literal_masks([1]))
         assert searches == [again]
 
     def test_each_solver_call_compiles_its_own_kb(self, searches):

@@ -6,7 +6,7 @@ from abductor.core import (AbductionInstance, Constraint, Formula, Relation,
                            StructureError, TRIVIALLY_NO, TRIVIALLY_REDUCED,
                            UNCHANGED, BOT, TOP, assignment_from_values,
                            entails, evaluate, formula, is_explanation,
-                           preprocess)
+                           literal_masks, preprocess)
 from abductor.harness import io
 from abductor.langlib import clause_relation, one_in_k
 from abductor.satenum import compile_kb, decide
@@ -116,41 +116,43 @@ class TestConjoin:
         for lits in ([1, -2], [1, 2], [-1, -2], [2]):
             public = Formula(2, phi.constraints + tuple(
                 Constraint(TOP if l > 0 else BOT, (abs(l),)) for l in lits))
-            assert decide(compile_kb(phi), lits) is bool(brute_models(public)), lits
+            assert decide(compile_kb(phi), *literal_masks(lits)) is bool(brute_models(public)), lits
 
     def test_literal_out_of_range(self):
         with pytest.raises(StructureError):
-            decide(compile_kb(formula(1, [])), [2])
+            decide(compile_kb(formula(1, [])), *literal_masks([2]))
 
     @pytest.mark.parametrize("lit", [0, 4, -4])
     def test_literal_zero_or_past_num_vars(self, lit):
         kb = compile_kb(formula(3, [(one_in_k(2), (1, 2))]))
         with pytest.raises(StructureError):
-            decide(kb, [1, lit])
+            decide(kb, *literal_masks([1, lit]))
         # also after a literal that clashes with the first, and on a KB that
         # conflicts at its root
         with pytest.raises(StructureError):
-            decide(kb, [1, -1, lit])
+            decide(kb, *literal_masks([1, -1, lit]))
         with pytest.raises(StructureError):
-            decide(compile_kb(formula(3, [(Relation(2, ()), (1, 2))])), [lit])
+            decide(compile_kb(formula(3, [(Relation(2, ()), (1, 2))])), *literal_masks([lit]))
 
     @pytest.mark.parametrize("m", [0, 4, -1])
     def test_entails_manifestation_out_of_range(self, m):
         kb = compile_kb(formula(3, [(one_in_k(2), (1, 2))]))
         with pytest.raises(StructureError):
-            entails(kb, [], [m], decide)
+            entails(kb, 0, 0, [m], decide)
 
     def test_extended_formula_equals_the_public_constructor(self):
-        """entails asks the SAT callback KB ∧ E ∧ ¬m, and decide on the
-        compiled KB with those literals answers as a fresh compile of the
-        public formula with one TOP/BOT unit per literal."""
+        """entails asks the SAT callback KB ∧ E ∧ ¬m as the masks of E with
+        m's bit added to the negated ones, and decide on the compiled KB with
+        those masks answers as a fresh compile of the public formula with one
+        TOP/BOT unit per literal."""
         phi = formula(3, [(one_in_k(2), (1, 2)), (clause_relation((0, 1)), (2, 3))])
         kb = compile_kb(phi)
         seen = []
-        assert not entails(kb, [1], [3, 2], lambda k, lits: seen.append((k, lits)) or True)
-        assert seen == [(kb, [1, -3])]
+        assert not entails(kb, *literal_masks([1]), [3, 2],
+                           lambda k, pos, neg: seen.append((k, pos, neg)) or True)
+        assert seen == [(kb, *literal_masks([1, -3]))]
         public = Formula(3, phi.constraints + (Constraint(TOP, (1,)), Constraint(BOT, (3,))))
-        assert decide(kb, [1, -3]) is decide(compile_kb(public))
+        assert decide(kb, *literal_masks([1, -3])) is decide(compile_kb(public))
 
     def test_compiled_base_leaves_equality_repr_and_text_alone(self):
         kb = formula(3, [(one_in_k(2), (1, 2)), (clause_relation((0, 1)), (2, 3))])
@@ -158,7 +160,7 @@ class TestConjoin:
         text = io.write_text(AbductionInstance(kb, frozenset({1, 3}), frozenset({2})))
         brute_models.cache_clear()
         models = brute_models(kb)
-        assert decide(compile_kb(kb), [1, -3]) == decide(compile_kb(public))
+        assert decide(compile_kb(kb), *literal_masks([1, -3])) == decide(compile_kb(public))
         assert is_explanation(AbductionInstance(kb, frozenset({1, 3}), frozenset({2})), {-1})
         again = formula(3, [(one_in_k(2), (1, 2)), (clause_relation((0, 1)), (2, 3))])
         assert kb == again and hash(kb) == hash(again) and repr(kb) == repr(again)

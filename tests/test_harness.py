@@ -4,10 +4,11 @@ import sys
 
 import pytest
 
-from abductor.core import AbductionInstance, Relation, formula, preprocess
+from abductor.core import (TRIVIALLY_NO, AbductionInstance, Explanation, Relation, formula,
+                           is_explanation, preprocess)
 from abductor.langlib import one_in_k
 from abductor.satenum import EnumStats
-from abductor.solvers import ENGINES, AbdResult
+from abductor.solvers import ENGINES, AbdResult, Engine
 from abductor.harness import bench, generators, io, verify
 from abductor.harness.cli import main as cli_main
 
@@ -121,6 +122,43 @@ class TestVerifySweeps:
         fails = verify.check_solvers(inst)
         assert any(f.kind == "baseline-abd" for f in fails)
 
+    def test_a_bad_witness_is_checked_once_and_found_per_row(self, monkeypatch):
+        """check_solvers checks each distinct witness of an instance once,
+        and each row that returns a bad one gets its own finding."""
+        inst = example1_instance()
+        bad = frozenset({-1})
+        assert verify.oracle_abd(inst).answer and not is_explanation(inst, bad)
+
+        def solve(inst):
+            return AbdResult(True, Explanation(bad), EnumStats(), "bad")
+
+        checks = []
+
+        def counted(inst, lits):
+            checks.append(lits)
+            return is_explanation(inst, lits)
+
+        monkeypatch.setattr(verify, "ENGINES", (Engine("bad-one", "abd", "one", solve),
+                                                Engine("bad-two", "abd", "two", solve)))
+        monkeypatch.setattr(verify, "is_explanation", counted)
+        fails = verify.check_solvers(inst)
+        assert [f.kind for f in fails] == ["bad-one", "bad-two"]
+        assert all("is not an explanation" in f.detail for f in fails)
+        assert checks == [bad]
+
+    def test_solvers_where_h_and_m_overlap_after_preprocess(self):
+        """The exhaustive pool has no instance whose preprocessed H and M
+        overlap; these audit instances do, so a SAT call's ¬m can land on an
+        assumed hypothesis."""
+        overlap = []
+        for inst in verify.preprocess_audit_instances():
+            pre = preprocess(inst)
+            if pre.verdict != TRIVIALLY_NO and pre.instance.hypotheses & pre.instance.manifestations:
+                overlap.append(inst)
+        assert len(overlap) == 873
+        fails = [f for inst in overlap for f in verify.check_solvers(inst)]
+        assert not fails, [(f.kind, f.detail, f.instance_text) for f in fails[:3]]
+
     def test_minimizer_shrinks(self):
         inst = generators.gen_xsat(8, 2)
         target = verify.oracle_abd(inst).answer
@@ -135,7 +173,6 @@ class TestVerifySweeps:
     def test_preprocess_answer_preserving_exhaustive(self):
         # Lemma-6 normalization never changes either oracle verdict, checked
         # over every small KB with outside-KB hypothesis/manifestation splits
-        from abductor.core import TRIVIALLY_NO
         checked = 0
         for inst in verify.preprocess_audit_instances():
             res = preprocess(inst)

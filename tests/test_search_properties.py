@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from abductor import core
 from abductor.core import (BOT, FALSE0, TOP, TRUE0, AbductionInstance,
                            Constraint, Formula, Relation, columns, entails,
-                           formula, table_models, truth_table)
+                           formula, literal_masks, table_models, truth_table)
 from abductor.langlib import branching_closure, xsat_family
 from abductor.harness import verify
 from abductor.satenum import compile_kb, decide, enumerate_models, sparse_enumerate
@@ -104,7 +104,7 @@ def calls(draw, kb: Formula):
 @st.composite
 def assumptions(draw, n: int) -> list[int]:
     """At most four literals on distinct variables, so a conflict comes from
-    the KB and decide's literal loop lets the query reach the cube check."""
+    the KB and decide's clash check lets the query reach the cube check."""
     if n == 0:
         return []
     signs = draw(st.dictionaries(st.integers(1, n), st.booleans(), max_size=4))
@@ -146,8 +146,8 @@ class TestSearchProperties:
         kb = compile_kb(phi)
         assert decide(kb) is bool(truth_table(phi))
         lits = data.draw(literal_lists(phi.num_vars))
-        assert decide(kb, lits) is bool(truth_table(Formula(phi.num_vars,
-                                                            phi.constraints + units(lits))))
+        assert decide(kb, *literal_masks(lits)) is bool(
+            truth_table(Formula(phi.num_vars, phi.constraints + units(lits))))
 
     @settings(PROPERTY, max_examples=100)
     @given(formulas(rels=st.sampled_from(XSAT_RELATIONS)))
@@ -167,15 +167,16 @@ class TestSearchProperties:
         queries = st.one_of(calls(kb), assumption_calls(kb))
         for call in data.draw(st.lists(queries, min_size=1, max_size=8)):
             lits = literals(call)
+            pos, neg = literal_masks(lits)
             public = Formula(n, kb.constraints + units(lits))
             table = truth_table(public)
             if call[0] == "entails":
                 # KB ∧ E ⊨ M iff no model of KB ∧ E sets some m in M to 0
                 want = not any(table & cols[m - 1][0] for m in call[2])
-                assert entails(compiled, lits, call[2], decide) is want, call
-                assert entails(compile_kb(public), (), call[2], decide) is want, call
+                assert entails(compiled, pos, neg, call[2], decide) is want, call
+                assert entails(compile_kb(public), 0, 0, call[2], decide) is want, call
             else:
-                assert decide(compiled, lits) is bool(table), call
+                assert decide(compiled, pos, neg) is bool(table), call
                 assert decide(compile_kb(public)) is bool(table), call
 
     @settings(PROPERTY, max_examples=100)
@@ -189,12 +190,13 @@ class TestSearchProperties:
         compiled = compile_kb(kb)
         for call in data.draw(st.lists(assumption_calls(kb), min_size=1, max_size=8)):
             lits = literals(call)
+            pos, neg = literal_masks(lits)
             table = truth_table(Formula(n, kb.constraints + units(lits)))
             if call[0] == "entails":
                 want = not any(table & cols[m - 1][0] for m in call[2])
-                assert entails(compiled, lits, call[2], decide) is want, call
+                assert entails(compiled, pos, neg, call[2], decide) is want, call
             else:
-                assert decide(compiled, lits) is bool(table), call
+                assert decide(compiled, pos, neg) is bool(table), call
             cube = compiled.cube
             if cube is None:
                 continue
@@ -223,12 +225,13 @@ class TestSearchProperties:
                     assert sorted(got) == table_models(truth_table(step))
                     continue
                 lits = literals(step)
+                pos, neg = literal_masks(lits)
                 table = truth_table(Formula(n, kb.constraints + units(lits)))
                 if step[0] == "entails":
                     want = not any(table & cols[m - 1][0] for m in step[2])
-                    assert entails(compiled, lits, step[2], decide) is want, step
+                    assert entails(compiled, pos, neg, step[2], decide) is want, step
                 else:
-                    assert decide(compiled, lits) is bool(table), step
+                    assert decide(compiled, pos, neg) is bool(table), step
         for (_, scope), memo in zip(compiled.cons, compiled.memos):
             assert len(memo) <= 3 ** len(set(scope))
 
