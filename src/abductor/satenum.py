@@ -367,13 +367,12 @@ def decide(kb: _Search, pos: int = 0, neg: int = 0) -> bool:
     new = (pos | neg) & ~amask
     amask |= new
     vmask |= pos
-    if (cube := kb.cube) is not None and not (vmask ^ cube[1]) & amask & cube[0]:
+    cube = kb.cube
+    if cube is not None and not (vmask ^ cube[1]) & amask & cube[0]:
         return True
-    touched = set()  # the constraints of the newly set variables
-    while new:
-        b = new & -new
-        touched.update(kb.occ[b.bit_length()])
-        new ^= b
+    # the constraints of the newly set variables, found by one AND per scope
+    # mask: a searched True drops every live constraint anyway
+    touched = [i for i, smask in enumerate(kb.smasks) if smask & new]
     node = next(_search(kb, (touched, amask, vmask, live), _variable_branching,
                         EnumStats()), None)
     if node is None:
