@@ -9,8 +9,8 @@ the answer and witness, the EnumStats counters (branch_nodes, leaves,
 models_emitted, max_depth) and, for engines that take a `sat=` callback, the
 number of SAT calls and a sha256 of the (constraint count, result) sequence
 of those calls, where a call sat(kb, pos, neg) counts |KB| + |pos| + |neg|
-constraints (the KB's and one unit per assumed literal; see _CountingSat).  For a model stream, the answer is a
-sha256 of the models in emission order.  Node counts do not depend on the
+constraints (the KB's and one unit per assumed literal; see _CountingSat).
+For a model stream, the answer is a sha256 of the models in emission order.  Node counts do not depend on the
 machine, so test_golden_nodes.py recomputes the file and compares it
 exactly.
 """
@@ -41,8 +41,8 @@ def _sha(items) -> str:
 
 class _CountingSat:
     """A `sat=` callback that records every call to satenum.decide, counting
-    |KB| + |pos| + |neg| constraints.  This is the |KB| + |lits| that the
-    file was first written with, when a call took a list of literals: no
+    |KB| + |pos| + |neg| constraints.  This equals the |KB| + |lits| the
+    golden file was recorded with when a call took a list of literals: no
     call on these pools lists a literal twice or both x and ¬x (the
     manifestation ¬m never lands on an assumed hypothesis, since no
     instance here keeps a variable in both H and M after preprocessing), so
