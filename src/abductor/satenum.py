@@ -2,15 +2,16 @@
 
 decide, enumerate_models and sparse_enumerate share one internal constraint
 form (tuple-code set + scope) and one iterative depth-first search loop,
-whose depth is not bounded by Python's recursion limit, with a pluggable
-branching policy:
+_search, whose depth is not bounded by Python's recursion limit and which
+applies one of two branching rules inline:
 
-  decide                  -- propagation + lowest-index variable branching,
-                             stopping at the first model
+  decide                  -- the variable rule: unit propagation, then the
+                             lowest-index variable; stops at the first model
   enumerate_models        -- same search, streaming every total model
-  sparse_enumerate        -- per-tuple constraint branching for languages
-                             closed under branching (eliminates a whole scope
-                             per branch)
+  sparse_enumerate        -- the tuple rule, for languages closed under
+                             branching: one branch per tuple of a whole
+                             constraint (eliminates its scope per branch),
+                             with no unit forced
 
 A search node is three ints: amask and vmask, the masks of the assigned
 variables and of their values, and live, a bitmask over constraint numbers
@@ -71,7 +72,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
-from .core import (EMPTY, FULL, OPEN, UNIT, Formula, StructureError, hyp_mask,
+from .core import (EMPTY, OPEN, UNIT, Formula, StructureError, hyp_mask,
                    restriction, submasks)
 from .langlib import ConstraintLanguage, minor
 
@@ -103,8 +104,9 @@ class ModelStream(Iterator[int]):
         self.stats = stats
         self.ordering = ordering
 
-    def __iter__(self) -> "ModelStream":
-        return self
+    def __iter__(self) -> Iterator[int]:
+        # the underlying iterator itself, so a for loop skips __next__
+        return self._it
 
     def __next__(self) -> int:
         return next(self._it)
@@ -180,23 +182,31 @@ class _Search:
             entry = memo[key] = restriction(codes, len(scope), hit, want)
         return entry
 
-    def touched(self, vs) -> list[int] | set[int]:
-        """The constraints the variables `vs` occur in."""
-        if len(vs) == 1:
-            for v in vs:
-                return self.occ[v]
-        return {i for v in vs for i in self.occ[v]}
+    def touched(self, bits: int) -> set[int]:
+        """The constraints the variables of the variable-bit mask `bits`
+        occur in."""
+        occ = self.occ
+        out: set[int] = set()
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            out.update(occ[low.bit_length()])
+        return out
 
 
-def _propagate(search: _Search, touched, amask: int, vmask: int, live: int):
-    """Check the touched live constraints: an empty one is a conflict (None),
-    a full one is dropped, and a unit is dropped and forces its variable; then
-    check the constraints the forced values touch, until none is forced.
-    Returns the new masks and live bitmask.  The fixpoint, and whether it
-    conflicts, do not depend on the order of the checks."""
-    vbits, smasks, memos, n = search.vbits, search.smasks, search.memos, search.n
+def _propagate(search: _Search, touched, amask: int, vmask: int, live: int,
+               units: bool = True):
+    """Check the touched live constraints: an empty one is a conflict (None)
+    and a full one is dropped.  With `units`, a unit is dropped and forces its
+    variable, and the constraints the forced values touch are checked next,
+    until none is forced; without, a unit stays live.  Returns the new masks
+    and live bitmask.  The fixpoint, and whether it conflicts, do not depend
+    on the order of the checks."""
+    cons, vbits, occ = search.cons, search.vbits, search.occ
+    smasks, memos, n = search.smasks, search.memos, search.n
     while True:
-        forced: dict[int, bool] = {}
+        # the bits of the variables forced in this pass, and of those forced to 1
+        fa = fv = 0
         for i in touched:
             cbit = 1 << i
             if not live & cbit:
@@ -207,129 +217,126 @@ def _propagate(search: _Search, touched, amask: int, vmask: int, live: int):
                 continue
             if kind == EMPTY:
                 return None
-            live ^= cbit
             if kind == UNIT:
-                val = 1 in out
-                if forced.setdefault(search.cons[i][1][keep[0]], val) != val:
+                if not units:
+                    continue
+                b = vbits[cons[i][1][keep[0]]]
+                v = b if 1 in out else 0
+                if fa & b and fv & b != v:
                     return None
-        if not forced:
+                fa |= b
+                fv |= v
+            live ^= cbit
+        if not fa:
             return amask, vmask, live
-        for v, val in forced.items():
-            amask |= vbits[v]
-            if val:
-                vmask |= vbits[v]
-        touched = search.touched(forced)
+        amask |= fa
+        vmask |= fv
+        # one forced variable (the common case): its occurrence list
+        touched = search.touched(fa) if fa & fa - 1 else occ[fa.bit_length()]
 
 
-# A branching policy takes a node (the constraints touched since its last
-# check, its masks and its live bitmask) and the parent's branch variable.  It
-# returns None on a conflict, or (amask, vmask, live, branch variable, touched,
-# children): each child is the (amask, vmask) of one branch; every branch sets
-# the same variables, which touch the constraints `touched`; no children means
-# a satisfied node.
-
-def _variable_branching(search: _Search, touched, amask: int, vmask: int,
-                        live: int, var: int):
-    """Propagate; then branch on the lowest-index variable of a live
-    constraint.  A child's live variables are among its parent's, so the scan
-    for it starts at the parent's branch variable."""
-    node = _propagate(search, touched, amask, vmask, live)
-    if node is None:
-        return None
-    amask, vmask, live = node
-    if not live:
-        return amask, vmask, live, var, (), ()
-    occbits = search.occbits
-    while amask >> (var - 1) & 1 or not occbits[var] & live:
-        var += 1
-    bit = search.vbits[var]
-    a = amask | bit
-    return amask, vmask, live, var, search.occ[var], ((a, vmask), (a, vmask | bit))
-
-
-def _tuple_branching(search: _Search, touched, amask: int, vmask: int,
-                     live: int, var: int):
-    """Branch on the tuples of the constraint with the best local base."""
-    smasks, memos, n = search.smasks, search.memos, search.n
-    for i in touched:
-        cbit = 1 << i
-        if live & cbit:
-            a = amask & smasks[i]
-            kind = (memos[i].get(a << n | vmask & a) or search.entry(i, amask, vmask))[2]
-            if kind == EMPTY:
-                return None
-            if kind == FULL:
-                live ^= cbit
-    if not live:
-        return amask, vmask, live, var, (), ()
-    # best local branching base: fewest tuples per eliminated variable, the
-    # first such constraint in constraint order
-    best = None
-    rest = live
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        i = low.bit_length() - 1
-        a = amask & smasks[i]
-        entry = memos[i].get(a << n | vmask & a) or search.entry(i, amask, vmask)
-        base = len(entry[0]) ** (1.0 / len(entry[1]))
-        if best is None or base < best:
-            best, pick, (out, keep, _) = base, i, entry
-    kept = [search.cons[pick][1][j] for j in keep]
-    bits = [search.vbits[v] for v in kept]
-    a = amask | sum(bits)
-    children = []
-    for code in sorted(out):
-        sub = vmask
-        for j, bit in enumerate(bits):
-            if code >> j & 1:
-                sub |= bit
-        children.append((a, sub))
-    # the picked constraint is consumed by the branches
-    return amask, vmask, live ^ (1 << pick), var, search.touched(kept), children
-
-
-def _search(search: _Search, root, policy, stats: EnumStats) -> Iterator[tuple[int, int]]:
+def _search(search: _Search, root, stats: EnumStats,
+            tuples: bool = False) -> Iterator[tuple[int, int]]:
     """Depth-first search with an explicit stack, streaming the (amask, vmask)
     of every satisfied node.
 
     A node is three ints, the masks of the assigned variables and of their
     values and the live bitmask over constraint numbers, plus the constraints
-    touched since its last check; `root` is (touched, amask, vmask, live).  A
-    stack entry is one child: its masks, its parent's live bitmask and branch
-    variable, its depth and the constraints its branch touches.  Children are
-    pushed in reverse, so branches are explored in policy order.
+    touched since its last check; `root` is (touched, amask, vmask, live).
+    _propagate checks each node once.  A node that neither conflicts nor is
+    satisfied branches by one of two rules:
+
+      variable rule   -- on the lowest-index variable of a live constraint,
+                         0 first; a child's live variables are among its
+                         parent's, so the scan starts at the parent's branch
+                         variable
+      tuple rule      -- with `tuples`: on the tuples of the live constraint
+                         with the best local base (fewest tuples per
+                         eliminated variable, the first such in constraint
+                         order), in increasing code order; the branches
+                         consume the constraint, and the check forces no unit
+
+    The search enters the first child directly and pushes the others in
+    reverse, each as a stack entry: its masks, its parent's live bitmask and
+    branch variable, its depth and the constraints its branch touches.  The
+    counters are locals, written to `stats` before every yield and when the
+    search ends, so `stats` is exact whenever the stream is paused.
     """
     touched, amask, vmask, live = root
+    units = not tuples
+    cons, vbits, occ, occbits = search.cons, search.vbits, search.occ, search.occbits
+    smasks, memos, n = search.smasks, search.memos, search.n
     var = 1
     depth = 0
     stack = []
-    while True:
-        if depth > stats.max_depth:
-            stats.max_depth = depth
-        node = policy(search, touched, amask, vmask, live, var)
-        if node is None:
-            stats.leaves += 1
-        else:
-            amask, vmask, live, var, touched, children = node
-            if not children:
-                yield amask, vmask
+    nodes, max_depth, leaves = stats.branch_nodes, stats.max_depth, 0
+    try:
+        while True:
+            if depth > max_depth:
+                max_depth = depth
+            node = _propagate(search, touched, amask, vmask, live, units)
+            if node is None:
+                leaves += 1
             else:
-                stats.branch_nodes += 1
-                depth += 1
-                for a, v in reversed(children):
-                    stack.append((a, v, live, var, depth, touched))
-        if not stack:
-            return
-        amask, vmask, live, var, depth, touched = stack.pop()
+                amask, vmask, live = node
+                if not live:
+                    stats.branch_nodes, stats.max_depth = nodes, max_depth
+                    stats.leaves += leaves
+                    leaves = 0
+                    yield amask, vmask
+                else:
+                    nodes += 1
+                    depth += 1
+                    if units:
+                        while amask >> (var - 1) & 1 or not occbits[var] & live:
+                            var += 1
+                        bit = vbits[var]
+                        amask |= bit
+                        touched = occ[var]
+                        stack.append((amask, vmask | bit, live, var, depth, touched))
+                        continue
+                    best = None
+                    rest = live
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        i = low.bit_length() - 1
+                        a = amask & smasks[i]
+                        entry = memos[i].get(a << n | vmask & a) or search.entry(i, amask, vmask)
+                        base = len(entry[0]) ** (1.0 / len(entry[1]))
+                        if best is None or base < best:
+                            best, pick, (out, keep, _) = base, i, entry
+                    scope = cons[pick][1]
+                    bits = [vbits[scope[j]] for j in keep]
+                    kept = sum(bits)
+                    touched = search.touched(kept)
+                    live ^= 1 << pick
+                    amask |= kept
+                    subs = []
+                    for code in sorted(out):
+                        sub = vmask
+                        for j, bit in enumerate(bits):
+                            if code >> j & 1:
+                                sub |= bit
+                        subs.append(sub)
+                    for sub in reversed(subs[1:]):
+                        stack.append((amask, sub, live, var, depth, touched))
+                    vmask = subs[0]
+                    continue
+            if not stack:
+                return
+            amask, vmask, live, var, depth, touched = stack.pop()
+    finally:
+        stats.branch_nodes, stats.max_depth = nodes, max_depth
+        stats.leaves += leaves
 
 
-def _models(search: _Search, root, policy, stats: EnumStats) -> Iterator[int]:
+def _models(search: _Search, root, stats: EnumStats, tuples: bool = False) -> Iterator[int]:
     """The total models of _search's satisfied nodes: a node that sets every
     variable is one model, emitted inline; one with unconstrained variables
     is completed in every way on them, in increasing order."""
     full = (1 << search.n) - 1
-    for amask, vmask in _search(search, root, policy, stats):
+    for amask, vmask in _search(search, root, stats, tuples):
         if amask == full:
             stats.models_emitted += 1
             stats.leaves += 1
@@ -373,8 +380,7 @@ def decide(kb: _Search, pos: int = 0, neg: int = 0) -> bool:
     # the constraints of the newly set variables, found by one AND per scope
     # mask: a searched True drops every live constraint anyway
     touched = [i for i, smask in enumerate(kb.smasks) if smask & new]
-    node = next(_search(kb, (touched, amask, vmask, live), _variable_branching,
-                        EnumStats()), None)
+    node = next(_search(kb, (touched, amask, vmask, live), EnumStats()), None)
     if node is None:
         return False
     kb.cube = node
@@ -385,8 +391,7 @@ def enumerate_models(phi: Formula) -> ModelStream:
     """Stream exactly the set of total models over 1..num_vars, each once."""
     stats = EnumStats()
     search = _Search.of(phi)
-    return ModelStream(_models(search, search.root(), _variable_branching, stats), stats,
-                       UNORDERED)
+    return ModelStream(_models(search, search.root(), stats), stats, UNORDERED)
 
 
 def sparse_enumerate(phi: Formula, lang: ConstraintLanguage, r0: int = 1) -> ModelStream:
@@ -419,7 +424,7 @@ def sparse_enumerate(phi: Formula, lang: ConstraintLanguage, r0: int = 1) -> Mod
         start.append((rel._codeset, tuple(first)))
     stats = EnumStats()
     search = _Search(start, phi.num_vars)
-    return ModelStream(_models(search, search.root(), _tuple_branching, stats), stats,
+    return ModelStream(_models(search, search.root(), stats, tuples=True), stats,
                        UNORDERED)
 
 

@@ -30,13 +30,13 @@ from typing import Callable, Iterable
 
 from .core import (AbductionInstance, Explanation, FragmentError, Formula,
                    OracleCapError, PreprocessResult, TRIVIALLY_NO, entails,
-                   preprocess, satisfies_vars, submasks, SatDecider, columns,
+                   preprocess, submasks, SatDecider, columns,
                    table_models, truth_table)
 from .langlib import ConstraintLanguage, is_one_valid
 from .reductions import ReductionReport, abd_to_simplesat, is_kcnf_formula
 from .satenum import (EnumStats, ModelStream, WEIGHT_ORDERED, compile_kb,
                       decide, enumerate_models, enumerate_weight_ordered,
-                      hyp_mask, solve_simple_sat, weight)
+                      hyp_mask, solve_simple_sat)
 
 
 class OrderingContractError(RuntimeError):
@@ -253,14 +253,14 @@ def enum_abd(inst: AbductionInstance,
     inst = pre.instance
     if stream is None:
         stream = enumerate_models(inst.kb)
-    hmask = hyp_mask(inst.hypotheses)
+    hmask, mmask = hyp_mask(inst.hypotheses), hyp_mask(inst.manifestations)
     discarded: set[int] = set()
     potential: set[int] = set()
     for sigma in stream:
         proj = sigma & hmask
         if proj in discarded:
             continue
-        if satisfies_vars(sigma, inst.manifestations):
+        if sigma & mmask == mmask:
             potential.add(proj)
         else:
             discarded.add(proj)
@@ -361,8 +361,8 @@ def pabd_enum(inst: AbductionInstance,
     """Positive abduction from a non-increasing-w_H model stream.
 
     Runs the weight-ordered scheme (extract the positive candidate of each
-    model, discard on a violating model, push discards to immediate subsets),
-    then verifies survivors against the recorded violating patterns: the
+    model, discard on a violating model, push a discarded projection to its
+    immediate subsets once), then verifies survivors against the recorded violating patterns: the
     one-level discard propagation stalls on weight levels with no models, so
     a surviving candidate may still be covered by a wider violating pattern.
     The verified survivors, filtered to subset-maximal elements, are exactly
@@ -377,30 +377,33 @@ def pabd_enum(inst: AbductionInstance,
         stream = enumerate_weight_ordered(inst.kb, inst.hypotheses)
     if stream.ordering != WEIGHT_ORDERED:
         raise OrderingContractError("pabd_enum needs a weight-ordered stream")
-    hmask = hyp_mask(inst.hypotheses)
-    last_w: int | None = None
+    hmask, mmask = hyp_mask(inst.hypotheses), hyp_mask(inst.manifestations)
+    last_w = hmask.bit_count()
     discarded: set[int] = set()
+    pushed: set[int] = set()  # the discarded projections whose subsets are pushed
     potential: set[int] = set()
     bad_patterns: set[int] = set()
     for sigma in stream:
-        w = weight(sigma, hmask)
-        if last_w is not None and w > last_w:
+        proj = sigma & hmask
+        w = proj.bit_count()
+        if w > last_w:
             raise OrderingContractError("model stream weight increased")
         last_w = w
-        proj = sigma & hmask
+        if proj in pushed:
+            continue
         if proj not in discarded:
-            if satisfies_vars(sigma, inst.manifestations):
+            if sigma & mmask == mmask:
                 potential.add(proj)
-            else:
-                discarded.add(proj)
-                potential.discard(proj)
-                bad_patterns.add(proj)
-        if proj in discarded:
-            p = proj
-            while p:
-                bit = p & (-p)
-                discarded.add(proj & ~bit)
-                p ^= bit
+                continue
+            discarded.add(proj)
+            potential.discard(proj)
+            bad_patterns.add(proj)
+        pushed.add(proj)
+        p = proj
+        while p:
+            bit = p & -p
+            discarded.add(proj ^ bit)
+            p ^= bit
     survivors = [e for e in potential
                  if not any(e & b == e for b in bad_patterns)]
     maximal = _maximal(survivors)

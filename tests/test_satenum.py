@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abductor.core import Relation, evaluate, formula
-from abductor.langlib import (aff, branching_closure, clause_relation,
-                              equations_family, imp, nae, one_in_k, parity,
-                              xsat_family)
+from abductor.langlib import (ConstraintLanguage, aff, branching_closure,
+                              clause_relation, equations_family, imp, nae,
+                              one_in_k, parity, xsat_family)
 from abductor.satenum import (LanguageContractError, SimpleSatInstance,
                               WEIGHT_ORDERED, compile_kb, decide, enumerate_models,
                               enumerate_weight_ordered, hyp_mask,
@@ -104,6 +104,27 @@ class TestEnumerate:
             assert total.stats.branch_nodes == (1 << n) - 1
             assert half.stats.branch_nodes == min(n, 1)
 
+    def test_stats_are_exact_mid_stream(self):
+        # five independent X1OF2 pairs: each model is one root-to-leaf path
+        # of five branch nodes, and the stats count what was pulled so far
+        def stats(stream):
+            st = stream.stats
+            return st.branch_nodes, st.leaves, st.models_emitted, st.max_depth
+        chain = formula(10, [(one_in_k(2), (2 * i - 1, 2 * i)) for i in range(1, 6)])
+        stream = enumerate_models(chain)
+        next(stream)
+        assert stats(stream) == (5, 1, 1, 5)
+        next(stream)
+        assert stats(stream) == (5, 2, 2, 5)
+        assert len(list(stream)) == 30
+        assert stats(stream) == (31, 32, 32, 5)
+        # an odd cycle of X1OF2 ends in two conflicts and yields nothing
+        cycle = formula(3, [(one_in_k(2), (1, 2)), (one_in_k(2), (2, 3)),
+                            (one_in_k(2), (1, 3))])
+        stream = enumerate_models(cycle)
+        assert list(stream) == []
+        assert stats(stream) == (1, 2, 0, 1)
+
 
 class TestDeepSearch:
     def test_long_implication_chain_does_not_overflow(self):
@@ -170,6 +191,19 @@ class TestSparseEnumerate:
                 inst = gen_aff(n, seed)
                 stream = sparse_enumerate(inst.kb, branching_closure(aff(3)), r0=1)
                 assert len(list(stream)) == gauss_count(inst.kb)
+
+    def test_tuple_rule_forces_no_unit(self):
+        # after a branch on X1OF2(1,2), X1OF2(2,3) is a unit on x3: the tuple
+        # rule branches on its one tuple where propagation would force it
+        phi = formula(3, [(one_in_k(2), (1, 2)), (one_in_k(2), (2, 3))])
+        sparse = sparse_enumerate(phi, branching_closure(ConstraintLanguage([one_in_k(2)])))
+        assert list(sparse) == [0b101, 0b010]
+        assert sparse.stats.as_dict() == {"branch_nodes": 3, "leaves": 2,
+                                          "models_emitted": 2, "max_depth": 2}
+        generic = enumerate_models(phi)
+        assert list(generic) == [0b010, 0b101]
+        assert generic.stats.as_dict() == {"branch_nodes": 1, "leaves": 2,
+                                           "models_emitted": 2, "max_depth": 1}
 
     def test_repeated_scope_collapsed(self):
         phi = formula(2, [(one_in_k(3), (1, 1, 2))])
