@@ -272,8 +272,6 @@ def _search(search: _Search, root, stats: EnumStats,
     nodes, max_depth, leaves = stats.branch_nodes, stats.max_depth, 0
     try:
         while True:
-            if depth > max_depth:
-                max_depth = depth
             node = _propagate(search, touched, amask, vmask, live, units)
             if node is None:
                 leaves += 1
@@ -287,6 +285,8 @@ def _search(search: _Search, root, stats: EnumStats,
                 else:
                     nodes += 1
                     depth += 1
+                    if depth > max_depth:  # a stacked child is never deeper
+                        max_depth = depth
                     if units:
                         while amask >> (var - 1) & 1 or not occbits[var] & live:
                             var += 1
