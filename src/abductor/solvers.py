@@ -362,9 +362,10 @@ def pabd_enum(inst: AbductionInstance,
 
     Runs the weight-ordered scheme (extract the positive candidate of each
     model, discard on a violating model, push a discarded projection to its
-    immediate subsets once), then verifies survivors against the recorded violating patterns: the
-    one-level discard propagation stalls on weight levels with no models, so
-    a surviving candidate may still be covered by a wider violating pattern.
+    immediate subsets once), then verifies survivors against the recorded
+    violating patterns: the one-level discard propagation stalls on weight
+    levels with no models, so a surviving candidate may still be covered by
+    a wider violating pattern.
     The verified survivors, filtered to subset-maximal elements, are exactly
     the subset-maximal positive explanations.
     """
