@@ -348,11 +348,6 @@ def table_models(table: int) -> list[int]:
     return out
 
 
-def assignment_from_values(values: Iterable[int]) -> Assignment:
-    """Build an assignment from the values of variables 1,2,3,... in order."""
-    return encode_tuple(values)
-
-
 def satisfies_vars(sigma: Assignment, vs: Iterable[int]) -> bool:
     return all((sigma >> (v - 1)) & 1 for v in vs)
 

@@ -1,10 +1,11 @@
 """Cross-validation sweeps: every solver against its brute-force oracle and
 every reduction against answer preservation on its applicable instances.
 
-A failure carries the offending instance (greedily minimized) so it can be
-dumped and replayed.  The clause-merging 2-CNF -> CNF-SAT reduction is
-compared but only *logged* on disagreement: the published construction is a
-kernelization device and is not answer-preserving on all inputs.
+A failure carries the offending instance; `abductor verify --dump` minimizes
+it greedily and writes it out for replay.  The clause-merging 2-CNF ->
+CNF-SAT reduction is compared but only *logged* on disagreement: the
+published construction is a kernelization device and is not
+answer-preserving on all inputs.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from ..reductions import (IMP_REL, abd2cnf_to_cnfsat, abd_to_pabd_4cnf,
                           colorful_clique_exists, eliminate_constants,
                           is_kcnf_formula, is_neg_imp_formula, kcnf_to_nae,
                           negimp_to_pos, qbf_to_abd4cnf, qbf_truth)
-from ..solvers import (ENGINES, PabdAudit, explained, oracle_abd,
-                       oracle_full_explanations, oracle_pabd,
-                       oracle_positive_explanations, pabd_recursive)
-from . import generators, io
+from ..solvers import (ENGINES, PabdAudit, oracle_abd, oracle_full_explanations,
+                       oracle_pabd, oracle_positive_explanations, pabd_recursive)
+from . import generators
 
 # reduction outputs above this many variables are not checked by the oracles
 REDUCTION_OUT_CAP = 14
@@ -35,7 +35,7 @@ REDUCTION_OUT_CAP = 14
 class Finding:
     kind: str
     detail: str
-    instance_text: str
+    instance: AbductionInstance
 
 
 @dataclass
@@ -50,36 +50,24 @@ class VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# raw definitional oracles (no preprocessing; used to audit preprocess itself)
-# ---------------------------------------------------------------------------
-
-def raw_abd_answer(inst: AbductionInstance) -> bool:
-    return bool(explained(inst)[1])
-
-
-def raw_pabd_answer(inst: AbductionInstance) -> bool:
-    return bool(explained(inst)[2])
-
-
-# ---------------------------------------------------------------------------
 # per-instance checks
 # ---------------------------------------------------------------------------
 
 def check_solvers(inst: AbductionInstance) -> list[Finding]:
     """Every row of solvers.ENGINES that applies to inst against the oracles.
     Each distinct witness is checked once; each row that returns a bad one
-    is a finding."""
-    text = io.write_text(inst)
+    is a finding, as is a yes without a witness."""
     fails: list[Finding] = []
 
     def bad(kind: str, detail: str) -> None:
-        fails.append(Finding(kind, detail, text))
+        fails.append(Finding(kind, detail, inst))
 
     explains = functools.cache(functools.partial(is_explanation, inst))
-    truth = {"abd": oracle_abd(inst).answer, "pabd": oracle_pabd(inst).answer}
-    sets = {"full": ("full-explanation", oracle_full_explanations(inst), len),
-            "maximal": ("maximal-positive", oracle_positive_explanations(inst)[1],
-                        lambda s: sorted(map(sorted, s)))}
+    full = oracle_full_explanations(inst)
+    positive, maximal = oracle_positive_explanations(inst)
+    truth = {"abd": bool(full), "pabd": bool(positive)}
+    sets = {"full": ("full-explanation", full, len),
+            "maximal": ("maximal-positive", maximal, lambda s: sorted(map(sorted, s)))}
     for e in ENGINES:
         if e.algo == "oracle" or e.applies and not e.applies(inst):
             continue
@@ -87,9 +75,10 @@ def check_solvers(inst: AbductionInstance) -> list[Finding]:
         res, eset = e.run(inst) if audit is None else e.run(inst, audit=audit)
         if res.answer != truth[e.mode]:
             bad(e.name, f"answer {res.answer} vs oracle {truth[e.mode]}")
-        elif res.answer and res.witness is not None:
-            if not explains(res.witness.literals):
-                bad(e.name, f"witness {sorted(res.witness.literals)} is not an explanation")
+        elif res.answer and res.witness is None:
+            bad(e.name, "answer True without a witness")
+        elif res.answer and not explains(res.witness.literals):
+            bad(e.name, f"witness {sorted(res.witness.literals)} is not an explanation")
         if eset is not None:
             label, oracle_set, show = sets[e.explanations]
             if eset.explanations != oracle_set:
@@ -112,7 +101,6 @@ def _oracle_pair(inst: AbductionInstance) -> tuple[bool, bool]:
 
 
 def check_reductions(inst: AbductionInstance) -> tuple[list[Finding], list[Finding]]:
-    text = io.write_text(inst)
     fails: list[Finding] = []
     logged: list[Finding] = []
     in_abd, in_pabd = _oracle_pair(inst)
@@ -125,13 +113,13 @@ def check_reductions(inst: AbductionInstance) -> tuple[list[Finding], list[Findi
             for mode, truth in (("abd", in_abd), ("pabd", in_pabd)):
                 if out_abd != truth:
                     fails.append(Finding(f"negimp-to-pos/{mode}",
-                                         f"answer flipped (input {truth})", text))
+                                         f"answer flipped (input {truth})", inst))
 
     if is_kcnf_formula(inst.kb, k=4):
         out, _rep = abd_to_pabd_4cnf(pre)
         if out.num_vars <= REDUCTION_OUT_CAP and oracle_pabd(out).answer != in_abd:
             fails.append(Finding("abd-to-pabd-4cnf",
-                                 f"positive answer vs symmetric input {in_abd}", text))
+                                 f"positive answer vs symmetric input {in_abd}", inst))
 
     if is_kcnf_formula(inst.kb):
         out, _rep = kcnf_to_nae(pre)
@@ -139,7 +127,7 @@ def check_reductions(inst: AbductionInstance) -> tuple[list[Finding], list[Findi
             o_abd, o_pabd = _oracle_pair(out)
             if o_abd != in_abd or o_pabd != in_pabd:
                 fails.append(Finding("kcnf-to-nae",
-                                     f"({o_abd},{o_pabd}) vs ({in_abd},{in_pabd})", text))
+                                     f"({o_abd},{o_pabd}) vs ({in_abd},{in_pabd})", inst))
 
     probe = _with_constants(pre)
     try:
@@ -152,8 +140,7 @@ def check_reductions(inst: AbductionInstance) -> tuple[list[Finding], list[Findi
             o_abd, o_pabd = _oracle_pair(out)
             if (o_abd, o_pabd) != (p_abd, p_pabd):
                 fails.append(Finding("eliminate-constants",
-                                     f"({o_abd},{o_pabd}) vs ({p_abd},{p_pabd})",
-                                     io.write_text(probe)))
+                                     f"({o_abd},{o_pabd}) vs ({p_abd},{p_pabd})", probe))
 
     if is_kcnf_formula(inst.kb, k=2):
         out, _rep = abd2cnf_to_cnfsat(pre)
@@ -161,7 +148,7 @@ def check_reductions(inst: AbductionInstance) -> tuple[list[Finding], list[Findi
             out_sat = out.satisfiable()
             if out_sat != in_abd:
                 logged.append(Finding("abd2cnf-to-cnfsat",
-                                      f"SAT {out_sat} vs oracle {in_abd}", text))
+                                      f"SAT {out_sat} vs oracle {in_abd}", inst))
     return fails, logged
 
 
@@ -272,22 +259,19 @@ def generator_level_checks(count: int = 50, seed: int = 0) -> list[Finding]:
         inst, _rep = clique_to_abd(g)
         want = colorful_clique_exists(g)
         if oracle_abd(inst).answer != want or oracle_pabd(inst).answer != want:
-            fails.append(Finding("clique-to-abd", f"graph #{i} mismatch (want {want})",
-                                 io.write_text(inst)))
+            fails.append(Finding("clique-to-abd", f"graph #{i} mismatch (want {want})", inst))
     for i in range(count):
         q = generators.gen_qbf_instance(1 + i % 3, 1 + (i // 3) % 3, 1 + i % 4, seed + i)
         inst, _rep = qbf_to_abd4cnf(q)
         want = qbf_truth(q)
         if oracle_abd(inst).answer != want:
-            fails.append(Finding("qbf-to-abd4cnf", f"qbf #{i} mismatch (want {want})",
-                                 io.write_text(inst)))
+            fails.append(Finding("qbf-to-abd4cnf", f"qbf #{i} mismatch (want {want})", inst))
     for i in range(count):
         phi = generators.gen_cnf_formula(2 + i % 3, 2 + i % 5, 3, seed + i)
         inst, _rep = cnfsat_to_abd_lb(phi)
         want = phi.satisfiable()
         if oracle_abd(inst).answer != want or oracle_pabd(inst).answer != want:
-            fails.append(Finding("cnfsat-to-abd", f"cnf #{i} mismatch (want {want})",
-                                 io.write_text(inst)))
+            fails.append(Finding("cnfsat-to-abd", f"cnf #{i} mismatch (want {want})", inst))
     return fails
 
 

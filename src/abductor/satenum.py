@@ -428,10 +428,6 @@ def sparse_enumerate(phi: Formula, lang: ConstraintLanguage, r0: int = 1) -> Mod
                        UNORDERED)
 
 
-def weight(sigma: int, hmask: int) -> int:
-    return (sigma & hmask).bit_count()
-
-
 def enumerate_weight_ordered(phi: Formula, hypotheses: Iterable[int],
                              base: ModelStream | None = None) -> ModelStream:
     """All models sorted by non-increasing hypothesis weight w_H.

@@ -4,8 +4,8 @@ import pytest
 
 from abductor.core import (AbductionInstance, Constraint, Formula, Relation,
                            StructureError, TRIVIALLY_NO, TRIVIALLY_REDUCED,
-                           UNCHANGED, BOT, TOP, assignment_from_values,
-                           entails, evaluate, formula, is_explanation,
+                           UNCHANGED, BOT, TOP, encode_tuple, entails,
+                           evaluate, formula, is_explanation,
                            literal_masks, preprocess)
 from abductor.harness import io
 from abductor.langlib import clause_relation, one_in_k
@@ -55,8 +55,8 @@ class TestEvaluate:
     def test_neq_examples(self):
         neq = one_in_k(2)
         phi = formula(2, [(neq, (1, 2))])
-        assert evaluate(phi, assignment_from_values((0, 1)))
-        assert not evaluate(phi, assignment_from_values((1, 1)))
+        assert evaluate(phi, encode_tuple((0, 1)))
+        assert not evaluate(phi, encode_tuple((1, 1)))
 
     def test_example1_all_ones(self):
         inst = example1_instance()

@@ -8,7 +8,7 @@ from abductor.core import (TRIVIALLY_NO, AbductionInstance, Explanation, Relatio
                            is_explanation, preprocess)
 from abductor.langlib import one_in_k
 from abductor.satenum import EnumStats
-from abductor.solvers import ENGINES, AbdResult, Engine
+from abductor.solvers import ENGINES, AbdResult, Engine, explained
 from abductor.harness import bench, generators, io, verify
 from abductor.harness.cli import main as cli_main
 
@@ -146,6 +146,29 @@ class TestVerifySweeps:
         assert all("is not an explanation" in f.detail for f in fails)
         assert checks == [bad]
 
+    def test_a_yes_without_a_witness_is_a_finding(self, monkeypatch):
+        inst = example1_instance()
+        assert verify.oracle_abd(inst).answer
+
+        def solve(inst):
+            return AbdResult(True, None, EnumStats(), "no-witness")
+
+        monkeypatch.setattr(verify, "ENGINES", (Engine("no-witness", "abd", "nw", solve),))
+        fails = verify.check_solvers(inst)
+        assert [(f.kind, f.detail) for f in fails] == [("no-witness",
+                                                        "answer True without a witness")]
+        assert fails[0].instance is inst
+
+    def test_checks_render_no_text(self, monkeypatch):
+        """A finding holds its instance, so a clean check writes no text."""
+        def write_text(inst):
+            raise AssertionError("a clean check rendered its instance")
+
+        monkeypatch.setattr(io, "write_text", write_text)
+        inst = generators.gen_kcnf_pos(6, 1, k=2)
+        assert verify.check_solvers(inst) == []
+        assert verify.check_reductions(inst) == ([], [])
+
     def test_solvers_where_h_and_m_overlap_after_preprocess(self):
         """The exhaustive pool has no instance whose preprocessed H and M
         overlap; these audit instances do, so a SAT call's ¬m can land on an
@@ -157,7 +180,7 @@ class TestVerifySweeps:
                 overlap.append(inst)
         assert len(overlap) == 873
         fails = [f for inst in overlap for f in verify.check_solvers(inst)]
-        assert not fails, [(f.kind, f.detail, f.instance_text) for f in fails[:3]]
+        assert not fails, [(f.kind, f.detail, io.write_text(f.instance)) for f in fails[:3]]
 
     def test_minimizer_shrinks(self):
         inst = generators.gen_xsat(8, 2)
@@ -176,12 +199,11 @@ class TestVerifySweeps:
         checked = 0
         for inst in verify.preprocess_audit_instances():
             res = preprocess(inst)
-            before = (verify.raw_abd_answer(inst), verify.raw_pabd_answer(inst))
+            before = tuple(map(bool, explained(inst)[1:]))
             if res.verdict == TRIVIALLY_NO:
                 assert before == (False, False), io.write_text(inst)
             else:
-                after = (verify.raw_abd_answer(res.instance),
-                         verify.raw_pabd_answer(res.instance))
+                after = tuple(map(bool, explained(res.instance)[1:]))
                 assert before == after, io.write_text(inst)
                 again = preprocess(res.instance)
                 assert again.instance == res.instance
@@ -323,6 +345,23 @@ class TestCli:
                         "--max-n", "7")
         out = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert code == 0 and out["ok"] is True
+
+    def test_verify_dumps_a_minimized_finding(self, tmp_path, capsys, monkeypatch):
+        def broken(inst):
+            truth = verify.oracle_abd(inst)
+            return AbdResult(not truth.answer, None, EnumStats(), "baseline-abd")
+
+        monkeypatch.setattr(next(e for e in ENGINES if e.name == "baseline-abd"), "solve", broken)
+        dump = tmp_path / "f"
+        code = self.run("verify", "--suite", "random", "--per-family", "1", "--max-n", "4",
+                        "--dump", str(dump), "--dump-limit", "1")
+        out = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert code == 1 and out["ok"] is False and out["failures"] > 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.0.abd"]
+        text = (tmp_path / "f.0.abd").read_text()
+        assert text.startswith("# baseline-abd: ")
+        inst = io.parse(str(tmp_path / "f.0.abd"))
+        assert any(f.kind == "baseline-abd" for f in verify.check_solvers(inst))
 
     def test_verify_max_n_below_four_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

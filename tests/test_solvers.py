@@ -93,8 +93,7 @@ class TestPublishedAlgorithmGaps:
 
 
 ORACLES = (oracle_abd, oracle_pabd, oracle_full_explanations,
-           oracle_positive_explanations, verify.raw_abd_answer,
-           verify.raw_pabd_answer)
+           oracle_positive_explanations, solvers.explained)
 
 
 class TestOracles:

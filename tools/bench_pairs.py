@@ -6,23 +6,23 @@ Run from the root of a checkout:
 
 It exports the committed files of both revisions (`git archive`) into
 temporary directories, as tools/bench_record.py does.  Pair i runs
-`python3 perfbench/run.py --seconds 30 --trace 0` at seed first-seed + i on
-both trees for every workload, one run at a time, the base first in even
-pairs and the change first in odd ones.  For every workload and every
-end-to-end metric of BENCHMARK.json it prints both medians, their ratio, the
-interquartile range of the base's runs and of the change's, in how many
-pairs the change was better, and both values of every pair.
+`python3 perfbench/run.py --trace 0` at seed first-seed + i, for the
+`run_seconds` of BENCHMARK.json, on both trees for every workload, one run
+at a time, the base first in even pairs and the change first in odd ones.
+For every workload and every end-to-end metric of BENCHMARK.json it prints
+both medians, their ratio, the interquartile range of the base's runs and of
+the change's, in how many pairs the change was better, and both values of
+every pair.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
 import sys
 import tempfile
 
-from benchtree import WORKLOADS, export, run
+from benchtree import BENCHMARK, WORKLOADS, export, run
 
 
 def iqr(values: list[float]) -> float:
@@ -65,8 +65,7 @@ def main(argv: list[str] | None = None) -> int:
             tempfile.TemporaryDirectory() as change_tree:
         export(args.base, base_tree)
         export(args.change, change_tree)
-        with open(f"{change_tree}/BENCHMARK.json", encoding="utf-8") as fh:
-            metrics = json.load(fh)["end_to_end"]
+        metrics = BENCHMARK["end_to_end"]
         for workload in WORKLOADS:
             runs: dict[str, list[dict]] = {"base": [], "change": []}
             for i in range(args.pairs):

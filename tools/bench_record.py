@@ -6,9 +6,9 @@ Run from the root of a checkout:
 
 It exports the committed files of <rev> (`git archive`) into a temporary
 directory, runs `python3 perfbench/run.py` there for every workload at
-`--trace 0` and `--trace 1` with `--seed 1` and `--seconds 30`, one run at a
-time, and writes the last JSON line of each run with the command, the
-commit, the seed, the Python version and the CPU count.
+`--trace 0` and `--trace 1` with `--seed 1`, for the `run_seconds` of
+BENCHMARK.json, one run at a time, and writes the last JSON line of each run
+with the command, the commit, the seed, the Python version and the CPU count.
 """
 
 from __future__ import annotations

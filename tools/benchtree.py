@@ -2,7 +2,8 @@
 
 Shared by tools/bench_record.py and tools/bench_pairs.py, so both run the
 committed files of a revision (`git archive`), one workload at a time, for
-the same number of seconds.
+the same number of seconds.  The workloads, their run length and the
+end-to-end metrics are read from the BENCHMARK.json beside this directory.
 """
 
 from __future__ import annotations
@@ -10,9 +11,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
-WORKLOADS = ("sat-calls", "enum-models", "verify-sweep")
-SECONDS = 30
+BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json")
+                       .read_text(encoding="utf-8"))
+WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
+SECONDS = BENCHMARK["run_seconds"]
 
 
 def export(rev: str, tree: str) -> str:
