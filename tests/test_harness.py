@@ -155,8 +155,8 @@ class TestVerifySweeps:
 
         monkeypatch.setattr(verify, "ENGINES", (Engine("no-witness", "abd", "nw", solve),))
         fails = verify.check_solvers(inst)
-        assert [(f.kind, f.detail) for f in fails] == [("no-witness",
-                                                        "answer True without a witness")]
+        assert [(f.kind, f.detail) for f in fails] == [
+            ("no-witness", "answer True without a witness")]
         assert fails[0].instance is inst
 
     def test_checks_render_no_text(self, monkeypatch):
@@ -346,7 +346,7 @@ class TestCli:
         out = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert code == 0 and out["ok"] is True
 
-    def test_verify_dumps_a_minimized_finding(self, tmp_path, capsys, monkeypatch):
+    def test_verify_dumps_a_finding(self, tmp_path, capsys, monkeypatch):
         def broken(inst):
             truth = verify.oracle_abd(inst)
             return AbdResult(not truth.answer, None, EnumStats(), "baseline-abd")

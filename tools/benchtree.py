@@ -3,7 +3,8 @@
 Shared by tools/bench_record.py and tools/bench_pairs.py, so both run the
 committed files of a revision (`git archive`), one workload at a time, for
 the same number of seconds.  The workloads, their run length and the
-end-to-end metrics are read from the BENCHMARK.json beside this directory.
+end-to-end metrics are read from the BENCHMARK.json at the root of the
+checkout that holds this file.
 """
 
 from __future__ import annotations
