@@ -348,10 +348,6 @@ def table_models(table: int) -> list[int]:
     return out
 
 
-def satisfies_vars(sigma: Assignment, vs: Iterable[int]) -> bool:
-    return all((sigma >> (v - 1)) & 1 for v in vs)
-
-
 @dataclass(frozen=True)
 class AbductionInstance:
     kb: Formula

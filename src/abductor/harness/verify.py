@@ -282,7 +282,8 @@ def generator_level_checks(count: int = 50, seed: int = 0) -> list[Finding]:
 def minimize_instance(inst: AbductionInstance,
                       still_fails: Callable[[AbductionInstance], bool]) -> AbductionInstance:
     """Greedy shrink: drop constraints, then hypotheses, then manifestations,
-    one at a time, restarting after each drop that keeps the predicate failing."""
+    one at a time, restarting after each drop that keeps the predicate failing.
+    An instance the predicate does not fail on is returned unchanged."""
 
     def variants(inst: AbductionInstance) -> Iterator[AbductionInstance]:
         cons, hyp, man = inst.kb.constraints, inst.hypotheses, inst.manifestations
@@ -299,6 +300,8 @@ def minimize_instance(inst: AbductionInstance,
         except Exception:
             return False
 
+    if not fails(inst):
+        return inst
     while (smaller := next(filter(fails, variants(inst)), None)) is not None:
         inst = smaller
     return inst

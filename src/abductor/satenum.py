@@ -45,7 +45,12 @@ with the cube on every variable both set: every completion of the cube is a
 model of the KB, whatever that call assumed, and the agreeing assumptions
 extend it (the counterexample cache of KLEE, Cadar, Dunbar &
 Engler, OSDI 2008, kept as one witness).  A searched True replaces the cube;
-a False leaves it.
+a False leaves it.  A search on the KB enters the cube's value of a branch
+variable first (phase saving, Pipatsrisawat & Darwiche, SAT 2007).  The KB
+also keeps the last constraint the check found empty; decide answers False
+unsearched when it is empty under the new masks too (last conflict,
+Lecoutre, Saïs, Tabary & Vidal, AIJ 173(18), 2009), since every model of KB
+∧ assumptions holds the root's forced values and the assumptions.
 
 A satisfied node has live == 0: every constraint is full under its masks, or
 was consumed as a unit or a branched tuple whose values the masks hold, so
@@ -130,9 +135,11 @@ class _Search:
     (amask, vmask, live), or None on a conflict, and cube: None, or the
     (amask, vmask) of the last satisfied node decide reached on it.  Every
     completion of the cube is a model of the KB, so decide answers True
-    unsearched when the new masks agree with it."""
+    unsearched when the new masks agree with it.  conflict is None, or the
+    last constraint _propagate found empty, which decide re-checks."""
 
-    __slots__ = ("cons", "n", "vbits", "occ", "occbits", "smasks", "memos", "cube", "start")
+    __slots__ = ("cons", "n", "vbits", "occ", "occbits", "smasks", "memos", "cube", "start",
+                 "conflict")
 
     def __init__(self, cons: list[tuple[frozenset[int], tuple[int, ...]]], n: int) -> None:
         self.cons = cons
@@ -143,6 +150,7 @@ class _Search:
         self.smasks = [0] * len(cons)
         self.memos: list[dict[int, tuple]] = [{} for _ in cons]
         self.cube: tuple[int, int] | None = None
+        self.conflict: int | None = None
         for i, (_, scope) in enumerate(cons):
             for v in set(scope):
                 self.occ[v].append(i)
@@ -216,6 +224,7 @@ def _propagate(search: _Search, touched, amask: int, vmask: int, live: int,
             if kind == OPEN:
                 continue
             if kind == EMPTY:
+                search.conflict = i
                 return None
             if kind == UNIT:
                 if not units:
@@ -247,9 +256,9 @@ def _search(search: _Search, root, stats: EnumStats,
     satisfied branches by one of two rules:
 
       variable rule   -- on the lowest-index variable of a live constraint,
-                         0 first; a child's live variables are among its
-                         parent's, so the scan starts at the parent's branch
-                         variable
+                         the value search.cube holds (or 0) first; a
+                         child's live variables are among its parent's, so
+                         the scan starts at the parent's branch variable
       tuple rule      -- with `tuples`: on the tuples of the live constraint
                          with the best local base (fewest tuples per
                          eliminated variable, the first such in constraint
@@ -266,6 +275,8 @@ def _search(search: _Search, root, stats: EnumStats,
     units = not tuples
     cons, vbits, occ, occbits = search.cons, search.vbits, search.occ, search.occbits
     smasks, memos, n = search.smasks, search.memos, search.n
+    # the branch variables' first values: those of the compiled KB's cube
+    phase = search.cube[1] if search.cube else 0
     var = 1
     depth = 0
     stack = []
@@ -293,7 +304,9 @@ def _search(search: _Search, root, stats: EnumStats,
                         bit = vbits[var]
                         amask |= bit
                         touched = occ[var]
-                        stack.append((amask, vmask | bit, live, var, depth, touched))
+                        first = phase & bit
+                        stack.append((amask, vmask | first ^ bit, live, var, depth, touched))
+                        vmask |= first
                         continue
                     best = None
                     rest = live
@@ -362,9 +375,10 @@ def decide(kb: _Search, pos: int = 0, neg: int = 0) -> bool:
     positive and negated literals.
 
     The masks are OR-ed into those of the KB's root.  If the result agrees
-    with the KB's cube, the answer is True unsearched; otherwise a searched
-    True makes the first satisfied node the cube.  Raises StructureError on
-    a mask bit past the KB's variables, before any other check."""
+    with the KB's cube, the answer is True unsearched, and if the KB's last
+    conflict is empty under it, False unsearched; otherwise a searched True
+    makes the first satisfied node the cube.  Raises StructureError on a
+    mask bit past the KB's variables, before any other check."""
     if (pos | neg) >> kb.n:
         raise StructureError(f"assumption past variable {kb.n}")
     amask, vmask, live = kb.start or (0, 0, 0)
@@ -377,6 +391,9 @@ def decide(kb: _Search, pos: int = 0, neg: int = 0) -> bool:
     cube = kb.cube
     if cube is not None and not (vmask ^ cube[1]) & amask & cube[0]:
         return True
+    # the constraint of the last conflict, re-checked under the new masks
+    if kb.conflict is not None and kb.entry(kb.conflict, amask, vmask)[2] == EMPTY:
+        return False
     # the constraints of the newly set variables, found by one AND per scope
     # mask: a searched True drops every live constraint anyway
     touched = [i for i, smask in enumerate(kb.smasks) if smask & new]

@@ -10,12 +10,16 @@ solvers.explained and of the four oracle entry points built on it:
 from collections import Counter
 
 from abductor.core import (AbductionInstance, OracleCapError, TRIVIALLY_NO,
-                           columns, preprocess, satisfies_vars, submasks,
-                           table_models)
+                           columns, preprocess, submasks, table_models)
 from abductor.satenum import hyp_mask
 from abductor.solvers import brute_models
 
 GENERAL_MAX_HYP = 10
+
+
+def satisfies_vars(sigma: int, vs) -> bool:
+    """Whether the assignment sigma sets every variable of vs to 1."""
+    return all((sigma >> (v - 1)) & 1 for v in vs)
 
 
 def projection_counts(inst: AbductionInstance) -> tuple[Counter, Counter]:

@@ -1,0 +1,51 @@
+"""tools/bench_pairs.py's verdicts on synthetic runs; no benchmark runs."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+from bench_pairs import summarise  # noqa: E402
+from benchtree import BENCHMARK  # noqa: E402
+
+METRICS = {m["name"]: m for m in BENCHMARK["end_to_end"]}
+
+
+def runs(name: str, values: list[float]) -> list[dict]:
+    return [{"metrics": {name: {"value": v}}, "correct": True, "failed": 0} for v in values]
+
+
+def verdicts(name: str, base: list[float], change: list[float]) -> str:
+    lines = summarise([METRICS[name]], runs(name, base), runs(name, change))
+    return next(line.strip() for line in lines if line.strip().startswith("gain:"))
+
+
+BASE = [100.0, 102.0, 98.0, 101.0, 99.0, 103.0, 97.0, 100.0, 101.0, 99.0]
+
+
+def test_a_gain():
+    change = [v * 1.3 for v in BASE]
+    assert verdicts("ops_per_s", BASE, change) == "gain: met  regression (bound 0.15): not met"
+
+
+def test_a_regression():
+    change = [v * 0.8 for v in BASE]
+    assert verdicts("ops_per_s", BASE, change) == "gain: not met  regression (bound 0.15): met"
+
+
+def test_lower_is_better():
+    assert verdicts("op_p50_ms", BASE, [v * 0.7 for v in BASE]).startswith("gain: met")
+    assert verdicts("op_p50_ms", BASE, [v * 1.3 for v in BASE]).endswith(": met")
+
+
+def test_no_gain_below_nine_wins_or_within_the_iqr():
+    # better by 30 % in 8 of 10 pairs
+    change = [v * 1.3 for v in BASE[:8]] + [v * 0.99 for v in BASE[8:]]
+    assert verdicts("ops_per_s", BASE, change).startswith("gain: not met")
+    # better in every pair, by less than the base's IQR of 2.5
+    assert verdicts("ops_per_s", BASE, [v + 0.5 for v in BASE]).startswith("gain: not met")
+
+
+def test_a_worse_median_within_the_bound_is_no_regression():
+    change = [v * 0.9 for v in BASE]
+    assert verdicts("ops_per_s", BASE, change) == "gain: not met  regression (bound 0.15): not met"

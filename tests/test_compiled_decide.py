@@ -250,6 +250,34 @@ class TestCompiledDecide:
         assert searches == [compiled]
         assert compiled.cube is cube
 
+    def test_the_last_conflict_refutes_unsearched(self, monkeypatch):
+        kb = positive_chain()
+        compiled = compile_kb(kb)
+        # ¬x1 ∧ ¬x2 empties (x1 ∨ x2), constraint 0
+        assert not decide(compiled, *literal_masks([-1, -2]))
+        assert compiled.conflict == 0
+
+        def no_search(*args):
+            raise AssertionError("searched where the last conflict refutes")
+
+        monkeypatch.setattr(satenum, "_search", no_search)
+        assert not decide(compiled, *literal_masks([-2, -1, 4]))
+        monkeypatch.undo()
+        # (x1 ∨ x2) is not empty under ¬x1 alone, so the slot answers nothing
+        assert decide(compiled, *literal_masks([-1]))
+
+    def test_the_search_branches_toward_the_cube(self):
+        kb = formula(4, [(clause_relation((0, 0)), (1, 2)), (clause_relation((0, 0)), (3, 4))])
+        compiled = compile_kb(kb)
+        # x3 assumed; x1 = 0 is the first branch and forces x2 = 1
+        assert decide(compiled, *literal_masks([3]))
+        assert compiled.cube == (0b0111, 0b0110)
+        # ¬x2 forces x1 = 1; x3 is entered at the cube's 1, which satisfies
+        # (x3 ∨ x4), where 0 first would have forced x4 = 1
+        assert decide(compiled, *literal_masks([-2]))
+        assert compiled.cube == (0b0111, 0b0101)
+        assert not completions(compiled.cube, 4) & ~truth_table(kb)
+
     def test_public_formula_leaves_no_cube(self, searches):
         kb = positive_chain()
         compiled = compile_kb(kb)

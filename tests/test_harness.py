@@ -363,6 +363,32 @@ class TestCli:
         inst = io.parse(str(tmp_path / "f.0.abd"))
         assert any(f.kind == "baseline-abd" for f in verify.check_solvers(inst))
 
+    def test_verify_dumps_a_generator_finding_unminimized(self, tmp_path, capsys, monkeypatch):
+        """A clique-to-abd finding is not one check_solvers or
+        check_reductions can report, so the dump checks it once and writes
+        the instance as found."""
+        exists = verify.colorful_clique_exists
+        monkeypatch.setattr(verify, "colorful_clique_exists", lambda g: not exists(g))
+        calls = []
+        check_solvers = verify.check_solvers
+        monkeypatch.setattr(verify, "check_solvers",
+                            lambda inst: calls.append(inst) or check_solvers(inst))
+        run_verify = verify.run_verify
+
+        def sweep_then_count(**kwargs):
+            report = run_verify(**kwargs)
+            calls.clear()  # count only the calls the dump makes
+            return report
+
+        monkeypatch.setattr(verify, "run_verify", sweep_then_count)
+        dump = tmp_path / "f"
+        code = self.run("verify", "--suite", "random", "--per-family", "1", "--max-n", "4",
+                        "--dump", str(dump), "--dump-limit", "1")
+        out = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert code == 1 and out["ok"] is False
+        assert (tmp_path / "f.0.abd").read_text().startswith("# clique-to-abd: ")
+        assert len(calls) <= 1
+
     def test_verify_max_n_below_four_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert self.run("verify", "--per-family", "1", "--max-n", "3") == 2

@@ -11,8 +11,13 @@ temporary directories, as tools/bench_record.py does.  Pair i runs
 at a time, the base first in even pairs and the change first in odd ones.
 For every workload and every end-to-end metric of BENCHMARK.json it prints
 both medians, their ratio, the interquartile range of the base's runs and of
-the change's, in how many pairs the change was better, and both values of
-every pair.
+the change's, in how many pairs the change was better, both values of every
+pair and two verdicts:
+
+  gain        the change is better in at least 9 of 10 pairs, and its median
+              is better than the base's by more than the base's IQR;
+  regression  the change's median is worse than the base's by more than the
+              metric's `bound` (a fraction of the base's median).
 """
 
 from __future__ import annotations
@@ -33,8 +38,9 @@ def iqr(values: list[float]) -> float:
 
 
 def summarise(metrics: list[dict], base: list[dict], change: list[dict]) -> list[str]:
-    """One line per metric: medians, ratio, both IQRs and the change's wins
-    over the pairs (base[i], change[i])."""
+    """Per metric: medians, ratio, both IQRs and the change's wins over the
+    pairs (base[i], change[i]); the values of every pair; the gain and
+    regression verdicts."""
     lines = []
     for m in metrics:
         b = [r["metrics"][m["name"]]["value"] for r in base]
@@ -42,12 +48,17 @@ def summarise(metrics: list[dict], base: list[dict], change: list[dict]) -> list
         sign = 1 if m["better"] == "higher" else -1
         wins = sum(sign * (y - x) > 0 for x, y in zip(b, c))
         mb, mc = statistics.median(b), statistics.median(c)
+        gain = 10 * wins >= 9 * len(b) and sign * (mc - mb) > iqr(b)
+        regression = sign * (mb - mc) > m["bound"] * abs(mb)
         lines.append(f"  {m['name']:<12} base {mb:10.4g}  change {mc:10.4g}  "
                      f"ratio {mc / mb if mb else float('nan'):6.3f}  "
                      f"IQR base {iqr(b):8.3g} change {iqr(c):8.3g}  "
                      f"change better {wins}/{len(b)}")
         lines.append("    pairs (base/change): "
                      + "  ".join(f"{x:.4g}/{y:.4g}" for x, y in zip(b, c)))
+        lines.append(f"    gain: {'met' if gain else 'not met'}  "
+                     f"regression (bound {m['bound']:g}): "
+                     f"{'met' if regression else 'not met'}")
     failed = [r for r in base + change if not r.get("correct") or r.get("failed")]
     if failed:
         lines.append(f"  {len(failed)} runs not correct or with failed operations")
