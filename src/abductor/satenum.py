@@ -275,7 +275,6 @@ def _search(search: _Search, root, stats: EnumStats,
     units = not tuples
     cons, vbits, occ, occbits = search.cons, search.vbits, search.occ, search.occbits
     smasks, memos, n = search.smasks, search.memos, search.n
-    # the branch variables' first values: those of the compiled KB's cube
     phase = search.cube[1] if search.cube else 0
     var = 1
     depth = 0
@@ -304,9 +303,11 @@ def _search(search: _Search, root, stats: EnumStats,
                         bit = vbits[var]
                         amask |= bit
                         touched = occ[var]
-                        first = phase & bit
-                        stack.append((amask, vmask | first ^ bit, live, var, depth, touched))
-                        vmask |= first
+                        if phase & bit:
+                            stack.append((amask, vmask, live, var, depth, touched))
+                            vmask |= bit
+                        else:
+                            stack.append((amask, vmask | bit, live, var, depth, touched))
                         continue
                     best = None
                     rest = live
@@ -391,7 +392,6 @@ def decide(kb: _Search, pos: int = 0, neg: int = 0) -> bool:
     cube = kb.cube
     if cube is not None and not (vmask ^ cube[1]) & amask & cube[0]:
         return True
-    # the constraint of the last conflict, re-checked under the new masks
     if kb.conflict is not None and kb.entry(kb.conflict, amask, vmask)[2] == EMPTY:
         return False
     # the constraints of the newly set variables, found by one AND per scope
