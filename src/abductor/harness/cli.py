@@ -154,10 +154,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(io.to_json(summary))
     for i, finding in enumerate(report.failures[:args.dump_limit]):
         path = f"{args.dump}.{i}.abd"
-        inst = verify.minimize_instance(
-            finding.instance, lambda cand: any(f.kind == finding.kind
-                                               for f in verify.check_solvers(cand)
-                                               + verify.check_reductions(cand)[0]))
+        inst = finding.instance
+        if finding.kind not in verify.GENERATOR_KINDS:
+            inst = verify.minimize_instance(
+                inst, lambda cand: any(f.kind == finding.kind
+                                       for f in verify.check_solvers(cand)
+                                       + verify.check_reductions(cand)[0]))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"# {finding.kind}: {finding.detail}\n")
             fh.write(io.write_text(inst))

@@ -250,6 +250,10 @@ def random_instances(per_family: int, max_n: int = 12,
             yield family, gen(n, seed * 100003 + i)
 
 
+# the kinds of generator_level_checks' findings, which no per-instance check reports
+GENERATOR_KINDS = frozenset({"clique-to-abd", "qbf-to-abd4cnf", "cnfsat-to-abd"})
+
+
 def generator_level_checks(count: int = 50, seed: int = 0) -> list[Finding]:
     """Clique / QBF / CNF-SAT constructions against their own brute oracles."""
     fails: list[Finding] = []

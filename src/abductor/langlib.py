@@ -128,10 +128,6 @@ def is_branching_closed(lang: ConstraintLanguage) -> bool:
 # predicates
 # ---------------------------------------------------------------------------
 
-def is_non_trivial(rel: Relation) -> bool:
-    return not rel.is_trivial
-
-
 @dataclass(frozen=True)
 class SparsityCertificate:
     c: float

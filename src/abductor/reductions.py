@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import (AbductionInstance, BOT, Constraint, FragmentError, Formula,
-                   Relation, FALSE0, StructureError, TOP, columns,
-                   decode_tuple, hyp_mask, preprocess)
+                   Relation, FALSE0, StructureError, TOP, decode_tuple,
+                   hyp_mask, preprocess, truth_table)
 from .langlib import (ConstraintLanguage, InequalityGadget, clause_relation,
                       derive_inequality, imp, nae)
 from .satenum import SimpleSatInstance, compile_kb, decide
@@ -460,18 +460,10 @@ class CnfFormula:
                 raise StructureError("clause literal out of range")
 
     def satisfiable(self) -> bool:
-        """Brute force over the variable columns of core: the AND over the
-        clauses of the OR of their literals' columns is nonzero."""
-        cols = columns(self.num_vars)
-        table = (1 << (1 << self.num_vars)) - 1
-        for cl in self.clauses:
-            clause = 0
-            for l in cl:
-                clause |= cols[abs(l) - 1][l > 0]
-            table &= clause
-            if not table:
-                return False
-        return True
+        """Brute force: the truth table of core (core.truth_table) over the
+        clauses as constraints, tautologies dropped, is nonzero."""
+        cons = [c for c in map(_clause_constraint, self.clauses) if c is not None]
+        return truth_table(Formula(self.num_vars, tuple(cons))) != 0
 
 
 def cnfsat_to_abd_lb(phi: CnfFormula) -> tuple[AbductionInstance, ReductionReport]:

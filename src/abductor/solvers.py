@@ -5,11 +5,14 @@ positive-clause pipeline through SimpleSAT.  ENGINES is the one list of them
 that `abductor solve`, verify.check_solvers (in row order) and the golden node
 counts read; adding an engine is adding a row.
 
-Every solver preprocesses its input (see core.preprocess) and returns an
-AbdResult whose witness, when present, passes core.is_explanation on the
-instance the caller passed, so it includes the manifestations that preprocess
-drops as self-explained.  The explanation sets (of enum_abd, pabd_enum and the
-oracle_*_explanations functions) are over preprocess(inst).instance.
+One wrapper, _engine, owns preprocessing (core.preprocess) for every solver:
+it answers a trivially-no instance without running the solver's body, hands
+the body preprocess(inst).instance, adds the manifestations that preprocess
+drops as self-explained to the body's witness, and names the AbdResult.  So
+each body is the procedure alone, and each witness passes
+core.is_explanation on the instance the caller passed.  The explanation sets
+(of enum_abd, pabd_enum and the oracle_*_explanations functions) are over
+preprocess(inst).instance.
 
 The oracles read the models of KB off its truth table, a cached bit-parallel
 table built from the variable columns (core.truth_table, one bit per
@@ -26,10 +29,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .core import (AbductionInstance, Explanation, FragmentError, Formula,
-                   OracleCapError, PreprocessResult, TRIVIALLY_NO, entails,
+                   OracleCapError, TRIVIALLY_NO, entails,
                    preprocess, submasks, SatDecider, columns,
                    table_models, truth_table)
 from .langlib import ConstraintLanguage, is_one_valid
@@ -61,17 +64,37 @@ class ExplanationSet:
     explanations: frozenset[frozenset[int]]
 
 
-def _yes(pre: PreprocessResult, lits: Iterable[int], stats: EnumStats,
-         algorithm: str, report: ReductionReport | None = None) -> AbdResult:
-    """Answer yes for the caller's instance: lits explains pre.instance, and
-    the self-explained manifestations preprocess dropped are added back."""
-    return AbdResult(True, Explanation(frozenset(lits) | pre.self_explained),
-                     stats, algorithm, report)
+class _Answer(NamedTuple):
+    """A solver body's answer on the preprocessed instance: the witness's
+    literals, or None for no (an empty set is a yes with E = ∅)."""
+    lits: Iterable[int] | None
+    stats: EnumStats
+    report: ReductionReport | None = None
 
 
-def _no(algorithm: str, stats: EnumStats | None = None,
-        report: ReductionReport | None = None) -> AbdResult:
-    return AbdResult(False, None, stats or EnumStats(), algorithm, report)
+def _engine(name: str, sets: bool = False):
+    """Make a solver body over preprocess(inst).instance, which returns an
+    _Answer (beside an ExplanationSet when `sets`), into the solver that
+    takes the caller's instance and returns an AbdResult named `name`.  A
+    trivially-no instance is answered no, with an empty ExplanationSet,
+    without running the body; the self-explained manifestations are added to
+    a witness."""
+    def wrap(body: Callable) -> Callable:
+        @functools.wraps(body)
+        def solve(inst: AbductionInstance, *args, **kw):
+            pre = preprocess(inst)
+            if pre.verdict == TRIVIALLY_NO:
+                ans, eset = _Answer(None, EnumStats()), ExplanationSet(frozenset())
+            elif sets:
+                ans, eset = body(pre.instance, *args, **kw)
+            else:
+                ans = body(pre.instance, *args, **kw)
+            witness = (None if ans.lits is None
+                       else Explanation(frozenset(ans.lits) | pre.self_explained))
+            res = AbdResult(witness is not None, witness, ans.stats, name, ans.report)
+            return (res, eset) if sets else res
+        return solve
+    return wrap
 
 
 def _positive(mask: int, hyp: Iterable[int]) -> frozenset[int]:
@@ -142,21 +165,15 @@ def _oracle_stats(phi: Formula, models: int) -> EnumStats:
                      models_emitted=models, max_depth=0)
 
 
-def oracle_abd(inst: AbductionInstance) -> AbdResult:
+@_engine("oracle-abd")
+def oracle_abd(inst: AbductionInstance) -> _Answer:
     """Ground truth for symmetric abduction: the witness is the full
     candidate of the lowest pattern that explains (an explanation exists iff
     a full one does)."""
-    algorithm = "oracle-abd"
-    pre = preprocess(inst)
-    if pre.verdict == TRIVIALLY_NO:
-        return _no(algorithm)
-    inst = pre.instance
     models, full, _ = explained(inst)
-    stats = _oracle_stats(inst.kb, models)
-    if not full:
-        return _no(algorithm, stats)
-    return _yes(pre, _full((full & -full).bit_length() - 1, sorted(inst.hypotheses)),
-                stats, algorithm)
+    lowest = full & -full
+    return _Answer(_full(lowest.bit_length() - 1, sorted(inst.hypotheses)) if full else None,
+                   _oracle_stats(inst.kb, models))
 
 
 def oracle_full_explanations(inst: AbductionInstance) -> frozenset[frozenset[int]]:
@@ -168,21 +185,15 @@ def oracle_full_explanations(inst: AbductionInstance) -> frozenset[frozenset[int
     return frozenset(_full(p, hyp) for p in table_models(explained(inst)[1]))
 
 
-def oracle_pabd(inst: AbductionInstance) -> AbdResult:
+@_engine("oracle-pabd")
+def oracle_pabd(inst: AbductionInstance) -> _Answer:
     """Ground truth for positive abduction (E ⊆ H is an explanation iff some
     model sets E true and no model setting E true violates M): the witness is
     the first pattern of highest popcount that explains."""
-    algorithm = "oracle-pabd"
-    pre = preprocess(inst)
-    if pre.verdict == TRIVIALLY_NO:
-        return _no(algorithm)
-    inst = pre.instance
     models, _, positive = explained(inst)
-    stats = _oracle_stats(inst.kb, models)
-    if not positive:
-        return _no(algorithm, stats)
-    best = max(table_models(positive), key=int.bit_count)
-    return _yes(pre, _positive(best, sorted(inst.hypotheses)), stats, algorithm)
+    best = max(table_models(positive), key=int.bit_count, default=None)
+    return _Answer(None if best is None else _positive(best, sorted(inst.hypotheses)),
+                   _oracle_stats(inst.kb, models))
 
 
 def oracle_positive_explanations(inst: AbductionInstance) -> tuple[frozenset[frozenset[int]],
@@ -202,15 +213,10 @@ def oracle_positive_explanations(inst: AbductionInstance) -> tuple[frozenset[fro
 # baselines (Theorem-3 style exhaustive candidate enumeration)
 # ---------------------------------------------------------------------------
 
-def _baseline(inst: AbductionInstance, sat: SatDecider, algorithm: str,
-              full: bool) -> AbdResult:
+def _baseline(inst: AbductionInstance, sat: SatDecider, full: bool) -> _Answer:
     """Try the positive or full candidate of each of the 2^|H| submasks of
     the H mask in increasing order, which is binary counting over sorted H."""
-    pre = preprocess(inst)
     stats = EnumStats()
-    if pre.verdict == TRIVIALLY_NO:
-        return _no(algorithm, stats)
-    inst = pre.instance
     kb = compile_kb(inst.kb)
     hmask = hyp_mask(inst.hypotheses)
     for mask in submasks(hmask):
@@ -221,36 +227,33 @@ def _baseline(inst: AbductionInstance, sat: SatDecider, algorithm: str,
             continue
         stats.leaves += len(inst.manifestations)
         if entails(kb, mask, neg, inst.manifestations, sat):
-            witness = (_full if full else _positive)(mask, inst.hypotheses)
-            return _yes(pre, witness, stats, algorithm)
-    return _no(algorithm, stats)
+            return _Answer((_full if full else _positive)(mask, inst.hypotheses), stats)
+    return _Answer(None, stats)
 
 
-def baseline_abd(inst: AbductionInstance, sat: SatDecider = decide) -> AbdResult:
+@_engine("baseline-abd")
+def baseline_abd(inst: AbductionInstance, sat: SatDecider = decide) -> _Answer:
     """Try all 2^|H| full candidates; per candidate one satisfiability check
     and one unsatisfiability check per manifestation."""
-    return _baseline(inst, sat, "baseline-abd", full=True)
+    return _baseline(inst, sat, full=True)
 
 
-def baseline_pabd(inst: AbductionInstance, sat: SatDecider = decide) -> AbdResult:
+@_engine("baseline-pabd")
+def baseline_pabd(inst: AbductionInstance, sat: SatDecider = decide) -> _Answer:
     """As baseline_abd but over the 2^|H| positive subsets E ⊆ H."""
-    return _baseline(inst, sat, "baseline-pabd", full=False)
+    return _baseline(inst, sat, full=False)
 
 
 # ---------------------------------------------------------------------------
 # enumeration-based symmetric solver (equivalence classes over H)
 # ---------------------------------------------------------------------------
 
+@_engine("enum-abd", sets=True)
 def enum_abd(inst: AbductionInstance,
-             stream: ModelStream | None = None) -> tuple[AbdResult, ExplanationSet]:
+             stream: ModelStream | None = None) -> tuple[_Answer, ExplanationSet]:
     """Partition the models of KB by their H-restriction and discard a class
     as soon as one member violates M; the survivors are exactly the full
     explanations."""
-    algorithm = "enum-abd"
-    pre = preprocess(inst)
-    if pre.verdict == TRIVIALLY_NO:
-        return _no(algorithm), ExplanationSet(frozenset())
-    inst = pre.instance
     if stream is None:
         stream = enumerate_models(inst.kb)
     hmask, mmask = hyp_mask(inst.hypotheses), hyp_mask(inst.manifestations)
@@ -266,10 +269,8 @@ def enum_abd(inst: AbductionInstance,
             discarded.add(proj)
             potential.discard(proj)
     hyp = sorted(inst.hypotheses)
-    eset = ExplanationSet(frozenset(_full(p, hyp) for p in potential))
-    if not potential:
-        return _no(algorithm, stream.stats), eset
-    return _yes(pre, _full(min(potential), hyp), stream.stats, algorithm), eset
+    return (_Answer(_full(min(potential), hyp) if potential else None, stream.stats),
+            ExplanationSet(frozenset(_full(p, hyp) for p in potential)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +286,9 @@ class PabdAudit:
     max_frame_cells: int = 0
 
 
+@_engine("pabd-rec")
 def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
-                   audit: PabdAudit | None = None) -> AbdResult:
+                   audit: PabdAudit | None = None) -> _Answer:
     """Positive abduction by recursive descent through the subsets of H.
 
     Each node looks at the candidate E (the removable set D plus the locked
@@ -308,12 +310,7 @@ def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
     An explicit stack holds one (D, delta, D's bits not yet removed) entry per
     level: space stays O(|H|^2) bits, and depth is not bounded by recursion.
     """
-    algorithm = "pabd-rec"
-    pre = preprocess(inst)
     stats = EnumStats()
-    if pre.verdict == TRIVIALLY_NO:
-        return _no(algorithm, stats)
-    inst = pre.instance
     kb = compile_kb(inst.kb)
     hmask = hyp_mask(inst.hypotheses)
     man = sorted(inst.manifestations)
@@ -335,7 +332,7 @@ def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
         elif sat(kb, e, hmask ^ e):
             stats.leaves += 1
             if entails(kb, e, 0, man, sat):
-                return _yes(pre, _positive(e, inst.hypotheses), stats, algorithm)
+                return _Answer(_positive(e, inst.hypotheses), stats)
             # else a superset pattern violates M: the whole subtree is dead
         elif d:
             stack.append((d, delta, d))
@@ -345,7 +342,7 @@ def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
         while stack and not stack[-1][2]:
             stack.pop()
         if not stack:
-            return _no(algorithm, stats)
+            return _Answer(None, stats)
         pd, pdelta, rest = stack[-1]
         b = rest & -rest  # remove b, keep D above b, lock D below b
         stack[-1] = (pd, pdelta, rest ^ b)
@@ -356,8 +353,9 @@ def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
 # weight-ordered enumeration positive solver
 # ---------------------------------------------------------------------------
 
+@_engine("pabd-enum", sets=True)
 def pabd_enum(inst: AbductionInstance,
-              stream: ModelStream | None = None) -> tuple[AbdResult, ExplanationSet]:
+              stream: ModelStream | None = None) -> tuple[_Answer, ExplanationSet]:
     """Positive abduction from a non-increasing-w_H model stream.
 
     Runs the weight-ordered scheme (extract the positive candidate of each
@@ -369,11 +367,6 @@ def pabd_enum(inst: AbductionInstance,
     The verified survivors, filtered to subset-maximal elements, are exactly
     the subset-maximal positive explanations.
     """
-    algorithm = "pabd-enum"
-    pre = preprocess(inst)
-    if pre.verdict == TRIVIALLY_NO:
-        return _no(algorithm), ExplanationSet(frozenset())
-    inst = pre.instance
     if stream is None:
         stream = enumerate_weight_ordered(inst.kb, inst.hypotheses)
     if stream.ordering != WEIGHT_ORDERED:
@@ -407,13 +400,10 @@ def pabd_enum(inst: AbductionInstance,
             p ^= bit
     survivors = [e for e in potential
                  if not any(e & b == e for b in bad_patterns)]
-    maximal = _maximal(survivors)
+    maximal = _maximal(survivors)  # widest first, so [0] has the highest popcount
     hyp = sorted(inst.hypotheses)
-    eset = ExplanationSet(frozenset(_positive(p, hyp) for p in maximal))
-    if not maximal:
-        return _no(algorithm, stream.stats), eset
-    best = max(maximal, key=int.bit_count)
-    return _yes(pre, _positive(best, hyp), stream.stats, algorithm), eset
+    return (_Answer(_positive(maximal[0], hyp) if maximal else None, stream.stats),
+            ExplanationSet(frozenset(_positive(p, hyp) for p in maximal)))
 
 
 # ---------------------------------------------------------------------------
@@ -428,19 +418,18 @@ def one_valid_kb(inst: AbductionInstance) -> bool:
 def pabd_one_valid(inst: AbductionInstance) -> AbdResult:
     """For 1-valid knowledge bases a positive explanation exists iff H itself
     is one, and KB ∧ H is consistent for free, so only the |M| entailment
-    checks remain."""
-    algorithm = "one-valid"
+    checks remain.  A KB that is not 1-valid is rejected before
+    preprocessing, so also on a trivially-no instance."""
     if not one_valid_kb(inst):
         raise FragmentError("knowledge base is not 1-valid")
-    pre = preprocess(inst)
-    stats = EnumStats()
-    if pre.verdict == TRIVIALLY_NO:
-        return _no(algorithm, stats)
-    inst = pre.instance
-    stats.leaves = len(inst.manifestations)
-    if entails(compile_kb(inst.kb), hyp_mask(inst.hypotheses), 0, inst.manifestations, decide):
-        return _yes(pre, inst.hypotheses, stats, algorithm)
-    return _no(algorithm, stats)
+    return _one_valid(inst)
+
+
+@_engine("one-valid")
+def _one_valid(inst: AbductionInstance) -> _Answer:
+    man = inst.manifestations
+    found = entails(compile_kb(inst.kb), hyp_mask(inst.hypotheses), 0, man, decide)
+    return _Answer(inst.hypotheses if found else None, EnumStats(leaves=len(man)))
 
 
 # ---------------------------------------------------------------------------
@@ -452,21 +441,16 @@ def positive_cnf(inst: AbductionInstance) -> bool:
     return is_kcnf_formula(inst.kb, positive=True) and preprocess(inst).instance.is_normalized()
 
 
-def abd_kcnf_pos(inst: AbductionInstance) -> AbdResult:
+@_engine("simplesat")
+def abd_kcnf_pos(inst: AbductionInstance) -> _Answer:
     """Symmetric abduction over positive clauses via the SimpleSAT reduction;
     a model of the reduced instance maps to the negative explanation holding
     ¬h exactly for the hypotheses the model sets to 0."""
-    algorithm = "simplesat"
-    pre = preprocess(inst)
-    if pre.verdict == TRIVIALLY_NO:
-        return _no(algorithm)
-    inst = pre.instance
     simple, report = abd_to_simplesat(inst)
     model, stats = solve_simple_sat(simple)
-    if model is None:
-        return _no(algorithm, stats, report)
-    lits = frozenset(-h for h in inst.hypotheses if not (model >> (h - 1)) & 1)
-    return _yes(pre, lits, stats, algorithm, report)
+    lits = (None if model is None
+            else frozenset(-h for h in inst.hypotheses if not (model >> (h - 1)) & 1))
+    return _Answer(lits, stats, report)
 
 
 @dataclass

@@ -9,10 +9,9 @@ from abductor.langlib import (LanguageError, NEQ,
                               derive_inequality, dual_horn, equations,
                               equations_family, has_constant_polymorphism,
                               horn, imp, is_branching_closed,
-                              is_complement_invariant, is_non_trivial,
-                              is_one_valid, k_cnf, k_cnf_neg, k_cnf_pos,
-                              k_nae, language, minor, nae, one_in_k, parity,
-                              substitute, xsat_family)
+                              is_complement_invariant, is_one_valid, k_cnf,
+                              k_cnf_neg, k_cnf_pos, k_nae, language, minor,
+                              nae, one_in_k, parity, substitute, xsat_family)
 
 OR3 = clause_relation((0, 0, 0))
 
@@ -110,7 +109,7 @@ class TestBranchingClosure:
         for cap in (3, 4):
             base = equations_family(cap)
             members = set(base.relations)
-            assert all(is_non_trivial(r) and not r.is_empty for r in members)
+            assert all(not r.is_trivial and not r.is_empty for r in members)
             for rel in members:
                 for pos in range(1, rel.arity + 1):
                     for val in (0, 1):
@@ -129,9 +128,9 @@ class TestBranchingClosure:
 
 class TestPredicates:
     def test_non_trivial(self):
-        assert not is_non_trivial(Relation(2, (0, 1, 2, 3)))
-        assert is_non_trivial(NEQ)
-        assert is_non_trivial(one_in_k(3))  # 3 of 8 tuples
+        assert Relation(2, (0, 1, 2, 3)).is_trivial
+        assert not NEQ.is_trivial
+        assert not one_in_k(3).is_trivial  # 3 of 8 tuples
 
     def test_one_valid(self):
         assert is_one_valid(k_cnf_pos(3))

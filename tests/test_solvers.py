@@ -267,6 +267,16 @@ class TestFragmentSolvers:
         with pytest.raises(FragmentError):
             abd_kcnf_pos(inst)
 
+    def test_trivially_no_outside_the_fragments(self):
+        """one-valid checks its KB before preprocessing, so it raises on a
+        trivially-no instance; simplesat answers that instance no."""
+        nor2 = clause_relation((1, 1))
+        inst = AbductionInstance(formula(3, [(nor2, (1, 2))]), frozenset({1}), frozenset({3}))
+        assert preprocess(inst).verdict == TRIVIALLY_NO
+        with pytest.raises(FragmentError):
+            pabd_one_valid(inst)
+        assert not abd_kcnf_pos(inst).answer
+
     @pytest.mark.parametrize("pool, selected", [
         ("exhaustive_instances", {"simplesat": 156, "one-valid": 1107}),
         ("preprocess_audit_instances", {"simplesat": 324, "one-valid": 1792}),
@@ -288,7 +298,7 @@ class TestFragmentSolvers:
     def test_every_engine_names_its_result(self):
         """Every ENGINES row's result carries the row's name, on a yes, a no
         and a trivially-no instance of positive clauses, which every row's
-        solver accepts."""
+        solver accepts; a row's explanation set is empty on the last."""
         clause = clause_relation((0, 0))
         chain = formula(3, [(clause, (1, 2)), (clause, (2, 3))])
         cases = {
@@ -301,9 +311,11 @@ class TestFragmentSolvers:
         for want, inst in cases.items():
             assert (preprocess(inst).verdict == TRIVIALLY_NO) is (want == "trivially-no")
             for e in solvers.ENGINES:
-                res = e.run(inst)[0]
+                res, eset = e.run(inst)
                 assert res.algorithm == e.name, (res.algorithm, want)
                 assert res.answer is (want is True), (e.name, want)
+                if want == "trivially-no" and e.explanations:
+                    assert eset.explanations == frozenset(), e.name
 
 
 class TestRandomAgreement:
