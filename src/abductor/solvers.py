@@ -73,12 +73,12 @@ class _Answer(NamedTuple):
 
 
 def _engine(name: str, sets: bool = False):
-    """Make a solver body over preprocess(inst).instance, which returns an
-    _Answer (beside an ExplanationSet when `sets`), into the solver that
-    takes the caller's instance and returns an AbdResult named `name`.  A
-    trivially-no instance is answered no, with an empty ExplanationSet,
-    without running the body; the self-explained manifestations are added to
-    a witness."""
+    """Decorate a solver body into its public solver, whose AbdResult is
+    named `name`.  The body takes preprocess(inst).instance and returns an
+    _Answer, with an ExplanationSet beside it when `sets`.  The solver
+    answers a trivially-no instance no (with an empty ExplanationSet)
+    without running the body, and adds the self-explained manifestations to
+    the body's witness."""
     def wrap(body: Callable) -> Callable:
         @functools.wraps(body)
         def solve(inst: AbductionInstance, *args, **kw):
