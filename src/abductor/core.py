@@ -34,6 +34,9 @@ one Python int per variable column (bit s holds the variable's value in
 assignment s), so each big-int AND or OR works on all 2^n assignments at once
 (Knuth, TAOCP 4A, 7.1.3).  The brute-force oracles and CnfFormula.satisfiable
 build their tables from these columns.
+
+preprocess returns an instance that is already normalised (H ∪ M ⊆ var(KB))
+as it is, the same object, after one used_vars scan.
 """
 
 from __future__ import annotations
@@ -440,9 +443,12 @@ def preprocess(inst: AbductionInstance) -> PreprocessResult:
     Overlaps H ∩ M *inside* var(KB) are kept: dropping such an m can flip the
     answer (m may be inconsistent with KB), so no sound local rule exists.
     Consumers that require disjointness resolve it themselves (see
-    reductions.negimp_to_pos) or reject the instance.
+    reductions.negimp_to_pos) or reject the instance.  An instance with
+    H ∪ M ⊆ var(KB) comes back as it is (the same object), UNCHANGED.
     """
     used = inst.kb.used_vars()
+    if inst.hypotheses <= used and inst.manifestations <= used:
+        return PreprocessResult(inst, UNCHANGED)
     hyp = set(inst.hypotheses)
     man = set(inst.manifestations)
     self_explained: set[int] = set()

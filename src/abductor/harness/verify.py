@@ -16,15 +16,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from ..core import (AbductionInstance, Constraint, Formula, Relation,
-                    BOT, TOP, is_explanation, preprocess)
+                    BOT, TOP, TRIVIALLY_NO, is_explanation, preprocess)
 from ..langlib import LanguageError, clause_relation, nae, one_in_k, parity
 from ..reductions import (IMP_REL, abd2cnf_to_cnfsat, abd_to_pabd_4cnf,
                           clique_to_abd, cnfsat_to_abd_lb,
                           colorful_clique_exists, eliminate_constants,
-                          is_kcnf_formula, is_neg_imp_formula, kcnf_to_nae,
+                          formula_as_clauses, is_neg_imp_formula, kcnf_to_nae,
                           negimp_to_pos, qbf_to_abd4cnf, qbf_truth)
-from ..solvers import (ENGINES, PabdAudit, oracle_abd, oracle_full_explanations,
-                       oracle_pabd, oracle_positive_explanations, pabd_recursive)
+from ..solvers import (ENGINES, PabdAudit, _oracle_sets, explained, oracle_abd,
+                       oracle_pabd, pabd_recursive)
 from . import generators
 
 # reduction outputs above this many variables are not checked by the oracles
@@ -63,8 +63,7 @@ def check_solvers(inst: AbductionInstance) -> list[Finding]:
         fails.append(Finding(kind, detail, inst))
 
     explains = functools.cache(functools.partial(is_explanation, inst))
-    full = oracle_full_explanations(inst)
-    positive, maximal = oracle_positive_explanations(inst)
+    full, positive, maximal = _oracle_sets(inst)
     truth = {"abd": bool(full), "pabd": bool(positive)}
     sets = {"full": ("full-explanation", full, len),
             "maximal": ("maximal-positive", maximal, lambda s: sorted(map(sorted, s)))}
@@ -97,7 +96,12 @@ def check_solvers(inst: AbductionInstance) -> list[Finding]:
 
 
 def _oracle_pair(inst: AbductionInstance) -> tuple[bool, bool]:
-    return oracle_abd(inst).answer, oracle_pabd(inst).answer
+    """(oracle_abd(inst).answer, oracle_pabd(inst).answer) from one explained read."""
+    pre = preprocess(inst)
+    if pre.verdict == TRIVIALLY_NO:
+        return False, False
+    _, full, positive = explained(pre.instance)
+    return bool(full), bool(positive)
 
 
 def check_reductions(inst: AbductionInstance) -> tuple[list[Finding], list[Finding]]:
@@ -105,6 +109,9 @@ def check_reductions(inst: AbductionInstance) -> tuple[list[Finding], list[Findi
     logged: list[Finding] = []
     in_abd, in_pabd = _oracle_pair(inst)
     pre = preprocess(inst).instance
+    # the widest clause of a CNF KB, or None: the k-CNF gates of the reductions
+    clauses = formula_as_clauses(inst.kb)
+    width = None if clauses is None else max((len(signs) for signs, _ in clauses), default=0)
 
     if is_neg_imp_formula(inst.kb):
         out, _rep = negimp_to_pos(inst)
@@ -115,13 +122,13 @@ def check_reductions(inst: AbductionInstance) -> tuple[list[Finding], list[Findi
                     fails.append(Finding(f"negimp-to-pos/{mode}",
                                          f"answer flipped (input {truth})", inst))
 
-    if is_kcnf_formula(inst.kb, k=4):
+    if width is not None and width <= 4:
         out, _rep = abd_to_pabd_4cnf(pre)
         if out.num_vars <= REDUCTION_OUT_CAP and oracle_pabd(out).answer != in_abd:
             fails.append(Finding("abd-to-pabd-4cnf",
                                  f"positive answer vs symmetric input {in_abd}", inst))
 
-    if is_kcnf_formula(inst.kb):
+    if width is not None:
         out, _rep = kcnf_to_nae(pre)
         if out.num_vars <= REDUCTION_OUT_CAP:
             o_abd, o_pabd = _oracle_pair(out)
@@ -142,7 +149,7 @@ def check_reductions(inst: AbductionInstance) -> tuple[list[Finding], list[Findi
                 fails.append(Finding("eliminate-constants",
                                      f"({o_abd},{o_pabd}) vs ({p_abd},{p_pabd})", probe))
 
-    if is_kcnf_formula(inst.kb, k=2):
+    if width is not None and width <= 2:
         out, _rep = abd2cnf_to_cnfsat(pre)
         if out.num_vars <= 16:
             out_sat = out.satisfiable()

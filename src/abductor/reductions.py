@@ -59,8 +59,8 @@ def clause_signs(rel: Relation) -> tuple[int, ...] | None:
     k = rel.arity
     if k < 1 or len(rel) != (1 << k) - 1:
         return None
-    missing = set(range(1 << k)) - set(rel.codes)
-    return decode_tuple(missing.pop(), k)
+    # the codes are distinct in 0..2^k-1: the missing one is 2^k(2^k-1)/2 less their sum
+    return decode_tuple((1 << k) * ((1 << k) - 1) // 2 - sum(rel.codes), k)
 
 
 IMP_REL = imp()

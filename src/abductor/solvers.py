@@ -176,15 +176,6 @@ def oracle_abd(inst: AbductionInstance) -> _Answer:
                    _oracle_stats(inst.kb, models))
 
 
-def oracle_full_explanations(inst: AbductionInstance) -> frozenset[frozenset[int]]:
-    pre = preprocess(inst)
-    if pre.verdict == TRIVIALLY_NO:
-        return frozenset()
-    inst = pre.instance
-    hyp = sorted(inst.hypotheses)
-    return frozenset(_full(p, hyp) for p in table_models(explained(inst)[1]))
-
-
 @_engine("oracle-pabd")
 def oracle_pabd(inst: AbductionInstance) -> _Answer:
     """Ground truth for positive abduction (E ⊆ H is an explanation iff some
@@ -196,17 +187,31 @@ def oracle_pabd(inst: AbductionInstance) -> _Answer:
                    _oracle_stats(inst.kb, models))
 
 
-def oracle_positive_explanations(inst: AbductionInstance) -> tuple[frozenset[frozenset[int]],
-                                                                   frozenset[frozenset[int]]]:
-    """(all positive explanations, the subset-maximal ones)."""
+_Sets = frozenset[frozenset[int]]  # explanations as literal sets
+
+
+def _oracle_sets(inst: AbductionInstance) -> tuple[_Sets, _Sets, _Sets]:
+    """(full, positive, subset-maximal positive explanations) of
+    preprocess(inst).instance from one explained read; empty if trivially-no."""
     pre = preprocess(inst)
     if pre.verdict == TRIVIALLY_NO:
-        return frozenset(), frozenset()
+        return frozenset(), frozenset(), frozenset()
     inst = pre.instance
     hyp = sorted(inst.hypotheses)
-    all_ok = table_models(explained(inst)[2])
-    return (frozenset(_positive(p, hyp) for p in all_ok),
+    _, full, positive = explained(inst)
+    all_ok = table_models(positive)
+    return (frozenset(_full(p, hyp) for p in table_models(full)),
+            frozenset(_positive(p, hyp) for p in all_ok),
             frozenset(_positive(p, hyp) for p in _maximal(all_ok)))
+
+
+def oracle_full_explanations(inst: AbductionInstance) -> _Sets:
+    return _oracle_sets(inst)[0]
+
+
+def oracle_positive_explanations(inst: AbductionInstance) -> tuple[_Sets, _Sets]:
+    """(all positive explanations, the subset-maximal ones)."""
+    return _oracle_sets(inst)[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from abductor.core import (AbductionInstance, Constraint, Formula, Relation,
                            UNCHANGED, BOT, TOP, encode_tuple, entails,
                            evaluate, formula, is_explanation,
                            literal_masks, preprocess)
-from abductor.harness import io
+from abductor.harness import io, verify
 from abductor.langlib import clause_relation, one_in_k
 from abductor.satenum import compile_kb, decide
 from abductor.solvers import brute_models
@@ -203,3 +203,32 @@ class TestPreprocess:
         twice = preprocess(once.instance)
         assert twice.instance == once.instance
         assert twice.verdict == UNCHANGED
+
+    @staticmethod
+    def reference(inst: AbductionInstance) -> tuple[str, AbductionInstance | None, frozenset]:
+        """The three rules over var(KB), as sets: (verdict, instance,
+        self-explained), with no instance for a trivially-no verdict."""
+        used = inst.kb.used_vars()
+        hyp, man = inst.hypotheses, inst.manifestations
+        if man - used - hyp:
+            return TRIVIALLY_NO, None, frozenset()
+        self_explained = (man & hyp) - used
+        verdict = TRIVIALLY_REDUCED if hyp - used else UNCHANGED
+        return (verdict, AbductionInstance(inst.kb, hyp & used, man - self_explained),
+                self_explained)
+
+    def test_normalised_instances_come_back_as_they_are(self):
+        """preprocess hands back the very instance exactly when H ∪ M ⊆
+        var(KB), and otherwise gives what the three rules give."""
+        counts = {TRIVIALLY_NO: 0, TRIVIALLY_REDUCED: 0, UNCHANGED: 0}
+        for inst in itertools.chain(verify.preprocess_audit_instances(),
+                                    verify.exhaustive_instances()):
+            res = preprocess(inst)
+            inside = inst.hypotheses | inst.manifestations <= inst.kb.used_vars()
+            assert (res.instance is inst) == inside == (res.verdict == UNCHANGED), inst
+            verdict, want, self_explained = self.reference(inst)
+            assert res.verdict == verdict, inst
+            if verdict != TRIVIALLY_NO:
+                assert (res.instance, res.self_explained) == (want, self_explained), inst
+            counts[verdict] += 1
+        assert all(counts.values()), counts

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -8,7 +9,9 @@ from abductor.core import (TRIVIALLY_NO, AbductionInstance, Explanation, Relatio
                            is_explanation, preprocess)
 from abductor.langlib import one_in_k
 from abductor.satenum import EnumStats
-from abductor.solvers import ENGINES, AbdResult, Engine, explained
+from abductor import solvers
+from abductor.solvers import (ENGINES, AbdResult, Engine, _oracle_sets, explained,
+                              oracle_full_explanations, oracle_positive_explanations)
 from abductor.harness import bench, generators, io, verify
 from abductor.harness.cli import main as cli_main
 
@@ -181,6 +184,42 @@ class TestVerifySweeps:
         assert len(overlap) == 873
         fails = [f for inst in overlap for f in verify.check_solvers(inst)]
         assert not fails, [(f.kind, f.detail, io.write_text(f.instance)) for f in fails[:3]]
+
+    def test_one_oracle_read_gives_both_answers_and_all_three_sets(self):
+        """_oracle_pair and _oracle_sets, which read the oracle view once, give
+        what the public oracles give, trivially-no instances included."""
+        trivially_no = 0
+        for inst in itertools.chain(verify.exhaustive_instances(),
+                                    verify.preprocess_audit_instances()):
+            answers = verify.oracle_abd(inst).answer, verify.oracle_pabd(inst).answer
+            assert verify._oracle_pair(inst) == answers, inst
+            full, positive, maximal = _oracle_sets(inst)
+            assert (bool(full), bool(positive)) == answers, inst
+            assert (full, positive, maximal) == (oracle_full_explanations(inst),
+                                                 *oracle_positive_explanations(inst)), inst
+            trivially_no += preprocess(inst).verdict == TRIVIALLY_NO
+        assert trivially_no > 1000
+
+    def test_checks_read_the_oracle_view_once_per_instance(self, monkeypatch):
+        """check_solvers reads the view once, for its input; check_reductions
+        reads it once for each distinct instance it judges: here the input
+        and the outputs of negimp-to-pos, abd-to-pabd-4cnf and kcnf-to-nae
+        (the language has no inequality gadget, so no constant probe)."""
+        inst = generators.gen_kcnf_neg_imp(4, 0, k=2)
+        reads = []
+
+        def counted(x):
+            reads.append(x)
+            return explained(x)
+
+        monkeypatch.setattr(solvers, "explained", counted)
+        monkeypatch.setattr(verify, "explained", counted)
+        assert verify.check_solvers(inst) == []
+        assert reads == [preprocess(inst).instance]
+        reads.clear()
+        assert verify.check_reductions(inst)[0] == []
+        assert reads[0] == preprocess(inst).instance
+        assert len(reads) == len(set(reads)) == 4
 
     def test_minimizer_shrinks(self):
         inst = generators.gen_xsat(8, 2)

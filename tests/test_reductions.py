@@ -3,13 +3,14 @@ import itertools
 import pytest
 
 from abductor.core import (AbductionInstance, Constraint, FragmentError,
-                           Formula, BOT, TOP, formula, preprocess)
+                           Formula, BOT, TOP, Relation, decode_tuple, formula,
+                           preprocess)
 from abductor.langlib import clause_relation, nae, one_in_k, parity
 from abductor.reductions import (CV, LV, SHRINKING, CnfFormula, ColoredGraph,
                                  IMP_REL, QbfInstance, ReductionContractError,
                                  ReductionReport,
                                  abd2cnf_to_cnfsat, abd_to_pabd_4cnf,
-                                 abd_to_simplesat, clique_to_abd,
+                                 abd_to_simplesat, clause_signs, clique_to_abd,
                                  cnfsat_to_abd_lb, colorful_clique_exists,
                                  eliminate_constants, kcnf_to_nae,
                                  negimp_to_pos, qbf_to_abd4cnf, qbf_truth)
@@ -23,6 +24,20 @@ from abductor.harness.generators import (gen_2cnf, gen_cnf_formula,
 
 def inst_of(n, cons, hyp, man):
     return AbductionInstance(formula(n, cons), frozenset(hyp), frozenset(man))
+
+
+def test_clause_signs_is_the_one_missing_tuple():
+    """clause_signs finds the missing code by a sum; it must agree with the
+    set difference on every relation of arity 1..3."""
+    clauses = 0
+    for k in (1, 2, 3):
+        for members in itertools.product((0, 1), repeat=1 << k):
+            rel = Relation(k, tuple(c for c, keep in enumerate(members) if keep))
+            missing = set(range(1 << k)) - set(rel.codes)
+            want = decode_tuple(missing.pop(), k) if len(missing) == 1 else None
+            assert clause_signs(rel) == want, rel
+            clauses += want is not None
+    assert clauses == 2 + 4 + 8
 
 
 class TestNegImpToPos:
