@@ -138,14 +138,13 @@ class _Search:
     unsearched when the new masks agree with it.  conflict is None, or the
     last constraint _propagate found empty, which decide re-checks."""
 
-    __slots__ = ("cons", "n", "vbits", "occ", "occbits", "smasks", "memos", "cube", "start",
+    __slots__ = ("cons", "n", "vbits", "occbits", "smasks", "memos", "cube", "start",
                  "conflict")
 
     def __init__(self, cons: list[tuple[frozenset[int], tuple[int, ...]]], n: int) -> None:
         self.cons = cons
         self.n = n
         self.vbits = vbits = [0] + [1 << v for v in range(n)]
-        self.occ: list[list[int]] = [[] for _ in range(n + 1)]
         self.occbits = [0] * (n + 1)
         self.smasks = [0] * len(cons)
         self.memos: list[dict[int, tuple]] = [{} for _ in cons]
@@ -153,7 +152,6 @@ class _Search:
         self.conflict: int | None = None
         for i, (_, scope) in enumerate(cons):
             for v in set(scope):
-                self.occ[v].append(i)
                 self.occbits[v] |= 1 << i
                 self.smasks[i] |= vbits[v]
 
@@ -164,8 +162,8 @@ class _Search:
 
     def root(self) -> tuple:
         """The unchecked root node: every constraint touched and live."""
-        m = len(self.cons)
-        return range(m), 0, 0, (1 << m) - 1
+        every = (1 << len(self.cons)) - 1
+        return every, 0, 0, every
 
     def entry(self, i: int, amask: int, vmask: int):
         """Constraint i's restriction-table entry under the masks: its memo's,
@@ -190,19 +188,19 @@ class _Search:
             entry = memo[key] = restriction(codes, len(scope), hit, want)
         return entry
 
-    def touched(self, bits: int) -> set[int]:
-        """The constraints the variables of the variable-bit mask `bits`
-        occur in."""
-        occ = self.occ
-        out: set[int] = set()
+    def touched(self, bits: int) -> int:
+        """The bitmask of the constraints the variables of the variable-bit
+        mask `bits` occur in."""
+        occbits = self.occbits
+        out = 0
         while bits:
             low = bits & -bits
             bits ^= low
-            out.update(occ[low.bit_length()])
+            out |= occbits[low.bit_length()]
         return out
 
 
-def _propagate(search: _Search, touched, amask: int, vmask: int, live: int,
+def _propagate(search: _Search, touched: int, amask: int, vmask: int, live: int,
                units: bool = True):
     """Check the touched live constraints: an empty one is a conflict (None)
     and a full one is dropped.  With `units`, a unit is dropped and forces its
@@ -210,15 +208,18 @@ def _propagate(search: _Search, touched, amask: int, vmask: int, live: int,
     until none is forced; without, a unit stays live.  Returns the new masks
     and live bitmask.  The fixpoint, and whether it conflicts, do not depend
     on the order of the checks."""
-    cons, vbits, occ = search.cons, search.vbits, search.occ
+    cons, vbits, occbits = search.cons, search.vbits, search.occbits
     smasks, memos, n = search.smasks, search.memos, search.n
     while True:
         # the bits of the variables forced in this pass, and of those forced to 1
         fa = fv = 0
-        for i in touched:
+        # highest constraint number first: a descent that sets low variables
+        # first keeps the highest empty constraint in the last-conflict slot
+        t = touched & live
+        while t:
+            i = t.bit_length() - 1
             cbit = 1 << i
-            if not live & cbit:
-                continue
+            t ^= cbit
             a = amask & smasks[i]
             out, keep, kind = memos[i].get(a << n | vmask & a) or search.entry(i, amask, vmask)
             if kind == OPEN:
@@ -240,8 +241,8 @@ def _propagate(search: _Search, touched, amask: int, vmask: int, live: int,
             return amask, vmask, live
         amask |= fa
         vmask |= fv
-        # one forced variable (the common case): its occurrence list
-        touched = search.touched(fa) if fa & fa - 1 else occ[fa.bit_length()]
+        # one forced variable (the common case): its constraints' bitmask
+        touched = search.touched(fa) if fa & fa - 1 else occbits[fa.bit_length()]
 
 
 def _search(search: _Search, root, stats: EnumStats,
@@ -273,7 +274,7 @@ def _search(search: _Search, root, stats: EnumStats,
     """
     touched, amask, vmask, live = root
     units = not tuples
-    cons, vbits, occ, occbits = search.cons, search.vbits, search.occ, search.occbits
+    cons, vbits, occbits = search.cons, search.vbits, search.occbits
     smasks, memos, n = search.smasks, search.memos, search.n
     phase = search.cube[1] if search.cube else 0
     var = 1
@@ -302,7 +303,7 @@ def _search(search: _Search, root, stats: EnumStats,
                             var += 1
                         bit = vbits[var]
                         amask |= bit
-                        touched = occ[var]
+                        touched = occbits[var]
                         if phase & bit:
                             stack.append((amask, vmask, live, var, depth, touched))
                             vmask |= bit
@@ -394,10 +395,7 @@ def decide(kb: _Search, pos: int = 0, neg: int = 0) -> bool:
         return True
     if kb.conflict is not None and kb.entry(kb.conflict, amask, vmask)[2] == EMPTY:
         return False
-    # the constraints of the newly set variables, found by one AND per scope
-    # mask: a searched True drops every live constraint anyway
-    touched = [i for i, smask in enumerate(kb.smasks) if smask & new]
-    node = next(_search(kb, (touched, amask, vmask, live), EnumStats()), None)
+    node = next(_search(kb, (kb.touched(new), amask, vmask, live), EnumStats()), None)
     if node is None:
         return False
     kb.cube = node

@@ -11,8 +11,11 @@ from benchtree import BENCHMARK  # noqa: E402
 METRICS = {m["name"]: m for m in BENCHMARK["end_to_end"]}
 
 
-def runs(name: str, values: list[float]) -> list[dict]:
-    return [{"metrics": {name: {"value": v}}, "correct": True, "failed": 0} for v in values]
+def runs(name: str, values: list[float], failed: int = 0) -> list[dict]:
+    """One run per value, each of 100 attempted operations; the first has
+    `failed` of them failed."""
+    return [{"metrics": {name: {"value": v}}, "correct": True, "attempted": 100,
+             "failed": failed if i == 0 else 0} for i, v in enumerate(values)]
 
 
 def verdicts(name: str, base: list[float], change: list[float]) -> str:
@@ -49,3 +52,23 @@ def test_no_gain_below_nine_wins_or_within_the_iqr():
 def test_a_worse_median_within_the_bound_is_no_regression():
     change = [v * 0.9 for v in BASE]
     assert verdicts("ops_per_s", BASE, change) == "gain: not met  regression (bound 0.15): not met"
+
+
+def failed_line(base: list[dict], change: list[dict]) -> str:
+    lines = summarise([METRICS["ops_per_s"]], base, change)
+    return next(line.strip() for line in lines if line.strip().startswith("failed operations:"))
+
+
+def test_the_share_of_failed_operations():
+    clean = runs("ops_per_s", BASE)
+    one = runs("ops_per_s", BASE, failed=1)
+    # 1 failed of 1,000 attempted on the change's side only
+    assert failed_line(clean, one) == ("failed operations: base 0.0000%  change 0.1000%  "
+                                       "larger share: met")
+    assert failed_line(one, clean).endswith("larger share: not met")
+    assert failed_line(one, one).endswith("larger share: not met")
+    # the share, not the count: 2 of 2,000 attempted is no larger than 1 of 1,000
+    assert failed_line(one, one + runs("ops_per_s", BASE, failed=1)).endswith("not met")
+    # no operation attempted on either side
+    idle = [{**r, "attempted": 0} for r in clean]
+    assert failed_line(idle, idle).endswith("larger share: not met")

@@ -18,6 +18,10 @@ pair and two verdicts:
               is better than the base's by more than the base's IQR;
   regression  the change's median is worse than the base's by more than the
               metric's `bound` (a fraction of the base's median).
+
+Per workload it also prints each side's share of failed operations, the sum
+of the runs' `failed` over the sum of their `attempted`, and whether the
+change's share is the larger.
 """
 
 from __future__ import annotations
@@ -59,10 +63,20 @@ def summarise(metrics: list[dict], base: list[dict], change: list[dict]) -> list
         lines.append(f"    gain: {'met' if gain else 'not met'}  "
                      f"regression (bound {m['bound']:g}): "
                      f"{'met' if regression else 'not met'}")
+    shares = [failed_share(side) for side in (base, change)]
+    lines.append(f"  failed operations: base {shares[0]:.4%}  change {shares[1]:.4%}  "
+                 f"larger share: {'met' if shares[1] > shares[0] else 'not met'}")
     failed = [r for r in base + change if not r.get("correct") or r.get("failed")]
     if failed:
         lines.append(f"  {len(failed)} runs not correct or with failed operations")
     return lines
+
+
+def failed_share(runs: list[dict]) -> float:
+    """The failed operations of `runs` over the attempted ones (0 when none
+    was attempted)."""
+    attempted = sum(r.get("attempted", 0) for r in runs)
+    return sum(r.get("failed", 0) for r in runs) / attempted if attempted else 0.0
 
 
 def main(argv: list[str] | None = None) -> int:
