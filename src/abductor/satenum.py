@@ -25,17 +25,18 @@ its arity and the positions of its scope the node sets (hit) with their
 values (want), gathered from the masks through the variables' bits; the memo
 keeps the table's entry, so it outlives the table's clears.  The entry also
 classifies the restriction as empty, full, a unit or open, so a check builds
-no dict and no scope.  The occurrence lists (variable -> constraint numbers,
-also as bitmasks) are built once per search, so a child is its masks, its
-parent's live bitmask and the constraints its branch touches, with nothing
-copied; propagation checks only the constraints touched since the last check
-(Chaff, Moskewicz et al., DAC 2001).  Formulas are read through each
+no dict and no scope.  A variable's occurrences (the constraints whose scope
+holds it), built once per search, and every set of touched constraints are
+bitmasks over constraint numbers, so a child is its masks, its parent's live
+bitmask and the bitmask of the constraints its branch touches, with nothing
+copied; propagation checks only the live constraints touched since the last
+check (Chaff, Moskewicz et al., DAC 2001).  Formulas are read through each
 relation's cached code set, so a call copies no relation.
 
 decide answers KB ∧ assumptions on a KB compiled by compile_kb (its search
 and propagated root, in start).  The assumptions are two variable-bit masks,
 positive and negated, OR-ed into the root's masks, and the search starts at
-the constraints of the newly set variables (MiniSat, Een & Sorensson, SAT
+the newly set variables' occurrence bitmasks (MiniSat, Een & Sorensson, SAT
 2003; IPASIR, Balyo, Biere, Iser & Sinz, AI 241, 2016).  The solvers
 compile their KB once per call, so the calls of one solver call share its
 memos, and nothing outlives the solver call.  The compiled KB also keeps one
@@ -119,9 +120,8 @@ class ModelStream(Iterator[int]):
 
 class _Search:
     """A formula compiled for the search: its constraints as (code set,
-    scope) pairs, and per variable v its bit 1 << (v-1), its occurrence list
-    (the numbers of the constraints whose scope holds v, in order) and the
-    same constraints as a bitmask.
+    scope) pairs, and per variable v its bit 1 << (v-1) and occbits[v], the
+    bitmask of the constraints whose scope holds v.
 
     Per constraint i it also keeps the scope mask smasks[i], the OR of its
     scope's variable bits, and the memo memos[i] of the restriction entries
@@ -202,19 +202,19 @@ class _Search:
 
 def _propagate(search: _Search, touched: int, amask: int, vmask: int, live: int,
                units: bool = True):
-    """Check the touched live constraints: an empty one is a conflict (None)
-    and a full one is dropped.  With `units`, a unit is dropped and forces its
-    variable, and the constraints the forced values touch are checked next,
-    until none is forced; without, a unit stays live.  Returns the new masks
-    and live bitmask.  The fixpoint, and whether it conflicts, do not depend
-    on the order of the checks."""
+    """Check the live constraints of the bitmask `touched`, highest number
+    first: an empty one is a conflict (None) and a full one is dropped.  With
+    `units`, a unit is dropped and forces its variable, and the constraints
+    the forced values touch are checked next, until none is forced; without,
+    a unit stays live.  Returns the new masks and live bitmask.  The
+    fixpoint, and whether it conflicts, do not depend on the order of the
+    checks, which only picks the empty constraint kept in search.conflict:
+    highest first keeps it through a descent that sets low variables first."""
     cons, vbits, occbits = search.cons, search.vbits, search.occbits
     smasks, memos, n = search.smasks, search.memos, search.n
     while True:
         # the bits of the variables forced in this pass, and of those forced to 1
         fa = fv = 0
-        # highest constraint number first: a descent that sets low variables
-        # first keeps the highest empty constraint in the last-conflict slot
         t = touched & live
         while t:
             i = t.bit_length() - 1
@@ -251,8 +251,9 @@ def _search(search: _Search, root, stats: EnumStats,
     of every satisfied node.
 
     A node is three ints, the masks of the assigned variables and of their
-    values and the live bitmask over constraint numbers, plus the constraints
-    touched since its last check; `root` is (touched, amask, vmask, live).
+    values and the live bitmask over constraint numbers, plus the bitmask of
+    the constraints touched since its last check; `root` is (touched, amask,
+    vmask, live).
     _propagate checks each node once.  A node that neither conflicts nor is
     satisfied branches by one of two rules:
 
@@ -378,8 +379,9 @@ def decide(kb: _Search, pos: int = 0, neg: int = 0) -> bool:
 
     The masks are OR-ed into those of the KB's root.  If the result agrees
     with the KB's cube, the answer is True unsearched, and if the KB's last
-    conflict is empty under it, False unsearched; otherwise a searched True
-    makes the first satisfied node the cube.  Raises StructureError on a
+    conflict is empty under it, False unsearched; otherwise the search
+    starts from the constraints of the newly set variables, and a searched
+    True makes the first satisfied node the cube.  Raises StructureError on a
     mask bit past the KB's variables, before any other check."""
     if (pos | neg) >> kb.n:
         raise StructureError(f"assumption past variable {kb.n}")

@@ -3,7 +3,7 @@ hanging it or filling the machine's memory:
 
 - wall clock: a test that runs past WATCHDOG_S seconds (an endless search)
   dumps every thread's traceback to stderr and ends the pytest process with
-  exit status 1.  The slowest test takes about 9 s.
+  exit status 1.  The slowest test takes 11-13 s.
 - memory: the pytest process's own address space is capped at MEMORY_LIMIT
   bytes (RLIMIT_AS, lowered on this process only), so a test that keeps
   allocating fails with MemoryError instead of growing.  The suite peaks

@@ -266,6 +266,20 @@ class TestCompiledDecide:
         # (x1 ∨ x2) is not empty under ¬x1 alone, so the slot answers nothing
         assert decide(compiled, *literal_masks([-1]))
 
+    def test_the_nor2_descent_searches_twice(self, searches):
+        """pabd_recursive on the NOR2 chain, H = every variable and M empty,
+        calls decide with x_i..x_n set to 1 and x_1..x_{i-1} to 0, for
+        i = 1..n.  The check walks the highest constraint first, so the first
+        call's conflict is NOR2(x_{n-1}, x_n), and the last-conflict slot
+        answers every later call but the last unsearched."""
+        n = 128
+        nor2 = Relation(2, (0, 1, 2))  # not both
+        kb = formula(n, [(nor2, (i, i + 1)) for i in range(1, n)])
+        res = solvers.pabd_recursive(AbductionInstance(kb, frozenset(range(1, n + 1)),
+                                                       frozenset()))
+        assert res.answer and res.witness.literals == {n}
+        assert len(searches) <= 2
+
     def test_the_search_branches_toward_the_cube(self):
         kb = formula(4, [(clause_relation((0, 0)), (1, 2)), (clause_relation((0, 0)), (3, 4))])
         compiled = compile_kb(kb)

@@ -237,7 +237,7 @@ class TestConstructors:
         assert len(k_cnf_pos(3)) == 3
         assert len(k_cnf_neg(2)) == 2
         assert all(s.count(0) <= 1
-                   for r in horn(3) for s in [tuple(clause_sign(r))]) or True
+                   for r in horn(3) for s in [tuple(clause_sign(r))])
 
     def test_horn_dualhorn_shapes(self):
         for rel in horn(3):

@@ -6,7 +6,9 @@ they share, against a fresh compile of the public Formula KB ∧ literals, and
 once more with the restriction table bounded so tightly that the search
 memos' entries outlive its clears.  After each call of such a sequence whose
 literals sit on distinct variables, every completion of the cube the
-compiled KB keeps is a model of the KB.  On instances over the same
+compiled KB keeps is a model of the KB.  The constraints a set of variables
+touches, the search's bitmask walk, are those whose scope meets the set.
+On instances over the same
 formulas, every solver verify.check_solvers runs agrees with the brute-force
 oracle.  Derandomized, so tier-1 stays deterministic."""
 
@@ -157,6 +159,16 @@ class TestSearchProperties:
         assert len(set(got)) == len(got)
         assert sorted(got) == table_models(truth_table(phi))
         assert stream.stats.models_emitted <= stream.stats.leaves
+
+    @PROPERTY
+    @given(formulas(), st.data())
+    def test_touched_is_the_constraints_whose_scope_meets_the_variables(self, phi, data):
+        kb = compile_kb(phi)
+        bits = data.draw(st.integers(0, (1 << phi.num_vars) - 1))
+        want = sum(1 << i for i, con in enumerate(phi.constraints)
+                   if any(bits >> (v - 1) & 1 for v in con.scope))
+        assert kb.touched(bits) == want
+        assert want == sum(1 << i for i, smask in enumerate(kb.smasks) if smask & bits)
 
     @settings(PROPERTY, max_examples=100)
     @given(kbs(), st.data())
