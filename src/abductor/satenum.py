@@ -3,7 +3,7 @@
 decide, enumerate_models and sparse_enumerate share one internal constraint
 form (tuple-code set + scope) and one iterative depth-first search loop,
 _search, whose depth is not bounded by Python's recursion limit and which
-applies one of two branching rules inline:
+checks constraints and applies one of two branching rules inline:
 
   decide                  -- the variable rule: unit propagation, then the
                              lowest-index variable; stops at the first model
@@ -29,12 +29,12 @@ no dict and no scope.  A variable's occurrences (the constraints whose scope
 holds it), built once per search, and every set of touched constraints are
 bitmasks over constraint numbers, so a child is its masks, its parent's live
 bitmask and the bitmask of the constraints its branch touches, with nothing
-copied; propagation checks only the live constraints touched since the last
-check (Chaff, Moskewicz et al., DAC 2001).  Formulas are read through each
-relation's cached code set, so a call copies no relation.
+copied; a node checks only the live constraints touched since the last check
+(Chaff, Moskewicz et al., DAC 2001), inline in the node loop.  Formulas are
+read through each relation's cached code set, so a call copies no relation.
 
 decide answers KB ∧ assumptions on a KB compiled by compile_kb (its search
-and propagated root, in start).  The assumptions are two variable-bit masks,
+and checked root, in start).  The assumptions are two variable-bit masks,
 positive and negated, OR-ed into the root's masks, and the search starts at
 the newly set variables' occurrence bitmasks (MiniSat, Een & Sorensson, SAT
 2003; IPASIR, Balyo, Biere, Iser & Sinz, AI 241, 2016).  The solvers
@@ -131,12 +131,12 @@ class _Search:
     at most 3^k' keys, k' the number of distinct variables of the scope, and
     lives as long as the search.
 
-    A KB compiled by compile_kb also holds start, its propagated root
+    A KB compiled by compile_kb also holds start, its checked root
     (amask, vmask, live), or None on a conflict, and cube: None, or the
     (amask, vmask) of the last satisfied node decide reached on it.  Every
     completion of the cube is a model of the KB, so decide answers True
     unsearched when the new masks agree with it.  conflict is None, or the
-    last constraint _propagate found empty, which decide re-checks."""
+    last constraint _search's check found empty, which decide re-checks."""
 
     __slots__ = ("cons", "n", "vbits", "occbits", "smasks", "memos", "cube", "start",
                  "conflict")
@@ -200,62 +200,25 @@ class _Search:
         return out
 
 
-def _propagate(search: _Search, touched: int, amask: int, vmask: int, live: int,
-               units: bool = True):
-    """Check the live constraints of the bitmask `touched`, highest number
-    first: an empty one is a conflict (None) and a full one is dropped.  With
-    `units`, a unit is dropped and forces its variable, and the constraints
-    the forced values touch are checked next, until none is forced; without,
-    a unit stays live.  Returns the new masks and live bitmask.  The
-    fixpoint, and whether it conflicts, do not depend on the order of the
-    checks, which only picks the empty constraint kept in search.conflict:
-    highest first keeps it through a descent that sets low variables first."""
-    cons, vbits, occbits = search.cons, search.vbits, search.occbits
-    smasks, memos, n = search.smasks, search.memos, search.n
-    while True:
-        # the bits of the variables forced in this pass, and of those forced to 1
-        fa = fv = 0
-        t = touched & live
-        while t:
-            i = t.bit_length() - 1
-            cbit = 1 << i
-            t ^= cbit
-            a = amask & smasks[i]
-            out, keep, kind = memos[i].get(a << n | vmask & a) or search.entry(i, amask, vmask)
-            if kind == OPEN:
-                continue
-            if kind == EMPTY:
-                search.conflict = i
-                return None
-            if kind == UNIT:
-                if not units:
-                    continue
-                b = vbits[cons[i][1][keep[0]]]
-                v = b if 1 in out else 0
-                if fa & b and fv & b != v:
-                    return None
-                fa |= b
-                fv |= v
-            live ^= cbit
-        if not fa:
-            return amask, vmask, live
-        amask |= fa
-        vmask |= fv
-        # one forced variable (the common case): its constraints' bitmask
-        touched = search.touched(fa) if fa & fa - 1 else occbits[fa.bit_length()]
-
-
-def _search(search: _Search, root, stats: EnumStats,
-            tuples: bool = False) -> Iterator[tuple[int, int]]:
+def _search(search: _Search, root, stats: EnumStats, tuples: bool = False,
+            root_only: bool = False) -> Iterator[tuple[int, ...]]:
     """Depth-first search with an explicit stack, streaming the (amask, vmask)
-    of every satisfied node.
+    of every satisfied node; with `root_only`, only the (amask, vmask, live)
+    of the checked root, unless it conflicts.
 
     A node is three ints, the masks of the assigned variables and of their
     values and the live bitmask over constraint numbers, plus the bitmask of
     the constraints touched since its last check; `root` is (touched, amask,
-    vmask, live).
-    _propagate checks each node once.  A node that neither conflicts nor is
-    satisfied branches by one of two rules:
+    vmask, live).  The loop checks each node's touched live constraints,
+    highest number first: an empty one is a conflict, kept in
+    search.conflict, and a full one is dropped.  Under the variable rule a
+    unit is dropped and forces its variable (two units forcing it both ways
+    conflict without setting search.conflict), and the constraints the
+    forced values touch are checked next, until none is forced; under the
+    tuple rule a unit stays live.  The check order only picks the empty
+    constraint kept: highest first keeps it through a descent that sets low
+    variables first.  A node that neither conflicts nor is satisfied
+    branches by one of two rules:
 
       variable rule   -- on the lowest-index variable of a live constraint,
                          the value search.cube holds (or 0) first; a
@@ -265,36 +228,68 @@ def _search(search: _Search, root, stats: EnumStats,
                          with the best local base (fewest tuples per
                          eliminated variable, the first such in constraint
                          order), in increasing code order; the branches
-                         consume the constraint, and the check forces no unit
+                         consume the constraint
 
-    The search enters the first child directly and pushes the others in
-    reverse, each as a stack entry: its masks, its parent's live bitmask and
-    branch variable, its depth and the constraints its branch touches.  The
-    counters are locals, written to `stats` before every yield and when the
-    search ends, so `stats` is exact whenever the stream is paused.
+    The tuple rule reads each base, len(out) ** (1 / len(keep)), from a
+    table by those two lengths, and keeps one plan per picked constraint and
+    memo key: the kept variable bits, the constraints they touch and the
+    tuples' value offsets, so a branch is its parent's vmask OR an offset;
+    the table and the plans live as long as the call.  The search enters the
+    first child directly and pushes the others in reverse, each as a stack
+    entry: its masks, its parent's live bitmask and branch variable, its
+    depth and the constraints its branch touches.  The counters are locals,
+    written to `stats` before every yield and when the search ends, so
+    `stats` is exact whenever the stream is paused.
     """
     touched, amask, vmask, live = root
     units = not tuples
     cons, vbits, occbits = search.cons, search.vbits, search.occbits
     smasks, memos, n = search.smasks, search.memos, search.n
     phase = search.cube[1] if search.cube else 0
+    bases, plans = {}, {}  # the tuple rule's base table and branch plans
     var = 1
     depth = 0
     stack = []
     nodes, max_depth, leaves = stats.branch_nodes, stats.max_depth, 0
     try:
         while True:
-            node = _propagate(search, touched, amask, vmask, live, units)
-            if node is None:
-                leaves += 1
+            # the bits of the variables forced in this pass, and of those forced to 1
+            fa = fv = 0
+            t = touched & live
+            while t:
+                i = t.bit_length() - 1
+                cbit = 1 << i
+                t ^= cbit
+                a = amask & smasks[i]
+                out, keep, kind = memos[i].get(a << n | vmask & a) or search.entry(i, amask, vmask)
+                if kind == OPEN:
+                    continue
+                if kind == EMPTY:
+                    search.conflict = i
+                    leaves += 1
+                    break
+                if kind == UNIT:
+                    if not units:
+                        continue
+                    b = vbits[cons[i][1][keep[0]]]
+                    v = b if 1 in out else 0
+                    if fa & b and fv & b != v:
+                        leaves += 1
+                        break
+                    fa |= b
+                    fv |= v
+                live ^= cbit
             else:
-                amask, vmask, live = node
-                if not live:
-                    stats.branch_nodes, stats.max_depth = nodes, max_depth
-                    stats.leaves += leaves
-                    leaves = 0
-                    yield amask, vmask
-                else:
+                if fa:
+                    amask |= fa
+                    vmask |= fv
+                    # one forced variable (the common case): its constraints' bitmask
+                    touched = search.touched(fa) if fa & fa - 1 else occbits[fa.bit_length()]
+                    continue
+                if root_only:
+                    yield amask, vmask, live
+                    return
+                if live:
                     nodes += 1
                     depth += 1
                     if depth > max_depth:  # a stacked child is never deeper
@@ -311,34 +306,39 @@ def _search(search: _Search, root, stats: EnumStats,
                         else:
                             stack.append((amask, vmask | bit, live, var, depth, touched))
                         continue
-                    best = None
+                    best = float("inf")
                     rest = live
                     while rest:
                         low = rest & -rest
                         rest ^= low
                         i = low.bit_length() - 1
                         a = amask & smasks[i]
-                        entry = memos[i].get(a << n | vmask & a) or search.entry(i, amask, vmask)
-                        base = len(entry[0]) ** (1.0 / len(entry[1]))
-                        if best is None or base < best:
-                            best, pick, (out, keep, _) = base, i, entry
-                    scope = cons[pick][1]
-                    bits = [vbits[scope[j]] for j in keep]
-                    kept = sum(bits)
-                    touched = search.touched(kept)
+                        key = a << n | vmask & a
+                        out, keep, _ = memos[i].get(key) or search.entry(i, amask, vmask)
+                        size = len(out), len(keep)
+                        base = bases.get(size)
+                        if base is None:
+                            base = bases[size] = size[0] ** (1.0 / size[1])
+                        if base < best:
+                            best, pick, pkey = base, i, key
+                    plan = plans.get((pick, pkey))
+                    if plan is None:
+                        out, keep, _ = memos[pick][pkey]
+                        bits = [vbits[cons[pick][1][j]] for j in keep]
+                        offs = [sum(b for j, b in enumerate(bits) if code >> j & 1)
+                                for code in sorted(out)]
+                        plan = plans[pick, pkey] = sum(bits), search.touched(sum(bits)), offs
+                    kept, touched, offs = plan
                     live ^= 1 << pick
                     amask |= kept
-                    subs = []
-                    for code in sorted(out):
-                        sub = vmask
-                        for j, bit in enumerate(bits):
-                            if code >> j & 1:
-                                sub |= bit
-                        subs.append(sub)
-                    for sub in reversed(subs[1:]):
-                        stack.append((amask, sub, live, var, depth, touched))
-                    vmask = subs[0]
+                    for off in offs[:0:-1]:
+                        stack.append((amask, vmask | off, live, var, depth, touched))
+                    vmask |= offs[0]
                     continue
+                stats.branch_nodes, stats.max_depth = nodes, max_depth
+                stats.leaves += leaves
+                leaves = 0
+                yield amask, vmask
             if not stack:
                 return
             amask, vmask, live, var, depth, touched = stack.pop()
@@ -365,10 +365,10 @@ def _models(search: _Search, root, stats: EnumStats, tuples: bool = False) -> It
 
 
 def compile_kb(kb: Formula) -> _Search:
-    """The KB compiled for decide: its search, with the propagated root in
-    start.  A solver compiles its KB once per call."""
+    """The KB compiled for decide: its search, with the root _search checked
+    in start.  A solver compiles its KB once per call."""
     search = _Search.of(kb)
-    search.start = _propagate(search, *search.root())
+    search.start = next(_search(search, search.root(), EnumStats(), root_only=True), None)
     return search
 
 

@@ -92,13 +92,15 @@ def completions(cube: tuple[int, int], n: int) -> int:
 
 @pytest.fixture
 def searches(monkeypatch):
-    """The compiled searches satenum._search is entered with, in call order."""
+    """The compiled searches satenum._search is entered with, in call order;
+    compile_kb's check of the root is not a search and is not recorded."""
     seen = []
     search = satenum._search
 
-    def spy(s, *args):
-        seen.append(s)
-        return search(s, *args)
+    def spy(s, *args, root_only=False):
+        if not root_only:
+            seen.append(s)
+        return search(s, *args, root_only=root_only)
 
     monkeypatch.setattr(satenum, "_search", spy)
     return seen

@@ -205,6 +205,16 @@ class TestSparseEnumerate:
         assert generic.stats.as_dict() == {"branch_nodes": 1, "leaves": 2,
                                            "models_emitted": 2, "max_depth": 1}
 
+    def test_a_branch_plan_is_reused_under_other_values(self):
+        # X1OF2(3,4) is picked under x1 = 1 and again under x2 = 1, with x3, x4
+        # unset both times: the second pick reuses the first's plan, whose
+        # value offsets go on top of each parent's values
+        phi = formula(4, [(one_in_k(2), (1, 2)), (one_in_k(2), (3, 4))])
+        sparse = sparse_enumerate(phi, branching_closure(ConstraintLanguage([one_in_k(2)])))
+        assert list(sparse) == [0b0101, 0b1001, 0b0110, 0b1010]
+        assert sparse.stats.as_dict() == {"branch_nodes": 3, "leaves": 4,
+                                          "models_emitted": 4, "max_depth": 2}
+
     def test_repeated_scope_collapsed(self):
         phi = formula(2, [(one_in_k(3), (1, 1, 2))])
         got = sorted(sparse_enumerate(phi, XSAT_LANG, r0=2))

@@ -20,12 +20,14 @@ from abductor import core
 from abductor.core import (BOT, FALSE0, TOP, TRUE0, AbductionInstance,
                            Constraint, Formula, Relation, columns, entails,
                            formula, literal_masks, table_models, truth_table)
-from abductor.langlib import branching_closure, xsat_family
+from abductor.langlib import aff, branching_closure, xsat_family
 from abductor.harness import verify
 from abductor.satenum import compile_kb, decide, enumerate_models, sparse_enumerate
 
 XSAT_LANG = branching_closure(xsat_family(3))
 XSAT_RELATIONS = list(XSAT_LANG)
+# parity relations: the tuple rule picks them under many partial assignments
+AFF_LANG = branching_closure(aff(3))
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -152,13 +154,15 @@ class TestSearchProperties:
             truth_table(Formula(phi.num_vars, phi.constraints + units(lits))))
 
     @settings(PROPERTY, max_examples=100)
-    @given(formulas(rels=st.sampled_from(XSAT_RELATIONS)))
-    def test_sparse_enumerate_is_the_model_set(self, phi):
-        stream = sparse_enumerate(phi, XSAT_LANG)
-        got = list(stream)
-        assert len(set(got)) == len(got)
-        assert sorted(got) == table_models(truth_table(phi))
-        assert stream.stats.models_emitted <= stream.stats.leaves
+    @given(formulas(rels=st.sampled_from(XSAT_RELATIONS)),
+           formulas(rels=st.sampled_from(list(AFF_LANG))))
+    def test_sparse_enumerate_is_the_model_set(self, xsat, parity):
+        for phi, lang in ((xsat, XSAT_LANG), (parity, AFF_LANG)):
+            stream = sparse_enumerate(phi, lang)
+            got = list(stream)
+            assert len(set(got)) == len(got)
+            assert sorted(got) == table_models(truth_table(phi))
+            assert stream.stats.models_emitted <= stream.stats.leaves
 
     @PROPERTY
     @given(formulas(), st.data())
