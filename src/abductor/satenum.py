@@ -279,7 +279,7 @@ def _search(search: _Search, root, stats: EnumStats, tuples: bool = False,
                     fa |= b
                     fv |= v
                 live ^= cbit
-            else:
+            else:  # no conflict
                 if fa:
                     amask |= fa
                     vmask |= fv
