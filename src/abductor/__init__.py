@@ -8,8 +8,7 @@ from .core import (AbductionInstance, Assignment, Constraint, Explanation,
                    preprocess)
 from .langlib import (ConstraintLanguage, SparsityCertificate,
                       branching_closure, check_sparsity, derive_inequality,
-                      is_complement_invariant, is_one_valid, minor,
-                      substitute)
+                      invariant, minor, substitute)
 from .satenum import (EnumStats, ModelStream, SimpleSatInstance, compile_kb,
                       decide, enumerate_models, enumerate_weight_ordered,
                       solve_simple_sat, sparse_enumerate)
@@ -27,8 +26,7 @@ __all__ = [
     "abd_kcnf_pos", "baseline_abd", "baseline_pabd", "branching_closure",
     "check_sparsity", "compile_kb", "decide", "derive_inequality",
     "enum_abd", "enumerate_models", "enumerate_weight_ordered", "evaluate",
-    "formula", "is_complement_invariant", "is_explanation", "is_one_valid",
-    "minor", "oracle_abd", "oracle_pabd", "pabd_enum", "pabd_one_valid",
-    "pabd_recursive", "preprocess", "solve_simple_sat", "sparse_enumerate",
-    "substitute",
+    "formula", "invariant", "is_explanation", "minor", "oracle_abd",
+    "oracle_pabd", "pabd_enum", "pabd_one_valid", "pabd_recursive",
+    "preprocess", "solve_simple_sat", "sparse_enumerate", "substitute",
 ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
 import sys
 import time
 import traceback
@@ -28,10 +27,6 @@ USAGE_ERRORS = (FragmentError, StructureError, OracleCapError,
 
 GEN_INT_FLAGS = ("n", "m", "k", "colors", "per_color", "num_x", "num_y",
                  "terms", "clauses", "width")
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("ABD_SEED", "0"))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -198,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate an instance")
     p.add_argument("--family", required=True)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=0)
     for flag in GEN_INT_FLAGS:
         p.add_argument(f"--{flag.replace('_', '-')}", type=int, default=None)
     p.add_argument("--edge-prob", type=float, default=None)
@@ -214,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=["exhaustive", "random"], default="random")
     p.add_argument("--per-family", type=int, default=50)
     p.add_argument("--max-n", type=int, default=10)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dump", default="failing")
     p.add_argument("--dump-limit", type=int, default=5)
     p.set_defaults(func=cmd_verify)

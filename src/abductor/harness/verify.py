@@ -90,8 +90,8 @@ def check_solvers(inst: AbductionInstance) -> list[Finding]:
             bad(f"{e.name}-audit", f"{audit.duplicate_visits} duplicate subset visits")
         if len(audit.visited) > (1 << h):
             bad(f"{e.name}-audit", f"visited {len(audit.visited)} subsets > 2^|H|")
-        if audit.max_depth > h + 1:
-            bad(f"{e.name}-audit", f"depth {audit.max_depth} > |H|+1={h + 1}")
+        if res.stats.max_depth > h + 1:
+            bad(f"{e.name}-audit", f"depth {res.stats.max_depth} > |H|+1={h + 1}")
     return fails
 
 

@@ -1,7 +1,7 @@
 """Constraint-language algebra: minors, substitutions, branching closure,
-sparsity and validity predicates, and constructors for the built-in families
-(clauses, Horn, implications, parity, modular-counting equations, exact-SAT,
-not-all-equal).
+sparsity, invariance under Boolean operations, and constructors for the
+built-in families (clauses, Horn, implications, parity, modular-counting
+equations, exact-SAT, not-all-equal).
 """
 
 from __future__ import annotations
@@ -136,38 +136,38 @@ class SparsityCertificate:
 
 
 def check_sparsity(lang: ConstraintLanguage, c: float, r0: int) -> SparsityCertificate | Relation:
-    """Certify |R| <= c^ar(R) for all members with r0 <= ar(R), or return a violator."""
+    """Certify |R| <= c^ar(R) for all non-trivial members with r0 <= ar(R),
+    or return a violator.  Trivial (full) members impose nothing and
+    sparse_enumerate never branches on them, so they cannot violate."""
     if not (1.0 < c < 2.0):
         raise LanguageError("sparsity base must lie in (1, 2)")
     if r0 < 1:
         raise LanguageError("r0 must be >= 1")
     top = lang.max_arity()
     for rel in sorted(lang.relations, key=lambda r: (r.arity, r.codes)):
-        if rel.arity >= r0 and len(rel) > c ** rel.arity:
+        if rel.arity >= r0 and not rel.is_trivial and len(rel) > c ** rel.arity:
             return rel
     return SparsityCertificate(c, r0, top)
 
 
-def is_one_valid(lang: ConstraintLanguage) -> bool:
-    """Every relation contains the all-ones tuple."""
-    return has_constant_polymorphism(lang, 1)
+# A Boolean operation as (k, f): f(full, *codes) is the code of the tuple
+# that the operation gives coordinate-wise on k tuple codes of one relation
+# (full = 2^arity - 1).  A constant is a 0-ary operation.
+Operation = tuple[int, Callable[..., int]]
+ONE: Operation = (0, lambda full: full)
+NEGATION: Operation = (1, lambda full, a: full ^ a)
 
 
-def is_complement_invariant(lang: ConstraintLanguage) -> bool:
-    """Every relation is closed under tuple-wise complement."""
+def invariant(lang: ConstraintLanguage, op: Operation) -> bool:
+    """Every relation of lang is closed under op applied coordinate-wise.
+
+    A 0-ary op asks every relation to hold its constant tuple, so an empty
+    relation is not invariant under a constant.
+    """
+    k, f = op
     for r in lang.relations:
         full = (1 << r.arity) - 1
-        if any((full ^ code) not in r for code in r.codes):
-            return False
-    return True
-
-
-def has_constant_polymorphism(lang: ConstraintLanguage, const: int) -> bool:
-    if const not in (0, 1):
-        raise LanguageError("constant must be 0 or 1")
-    for r in lang.relations:
-        want = ((1 << r.arity) - 1) if const else 0
-        if want not in r:
+        if any(f(full, *t) not in r for t in itertools.product(r.codes, repeat=k)):
             return False
     return True
 
@@ -197,7 +197,7 @@ def derive_inequality(lang: ConstraintLanguage) -> InequalityGadget:
     avoids both constant tuples; identifying its coordinates along any
     non-constant tuple yields exactly {(0,1),(1,0)}.
     """
-    if not is_complement_invariant(lang):
+    if not invariant(lang, NEGATION):
         raise LanguageError("language is not complement-invariant")
     for rel in sorted(lang.relations, key=lambda r: (r.arity, r.codes)):
         if rel.is_empty or rel.arity == 0:

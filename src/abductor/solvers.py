@@ -35,7 +35,7 @@ from .core import (AbductionInstance, Explanation, FragmentError, Formula,
                    OracleCapError, TRIVIALLY_NO, entails,
                    preprocess, submasks, SatDecider, columns,
                    table_models, truth_table)
-from .langlib import ConstraintLanguage, is_one_valid
+from .langlib import ONE, ConstraintLanguage, invariant
 from .reductions import ReductionReport, abd_to_simplesat, is_kcnf_formula
 from .satenum import (EnumStats, ModelStream, WEIGHT_ORDERED, compile_kb,
                       decide, enumerate_models, enumerate_weight_ordered,
@@ -284,10 +284,10 @@ def enum_abd(inst: AbductionInstance,
 
 @dataclass
 class PabdAudit:
-    """Instrumentation for the recursive solver's resource contract."""
+    """Instrumentation for the recursive solver's resource contract (its
+    depth is the result's stats.max_depth)."""
     visited: set[frozenset[int]] = field(default_factory=set)
     duplicate_visits: int = 0
-    max_depth: int = 0
     max_frame_cells: int = 0
 
 
@@ -327,7 +327,6 @@ def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
         stats.max_depth = max(stats.max_depth, depth)
         e = d | delta
         if audit is not None:
-            audit.max_depth = max(audit.max_depth, depth)
             audit.max_frame_cells = max(audit.max_frame_cells, d.bit_count() + delta.bit_count())
             visit = _positive(e, inst.hypotheses)
             audit.duplicate_visits += visit in audit.visited
@@ -417,7 +416,7 @@ def pabd_enum(inst: AbductionInstance,
 
 def one_valid_kb(inst: AbductionInstance) -> bool:
     """Where pabd_one_valid applies: every relation of KB holds on all ones."""
-    return is_one_valid(ConstraintLanguage(frozenset(inst.kb.relations())))
+    return invariant(ConstraintLanguage(frozenset(inst.kb.relations())), ONE)
 
 
 def pabd_one_valid(inst: AbductionInstance) -> AbdResult:

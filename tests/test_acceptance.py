@@ -173,10 +173,10 @@ def test_criterion_7_recursive_resource_contract():
             if h > 12:
                 continue
             audit = PabdAudit()
-            pabd_recursive(inst, audit=audit)
+            res = pabd_recursive(inst, audit=audit)
             assert audit.duplicate_visits == 0
             assert len(audit.visited) <= 1 << h
-            assert audit.max_depth <= h + 1
+            assert res.stats.max_depth <= h + 1
             assert audit.max_frame_cells <= max(h, 1)
             audited += 1
     elapsed = time.perf_counter() - t0

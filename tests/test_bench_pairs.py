@@ -72,3 +72,23 @@ def test_the_share_of_failed_operations():
     # no operation attempted on either side
     idle = [{**r, "attempted": 0} for r in clean]
     assert failed_line(idle, idle).endswith("larger share: not met")
+
+
+def unresolved(name: str, base: list[float], change: list[float]) -> str:
+    lines = summarise([METRICS[name]], runs(name, base), runs(name, change))
+    return next(line.strip() for line in lines if line.strip().startswith("unresolved:"))
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    # ops_per_s has bound 0.15; this spread's IQR of 65 exceeds 0.15 x its median of 100
+    wide = [60.0, 140.0, 70.0, 130.0, 80.0, 120.0, 60.0, 140.0, 100.0, 100.0]
+    assert unresolved("ops_per_s", wide, BASE) == "unresolved: met"
+    # either side's spread counts
+    assert unresolved("ops_per_s", BASE, wide) == "unresolved: met"
+    # a tight spread on both sides resolves
+    assert unresolved("ops_per_s", BASE, [v * 0.8 for v in BASE]) == "unresolved: not met"
+    # every change run better than every base run resolves a wide spread,
+    # in the metric's own direction
+    assert unresolved("ops_per_s", wide, [v + 100 for v in wide]) == "unresolved: not met"
+    assert unresolved("op_p50_ms", wide, [v / 4 for v in wide]) == "unresolved: not met"
+    assert unresolved("op_p50_ms", wide, [v + 100 for v in wide]) == "unresolved: met"

@@ -346,11 +346,13 @@ class TestCli:
         assert "--k" in err and "--width" in err
         assert self.run("gen", "--family", "cnfsat-lb", "--clauses", "3") == 0
 
-    def test_gen_env_seed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ABD_SEED", "11")
-        out = tmp_path / "e.abd"
-        code = cli_main(["gen", "--family", "aff", "--n", "6", "--out", str(out)])
-        assert code == 0 and out.exists()
+    def test_solve_ignores_a_malformed_seed_variable(self, tmp_path, monkeypatch):
+        # an environment the CLI does not read cannot turn an answer into exit 1
+        path = tmp_path / "y.abd"
+        assert self.run("gen", "--family", "xsat", "--n", "8", "--seed", "1",
+                        "--out", str(path)) == 0
+        monkeypatch.setenv("ABD_SEED", "abc")
+        assert self.run("solve", str(path), "--algo", "oracle", "--mode", "abd") == 0
 
     def test_reduce_round_trip(self, tmp_path, capsys):
         src = tmp_path / "in.abd"

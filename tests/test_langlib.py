@@ -2,18 +2,18 @@ import itertools
 
 import pytest
 
-from abductor.core import FALSE0, Relation, TRUE0
-from abductor.langlib import (LanguageError, NEQ,
+from abductor.core import FALSE0, Relation, TRUE0, decode_tuple
+from abductor.langlib import (NEGATION, ONE, LanguageError, NEQ,
                               SparsityCertificate, aff, branching_closure,
                               check_sparsity, clause_relation,
                               derive_inequality, dual_horn, equations,
-                              equations_family, has_constant_polymorphism,
-                              horn, imp, is_branching_closed,
-                              is_complement_invariant, is_one_valid, k_cnf,
-                              k_cnf_neg, k_cnf_pos, k_nae, language, minor,
-                              nae, one_in_k, parity, substitute, xsat_family)
+                              equations_family, horn, imp, invariant,
+                              is_branching_closed, k_cnf, k_cnf_neg,
+                              k_cnf_pos, k_nae, language, minor, nae,
+                              one_in_k, parity, substitute, xsat_family)
 
 OR3 = clause_relation((0, 0, 0))
+ZERO = (0, lambda full: 0)  # the constant 0 as a 0-ary operation
 
 
 class TestSubstitute:
@@ -133,20 +133,48 @@ class TestPredicates:
         assert not one_in_k(3).is_trivial  # 3 of 8 tuples
 
     def test_one_valid(self):
-        assert is_one_valid(k_cnf_pos(3))
+        assert invariant(k_cnf_pos(3), ONE)
         mixed = language([clause_relation((0, 1, 1)), clause_relation((0, 0))])
-        assert is_one_valid(mixed)  # each clause has a positive literal
-        assert not is_one_valid(language([Relation(1, (0,))]))
+        assert invariant(mixed, ONE)  # each clause has a positive literal
+        assert not invariant(language([Relation(1, (0,))]), ONE)
 
     def test_complement_invariant(self):
-        assert is_complement_invariant(k_nae(3))
-        assert is_complement_invariant(language([NEQ, parity(2, 0)]))
-        assert not is_complement_invariant(language([imp()]))
+        assert invariant(k_nae(3), NEGATION)
+        assert invariant(language([NEQ, parity(2, 0)]), NEGATION)
+        assert not invariant(language([imp()]), NEGATION)
 
     def test_constant_polymorphism(self):
-        assert has_constant_polymorphism(language([imp()]), 0)
-        assert has_constant_polymorphism(language([imp()]), 1)
-        assert not has_constant_polymorphism(language([NEQ]), 1)
+        assert invariant(language([imp()]), ZERO)
+        assert invariant(language([imp()]), ONE)
+        assert not invariant(language([NEQ]), ONE)
+
+    def test_invariant_is_the_definition_on_every_small_relation(self):
+        # every relation of arity <= 3, against the definitions on tuples:
+        # the constant c holds iff the all-c tuple is a member, so an empty
+        # relation fails both constants; negation holds iff the complement
+        # of every member is a member
+        rels = [Relation(k, tuple(c for c in range(1 << k) if s >> c & 1))
+                for k in range(4) for s in range(1 << (1 << k))]
+        assert len(rels) == 278
+        for rel in rels:
+            tuples = {tuple(decode_tuple(c, rel.arity)) for c in rel.codes}
+            lang = language([rel])
+            assert invariant(lang, ZERO) is ((0,) * rel.arity in tuples), rel
+            assert invariant(lang, ONE) is ((1,) * rel.arity in tuples), rel
+            assert invariant(lang, NEGATION) is all(
+                tuple(1 - x for x in t) in tuples for t in tuples), rel
+        empty = [r for r in rels if r.is_empty]
+        assert len(empty) == 4
+        assert not any(invariant(language([r]), op) for r in empty for op in (ZERO, ONE))
+
+    def test_invariant_under_operations_of_more_arguments(self):
+        # Horn clauses are closed under conjunction, a positive 2-clause is not
+        conj = (2, lambda full, a, b: a & b)
+        assert invariant(horn(3), conj)
+        assert not invariant(language([clause_relation((0, 0))]), conj)
+        minority = (3, lambda full, a, b, c: a ^ b ^ c)
+        assert invariant(aff(3), minority)
+        assert not invariant(language([one_in_k(3)]), minority)
 
 
 class TestSparsity:
@@ -164,6 +192,18 @@ class TestSparsity:
 
     def test_aff_certificate(self):
         got = check_sparsity(aff(4), 1.9, 1)
+        assert isinstance(got, SparsityCertificate)
+
+    def test_trivial_members_never_violate(self):
+        # the closures hold the full unary relation, which sparse_enumerate
+        # never branches on
+        aff_closure = branching_closure(aff(3))
+        assert isinstance(check_sparsity(aff_closure, 1.5875, 1), SparsityCertificate)
+        for c in (1.45, 1.5874):
+            got = check_sparsity(aff_closure, c, 1)
+            assert isinstance(got, Relation)
+            assert (got.arity, got.codes) == (3, (0, 3, 5, 6))
+        got = check_sparsity(branching_closure(xsat_family(3)), 1.4423, 1)
         assert isinstance(got, SparsityCertificate)
 
     def test_bad_parameters(self):
@@ -204,7 +244,7 @@ class TestDeriveInequality:
                 codes.add(full ^ c)
             rel = Relation(k, tuple(sorted(codes)))
             lang = language([rel])
-            assert is_complement_invariant(lang)
+            assert invariant(lang, NEGATION)
             got = derive_inequality(lang)
             assert got.relation == NEQ
             found += 1

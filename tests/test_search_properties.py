@@ -8,9 +8,10 @@ memos' entries outlive its clears.  After each call of such a sequence whose
 literals sit on distinct variables, every completion of the cube the
 compiled KB keeps is a model of the KB.  The constraints a set of variables
 touches, the search's bitmask walk, are those whose scope meets the set.
-On instances over the same
-formulas, every solver verify.check_solvers runs agrees with the brute-force
-oracle.  Derandomized, so tier-1 stays deterministic."""
+Formulas over the parity closure that hold an arity-3 constraint make the
+tuple rule reuse its branch plans under other parent values.  On instances
+over the same formulas, every solver verify.check_solvers runs agrees with
+the brute-force oracle.  Derandomized, so tier-1 stays deterministic."""
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ XSAT_LANG = branching_closure(xsat_family(3))
 XSAT_RELATIONS = list(XSAT_LANG)
 # parity relations: the tuple rule picks them under many partial assignments
 AFF_LANG = branching_closure(aff(3))
+AFF_NONEMPTY = [r for r in AFF_LANG if not r.is_empty]
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -133,6 +135,21 @@ def literals(call) -> list[int]:
     return call[1] + call[2] if call[0] == "chain" else call[1]
 
 
+@st.composite
+def parity_formulas(draw) -> Formula:
+    """A formula over the non-empty members of AFF_LANG with n >= 3 and an
+    arity-3 parity constraint on three distinct variables.  The tuple rule
+    then picks a constraint under one restriction below siblings that set
+    other variables differently, so a branch plan is reused under other
+    parent values; empty members would make most draws unsatisfiable at
+    the root."""
+    n = draw(st.integers(3, 8))
+    rel = draw(st.sampled_from([r for r in AFF_NONEMPTY if r.arity == 3]))
+    scope = tuple(draw(st.permutations(range(1, n + 1)))[:3])
+    rest = draw(st.lists(scoped(n, st.sampled_from(AFF_NONEMPTY)), max_size=5))
+    return formula(n, [(rel, scope)] + rest)
+
+
 class TestSearchProperties:
     @PROPERTY
     @given(formulas())
@@ -163,6 +180,12 @@ class TestSearchProperties:
             assert len(set(got)) == len(got)
             assert sorted(got) == table_models(truth_table(phi))
             assert stream.stats.models_emitted <= stream.stats.leaves
+
+    @settings(PROPERTY, max_examples=100)
+    @given(parity_formulas())
+    def test_sparse_enumerate_reuses_plans_under_other_values(self, phi):
+        stream = sparse_enumerate(phi, AFF_LANG)
+        assert sorted(stream) == table_models(truth_table(phi))
 
     @PROPERTY
     @given(formulas(), st.data())

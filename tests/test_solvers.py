@@ -181,11 +181,11 @@ class TestPabdRecursiveContract:
         for seed in range(10):
             inst = gen_nae3(7, seed)
             audit = PabdAudit()
-            pabd_recursive(inst, audit=audit)
+            res = pabd_recursive(inst, audit=audit)
             h = len(inst.hypotheses)
             assert audit.duplicate_visits == 0
             assert len(audit.visited) <= 1 << h
-            assert audit.max_depth <= h + 1
+            assert res.stats.max_depth <= h + 1
             assert audit.max_frame_cells <= h
 
     def test_deep_descent_does_not_overflow(self):

@@ -12,12 +12,15 @@ at a time, the base first in even pairs and the change first in odd ones.
 For every workload and every end-to-end metric of BENCHMARK.json it prints
 both medians, their ratio, the interquartile range of the base's runs and of
 the change's, in how many pairs the change was better, both values of every
-pair and two verdicts:
+pair and three verdicts:
 
   gain        the change is better in at least 9 of 10 pairs, and its median
               is better than the base's by more than the base's IQR;
   regression  the change's median is worse than the base's by more than the
-              metric's `bound` (a fraction of the base's median).
+              metric's `bound` (a fraction of the base's median);
+  unresolved  either side's IQR exceeds `bound` times the base's median, so
+              the runs spread too widely to tell, unless every run of the
+              change is better than every run of the base.
 
 Per workload it also prints each side's share of failed operations, the sum
 of the runs' `failed` over the sum of their `attempted`, and whether the
@@ -43,8 +46,8 @@ def iqr(values: list[float]) -> float:
 
 def summarise(metrics: list[dict], base: list[dict], change: list[dict]) -> list[str]:
     """Per metric: medians, ratio, both IQRs and the change's wins over the
-    pairs (base[i], change[i]); the values of every pair; the gain and
-    regression verdicts."""
+    pairs (base[i], change[i]); the values of every pair; the gain,
+    regression and unresolved verdicts."""
     lines = []
     for m in metrics:
         b = [r["metrics"][m["name"]]["value"] for r in base]
@@ -54,6 +57,8 @@ def summarise(metrics: list[dict], base: list[dict], change: list[dict]) -> list
         mb, mc = statistics.median(b), statistics.median(c)
         gain = 10 * wins >= 9 * len(b) and sign * (mc - mb) > iqr(b)
         regression = sign * (mb - mc) > m["bound"] * abs(mb)
+        unresolved = (max(iqr(b), iqr(c)) > m["bound"] * abs(mb)
+                      and min(sign * y for y in c) <= max(sign * x for x in b))
         lines.append(f"  {m['name']:<12} base {mb:10.4g}  change {mc:10.4g}  "
                      f"ratio {mc / mb if mb else float('nan'):6.3f}  "
                      f"IQR base {iqr(b):8.3g} change {iqr(c):8.3g}  "
@@ -63,6 +68,7 @@ def summarise(metrics: list[dict], base: list[dict], change: list[dict]) -> list
         lines.append(f"    gain: {'met' if gain else 'not met'}  "
                      f"regression (bound {m['bound']:g}): "
                      f"{'met' if regression else 'not met'}")
+        lines.append(f"    unresolved: {'met' if unresolved else 'not met'}")
     shares = [failed_share(side) for side in (base, change)]
     lines.append(f"  failed operations: base {shares[0]:.4%}  change {shares[1]:.4%}  "
                  f"larger share: {'met' if shares[1] > shares[0] else 'not met'}")
