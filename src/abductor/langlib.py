@@ -150,19 +150,17 @@ def check_sparsity(lang: ConstraintLanguage, c: float, r0: int) -> SparsityCerti
     return SparsityCertificate(c, r0, top)
 
 
-# A Boolean operation as (k, f): f(full, *codes) is the code of the tuple
-# that the operation gives coordinate-wise on k tuple codes of one relation
-# (full = 2^arity - 1).  A constant is a 0-ary operation.
-Operation = tuple[int, Callable[..., int]]
-ONE: Operation = (0, lambda full: full)
-NEGATION: Operation = (1, lambda full, a: full ^ a)
+ONE = (0, lambda full: full)  # the constant 1
+NEGATION = (1, lambda full, a: full ^ a)
 
 
-def invariant(lang: ConstraintLanguage, op: Operation) -> bool:
+def invariant(lang: ConstraintLanguage, op: tuple[int, Callable[..., int]]) -> bool:
     """Every relation of lang is closed under op applied coordinate-wise.
 
-    A 0-ary op asks every relation to hold its constant tuple, so an empty
-    relation is not invariant under a constant.
+    op is a k-ary Boolean operation (k, f): f(full, *codes) is the code of
+    the tuple op gives on k tuple codes of one relation, full = 2^arity - 1.
+    A constant is 0-ary, so it asks every relation to hold its constant
+    tuple, and an empty relation is not invariant under it.
     """
     k, f = op
     for r in lang.relations:
