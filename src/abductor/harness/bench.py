@@ -78,7 +78,7 @@ def _xsat_closure():
 
 
 def _run_sparse_xsat(inst: AbductionInstance) -> int:
-    stream = sparse_enumerate(inst.kb, _xsat_closure(), r0=2)
+    stream = sparse_enumerate(inst.kb, _xsat_closure())
     for _ in stream:
         pass
     return stream.stats.branch_nodes

@@ -23,8 +23,7 @@ from ..reductions import (IMP_REL, abd2cnf_to_cnfsat, abd_to_pabd_4cnf,
                           colorful_clique_exists, eliminate_constants,
                           formula_as_clauses, is_neg_imp_formula, kcnf_to_nae,
                           negimp_to_pos, qbf_to_abd4cnf, qbf_truth)
-from ..solvers import (ENGINES, PabdAudit, _oracle_sets, explained, oracle_abd,
-                       oracle_pabd, pabd_recursive)
+from ..solvers import ENGINES, PabdAudit, _oracle_sets, explained, pabd_recursive
 from . import generators
 
 # reduction outputs above this many variables are not checked by the oracles
@@ -116,7 +115,7 @@ def check_reductions(inst: AbductionInstance) -> tuple[list[Finding], list[Findi
     if is_neg_imp_formula(inst.kb):
         out, _rep = negimp_to_pos(inst)
         if out.num_vars <= REDUCTION_OUT_CAP:
-            out_abd = oracle_abd(out).answer
+            out_abd, _ = _oracle_pair(out)
             for mode, truth in (("abd", in_abd), ("pabd", in_pabd)):
                 if out_abd != truth:
                     fails.append(Finding(f"negimp-to-pos/{mode}",
@@ -124,7 +123,7 @@ def check_reductions(inst: AbductionInstance) -> tuple[list[Finding], list[Findi
 
     if width is not None and width <= 4:
         out, _rep = abd_to_pabd_4cnf(pre)
-        if out.num_vars <= REDUCTION_OUT_CAP and oracle_pabd(out).answer != in_abd:
+        if out.num_vars <= REDUCTION_OUT_CAP and _oracle_pair(out)[1] != in_abd:
             fails.append(Finding("abd-to-pabd-4cnf",
                                  f"positive answer vs symmetric input {in_abd}", inst))
 
@@ -269,19 +268,19 @@ def generator_level_checks(count: int = 50, seed: int = 0) -> list[Finding]:
                                          edge_prob=0.3 + 0.15 * (i % 4))
         inst, _rep = clique_to_abd(g)
         want = colorful_clique_exists(g)
-        if oracle_abd(inst).answer != want or oracle_pabd(inst).answer != want:
+        if _oracle_pair(inst) != (want, want):
             fails.append(Finding("clique-to-abd", f"graph #{i} mismatch (want {want})", inst))
     for i in range(count):
         q = generators.gen_qbf_instance(1 + i % 3, 1 + (i // 3) % 3, 1 + i % 4, seed + i)
         inst, _rep = qbf_to_abd4cnf(q)
         want = qbf_truth(q)
-        if oracle_abd(inst).answer != want:
+        if _oracle_pair(inst)[0] != want:
             fails.append(Finding("qbf-to-abd4cnf", f"qbf #{i} mismatch (want {want})", inst))
     for i in range(count):
         phi = generators.gen_cnf_formula(2 + i % 3, 2 + i % 5, 3, seed + i)
         inst, _rep = cnfsat_to_abd_lb(phi)
         want = phi.satisfiable()
-        if oracle_abd(inst).answer != want or oracle_pabd(inst).answer != want:
+        if _oracle_pair(inst) != (want, want):
             fails.append(Finding("cnfsat-to-abd", f"cnf #{i} mismatch (want {want})", inst))
     return fails
 

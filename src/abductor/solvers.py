@@ -1,13 +1,16 @@
 """Abduction solvers: definitional brute-force oracles, the 2^|H| baselines,
 the model-enumeration algorithms (full-class and weight-ordered positive), the
 polynomial-space recursive positive solver, the 1-valid shortcut, and the
-positive-clause pipeline through SimpleSAT.  ENGINES is the one list of them
-that `abductor solve`, verify.check_solvers (in row order) and the golden node
-counts read; adding an engine is adding a row.
+positive-clause pipeline through SimpleSAT.
 
-One wrapper, _engine, owns preprocessing (core.preprocess) for every solver:
-it answers a trivially-no instance without running the solver's body, hands
-the body preprocess(inst).instance, adds the manifestations that preprocess
+Each engine is declared once, by decorating its body with _engine(name,
+mode, algo, explanations, applies): that declaration is its row of ENGINES,
+the one list that `abductor solve`, verify.check_solvers (in row order) and
+the golden node counts read, so adding an engine is declaring a body.  The
+wrapper owns preprocessing (core.preprocess) for every solver: it raises
+FragmentError before preprocessing where the row's `applies` predicate is
+false, answers a trivially-no instance without running the body, hands the
+body preprocess(inst).instance, adds the manifestations that preprocess
 drops as self-explained to the body's witness, and names the AbdResult.  So
 each body is the procedure alone, and each witness passes
 core.is_explanation on the instance the caller passed.  The explanation sets
@@ -72,27 +75,50 @@ class _Answer(NamedTuple):
     report: ReductionReport | None = None
 
 
-def _engine(name: str, sets: bool = False):
+@dataclass
+class Engine:
+    name: str  # AbdResult.algorithm, and the kind of verify's findings
+    mode: str  # `abductor solve --mode`
+    algo: str  # `abductor solve --algo`
+    solve: Callable
+    explanations: str | None = None  # "full"/"maximal": oracle set of its ExplanationSet
+    applies: Callable[[AbductionInstance], bool] | None = None  # None: everywhere
+
+    def run(self, inst: AbductionInstance, **kw) -> tuple[AbdResult, ExplanationSet | None]:
+        out = self.solve(inst, **kw)
+        return out if self.explanations else (out, None)
+
+
+ENGINES: list[Engine] = []  # one row per _engine declaration, in definition order
+
+
+def _engine(name: str, mode: str, algo: str, explanations: str | None = None,
+            applies: Callable[[AbductionInstance], bool] | None = None):
     """Decorate a solver body into its public solver, whose AbdResult is
-    named `name`.  The body takes preprocess(inst).instance and returns an
-    _Answer, with an ExplanationSet beside it when `sets`.  The solver
-    answers a trivially-no instance no (with an empty ExplanationSet)
-    without running the body, and adds the self-explained manifestations to
-    the body's witness."""
+    named `name`, and append its row to ENGINES.  The body takes
+    preprocess(inst).instance and returns an _Answer, with an ExplanationSet
+    beside it when `explanations` names the oracle set it is checked
+    against.  The solver raises FragmentError before preprocessing where
+    `applies` is false, answers a trivially-no instance no (with an empty
+    ExplanationSet) without running the body, and adds the self-explained
+    manifestations to the body's witness."""
     def wrap(body: Callable) -> Callable:
         @functools.wraps(body)
         def solve(inst: AbductionInstance, *args, **kw):
+            if applies is not None and not applies(inst):
+                raise FragmentError(f"{name}: {applies.__name__} is false on this instance")
             pre = preprocess(inst)
             if pre.verdict == TRIVIALLY_NO:
                 ans, eset = _Answer(None, EnumStats()), ExplanationSet(frozenset())
-            elif sets:
+            elif explanations:
                 ans, eset = body(pre.instance, *args, **kw)
             else:
                 ans = body(pre.instance, *args, **kw)
             witness = (None if ans.lits is None
                        else Explanation(frozenset(ans.lits) | pre.self_explained))
             res = AbdResult(witness is not None, witness, ans.stats, name, ans.report)
-            return (res, eset) if sets else res
+            return (res, eset) if explanations else res
+        ENGINES.append(Engine(name, mode, algo, solve, explanations, applies))
         return solve
     return wrap
 
@@ -165,7 +191,7 @@ def _oracle_stats(phi: Formula, models: int) -> EnumStats:
                      models_emitted=models, max_depth=0)
 
 
-@_engine("oracle-abd")
+@_engine("oracle-abd", "abd", "oracle")
 def oracle_abd(inst: AbductionInstance) -> _Answer:
     """Ground truth for symmetric abduction: the witness is the full
     candidate of the lowest pattern that explains (an explanation exists iff
@@ -176,7 +202,7 @@ def oracle_abd(inst: AbductionInstance) -> _Answer:
                    _oracle_stats(inst.kb, models))
 
 
-@_engine("oracle-pabd")
+@_engine("oracle-pabd", "pabd", "oracle")
 def oracle_pabd(inst: AbductionInstance) -> _Answer:
     """Ground truth for positive abduction (E ⊆ H is an explanation iff some
     model sets E true and no model setting E true violates M): the witness is
@@ -236,14 +262,14 @@ def _baseline(inst: AbductionInstance, sat: SatDecider, full: bool) -> _Answer:
     return _Answer(None, stats)
 
 
-@_engine("baseline-abd")
+@_engine("baseline-abd", "abd", "baseline")
 def baseline_abd(inst: AbductionInstance, sat: SatDecider = decide) -> _Answer:
     """Try all 2^|H| full candidates; per candidate one satisfiability check
     and one unsatisfiability check per manifestation."""
     return _baseline(inst, sat, full=True)
 
 
-@_engine("baseline-pabd")
+@_engine("baseline-pabd", "pabd", "baseline")
 def baseline_pabd(inst: AbductionInstance, sat: SatDecider = decide) -> _Answer:
     """As baseline_abd but over the 2^|H| positive subsets E ⊆ H."""
     return _baseline(inst, sat, full=False)
@@ -253,7 +279,7 @@ def baseline_pabd(inst: AbductionInstance, sat: SatDecider = decide) -> _Answer:
 # enumeration-based symmetric solver (equivalence classes over H)
 # ---------------------------------------------------------------------------
 
-@_engine("enum-abd", sets=True)
+@_engine("enum-abd", "abd", "enum", explanations="full")
 def enum_abd(inst: AbductionInstance,
              stream: ModelStream | None = None) -> tuple[_Answer, ExplanationSet]:
     """Partition the models of KB by their H-restriction and discard a class
@@ -291,7 +317,7 @@ class PabdAudit:
     max_frame_cells: int = 0
 
 
-@_engine("pabd-rec")
+@_engine("pabd-rec", "pabd", "pabd-rec")
 def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
                    audit: PabdAudit | None = None) -> _Answer:
     """Positive abduction by recursive descent through the subsets of H.
@@ -357,7 +383,7 @@ def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
 # weight-ordered enumeration positive solver
 # ---------------------------------------------------------------------------
 
-@_engine("pabd-enum", sets=True)
+@_engine("pabd-enum", "pabd", "pabd-enum", explanations="maximal")
 def pabd_enum(inst: AbductionInstance,
               stream: ModelStream | None = None) -> tuple[_Answer, ExplanationSet]:
     """Positive abduction from a non-increasing-w_H model stream.
@@ -419,18 +445,11 @@ def one_valid_kb(inst: AbductionInstance) -> bool:
     return invariant(ConstraintLanguage(frozenset(inst.kb.relations())), ONE)
 
 
-def pabd_one_valid(inst: AbductionInstance) -> AbdResult:
+@_engine("one-valid", "pabd", "one-valid", applies=one_valid_kb)
+def pabd_one_valid(inst: AbductionInstance) -> _Answer:
     """For 1-valid knowledge bases a positive explanation exists iff H itself
     is one, and KB ∧ H is consistent for free, so only the |M| entailment
-    checks remain.  A KB that is not 1-valid is rejected before
-    preprocessing, so also on a trivially-no instance."""
-    if not one_valid_kb(inst):
-        raise FragmentError("knowledge base is not 1-valid")
-    return _one_valid(inst)
-
-
-@_engine("one-valid")
-def _one_valid(inst: AbductionInstance) -> _Answer:
+    checks remain."""
     man = inst.manifestations
     found = entails(compile_kb(inst.kb), hyp_mask(inst.hypotheses), 0, man, decide)
     return _Answer(inst.hypotheses if found else None, EnumStats(leaves=len(man)))
@@ -441,11 +460,14 @@ def _one_valid(inst: AbductionInstance) -> _Answer:
 # ---------------------------------------------------------------------------
 
 def positive_cnf(inst: AbductionInstance) -> bool:
-    """Where abd_kcnf_pos applies (abd_to_simplesat's input check)."""
-    return is_kcnf_formula(inst.kb, positive=True) and preprocess(inst).instance.is_normalized()
+    """Where abd_kcnf_pos applies: KB is a positive CNF and no variable of
+    var(KB) is in both H and M, which on preprocess(inst).instance is
+    abd_to_simplesat's input check."""
+    return (is_kcnf_formula(inst.kb, positive=True)
+            and not inst.hypotheses & inst.manifestations & inst.kb.used_vars())
 
 
-@_engine("simplesat")
+@_engine("simplesat", "abd", "simplesat", applies=positive_cnf)
 def abd_kcnf_pos(inst: AbductionInstance) -> _Answer:
     """Symmetric abduction over positive clauses via the SimpleSAT reduction;
     a model of the reduced instance maps to the negative explanation holding
@@ -455,30 +477,3 @@ def abd_kcnf_pos(inst: AbductionInstance) -> _Answer:
     lits = (None if model is None
             else frozenset(-h for h in inst.hypotheses if not (model >> (h - 1)) & 1))
     return _Answer(lits, stats, report)
-
-
-@dataclass
-class Engine:
-    name: str  # AbdResult.algorithm, and the kind of verify's findings
-    mode: str  # `abductor solve --mode`
-    algo: str  # `abductor solve --algo`
-    solve: Callable
-    explanations: str | None = None  # "full"/"maximal": oracle set of its ExplanationSet
-    applies: Callable[[AbductionInstance], bool] | None = None  # None: everywhere
-
-    def run(self, inst: AbductionInstance, **kw) -> tuple[AbdResult, ExplanationSet | None]:
-        out = self.solve(inst, **kw)
-        return out if self.explanations else (out, None)
-
-
-ENGINES: tuple[Engine, ...] = (
-    Engine("oracle-abd", "abd", "oracle", oracle_abd),
-    Engine("oracle-pabd", "pabd", "oracle", oracle_pabd),
-    Engine("baseline-abd", "abd", "baseline", baseline_abd),
-    Engine("enum-abd", "abd", "enum", enum_abd, "full"),
-    Engine("baseline-pabd", "pabd", "baseline", baseline_pabd),
-    Engine("pabd-rec", "pabd", "pabd-rec", pabd_recursive),
-    Engine("pabd-enum", "pabd", "pabd-enum", pabd_enum, "maximal"),
-    Engine("simplesat", "abd", "simplesat", abd_kcnf_pos, applies=positive_cnf),
-    Engine("one-valid", "pabd", "one-valid", pabd_one_valid, applies=one_valid_kb),
-)

@@ -3,7 +3,8 @@ hanging it or filling the machine's memory:
 
 - wall clock: a test that runs past WATCHDOG_S seconds (an endless search)
   dumps every thread's traceback to stderr and ends the pytest process with
-  exit status 1.  The slowest test takes 11-13 s.
+  exit status 1.  The slowest test, criterion 2, has taken 8.6-15.8 s
+  (pytest --durations=5 on a shared 2-vCPU Xeon VM).
 - memory: the pytest process's own address space is capped at MEMORY_LIMIT
   bytes (RLIMIT_AS, lowered on this process only), so a test that keeps
   allocating fails with MemoryError instead of growing.  The suite peaks

@@ -117,7 +117,7 @@ class TestVerifySweeps:
 
     def test_injected_bug_is_caught(self, monkeypatch):
         def broken(inst):
-            truth = verify.oracle_abd(inst)
+            truth = solvers.oracle_abd(inst)
             return AbdResult(not truth.answer, None, EnumStats(), "baseline-abd")
 
         monkeypatch.setattr(next(e for e in ENGINES if e.name == "baseline-abd"), "solve", broken)
@@ -130,7 +130,7 @@ class TestVerifySweeps:
         and each row that returns a bad one gets its own finding."""
         inst = example1_instance()
         bad = frozenset({-1})
-        assert verify.oracle_abd(inst).answer and not is_explanation(inst, bad)
+        assert solvers.oracle_abd(inst).answer and not is_explanation(inst, bad)
 
         def solve(inst):
             return AbdResult(True, Explanation(bad), EnumStats(), "bad")
@@ -151,7 +151,7 @@ class TestVerifySweeps:
 
     def test_a_yes_without_a_witness_is_a_finding(self, monkeypatch):
         inst = example1_instance()
-        assert verify.oracle_abd(inst).answer
+        assert solvers.oracle_abd(inst).answer
 
         def solve(inst):
             return AbdResult(True, None, EnumStats(), "no-witness")
@@ -191,7 +191,7 @@ class TestVerifySweeps:
         trivially_no = 0
         for inst in itertools.chain(verify.exhaustive_instances(),
                                     verify.preprocess_audit_instances()):
-            answers = verify.oracle_abd(inst).answer, verify.oracle_pabd(inst).answer
+            answers = solvers.oracle_abd(inst).answer, solvers.oracle_pabd(inst).answer
             assert verify._oracle_pair(inst) == answers, inst
             full, positive, maximal = _oracle_sets(inst)
             assert (bool(full), bool(positive)) == answers, inst
@@ -223,10 +223,10 @@ class TestVerifySweeps:
 
     def test_minimizer_shrinks(self):
         inst = generators.gen_xsat(8, 2)
-        target = verify.oracle_abd(inst).answer
+        target = solvers.oracle_abd(inst).answer
 
         def still(cand):
-            return verify.oracle_abd(cand).answer == target
+            return solvers.oracle_abd(cand).answer == target
 
         small = verify.minimize_instance(inst, still)
         assert len(small.kb.constraints) <= len(inst.kb.constraints)
@@ -302,6 +302,18 @@ class TestCli:
         code = self.run("solve", str(path), "--algo", "simplesat", "--mode", "abd")
         assert code == 2
 
+    @pytest.mark.parametrize("algo, mode", [("simplesat", "abd"), ("one-valid", "pabd")])
+    def test_solve_trivially_no_outside_the_fragment_exit_two(self, tmp_path, capsys,
+                                                              algo, mode):
+        """A fragment row rejects a KB outside its fragment even where
+        preprocess alone would answer no (m = 3 is outside var(KB))."""
+        path = tmp_path / "neq.abd"
+        path.write_text("abd 1\nvars 3\nrel NEQ 2 01;10\ncon NEQ 1 2\nhyp 1\nman 3\n")
+        assert preprocess(io.parse(str(path))).verdict == TRIVIALLY_NO
+        assert self.run("solve", str(path), "--algo", algo, "--mode", mode) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_solve_internal_error_exit_two(self, tmp_path, capsys, monkeypatch):
         def crash(inst):
             raise RuntimeError("boom")
@@ -317,7 +329,7 @@ class TestCli:
         """Each ENGINES row answers `solve` under its own name with its mode's
         oracle exit code, on the first of these instances it applies to."""
         insts = [generators.gen_xsat(7, 4), generators.gen_kcnf_pos(8, 1, k=2)]
-        oracles = {"abd": verify.oracle_abd, "pabd": verify.oracle_pabd}
+        oracles = {"abd": solvers.oracle_abd, "pabd": solvers.oracle_pabd}
         for e in ENGINES:
             inst = next(i for i in insts if e.applies is None or e.applies(i))
             path = tmp_path / "x.abd"
@@ -389,7 +401,7 @@ class TestCli:
 
     def test_verify_dumps_a_finding(self, tmp_path, capsys, monkeypatch):
         def broken(inst):
-            truth = verify.oracle_abd(inst)
+            truth = solvers.oracle_abd(inst)
             return AbdResult(not truth.answer, None, EnumStats(), "baseline-abd")
 
         monkeypatch.setattr(next(e for e in ENGINES if e.name == "baseline-abd"), "solve", broken)
@@ -478,4 +490,4 @@ class TestCliDimacs:
     def test_satlib_trailer_ends_the_clauses(self, tmp_path):
         code, out = self.reduce(tmp_path, "p cnf 2 2\n1 2 0\n-1 0\n%\n0\n\n")
         assert code == 0 and out == self.expected(2, [(1, 2), (-1,)])
-        assert verify.oracle_abd(out).answer  # satisfiable, so an explanation exists
+        assert solvers.oracle_abd(out).answer  # satisfiable, so an explanation exists

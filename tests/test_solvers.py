@@ -268,22 +268,23 @@ class TestFragmentSolvers:
             abd_kcnf_pos(inst)
 
     def test_trivially_no_outside_the_fragments(self):
-        """one-valid checks its KB before preprocessing, so it raises on a
-        trivially-no instance; simplesat answers that instance no."""
+        """A row with `applies` checks it before preprocessing, so both
+        fragment rows raise on a trivially-no instance outside their
+        fragment."""
         nor2 = clause_relation((1, 1))
         inst = AbductionInstance(formula(3, [(nor2, (1, 2))]), frozenset({1}), frozenset({3}))
         assert preprocess(inst).verdict == TRIVIALLY_NO
-        with pytest.raises(FragmentError):
-            pabd_one_valid(inst)
-        assert not abd_kcnf_pos(inst).answer
+        for solve in (pabd_one_valid, abd_kcnf_pos):
+            with pytest.raises(FragmentError):
+                solve(inst)
 
     @pytest.mark.parametrize("pool, selected", [
-        ("exhaustive_instances", {"simplesat": 156, "one-valid": 1107}),
-        ("preprocess_audit_instances", {"simplesat": 324, "one-valid": 1792}),
+        ("exhaustive_instances", {"one-valid": 1107, "simplesat": 189}),
+        ("preprocess_audit_instances", {"one-valid": 1792, "simplesat": 736}),
     ])
     def test_engine_predicates_match_their_solvers(self, pool, selected):
-        """A row's solver raises FragmentError only where its `applies` is
-        false; the counts pin the instances check_solvers runs it on."""
+        """A row's solver raises FragmentError iff its `applies` is false;
+        the counts pin the instances check_solvers runs it on."""
         insts = list(getattr(verify, pool)())
         counts = {}
         for e in (e for e in solvers.ENGINES if e.applies is not None):
@@ -293,7 +294,16 @@ class TestFragmentSolvers:
                     e.run(inst)
                 except FragmentError:
                     assert not e.applies(inst), (e.name, io.write_text(inst))
+                else:
+                    assert e.applies(inst), (e.name, io.write_text(inst))
         assert counts == selected
+
+    def test_engine_declarations_are_unique(self):
+        """cmd_solve runs the first row of a (mode, algo) pair, so a second
+        declaration of a name or a pair would be hidden."""
+        names = [e.name for e in solvers.ENGINES]
+        pairs = [(e.mode, e.algo) for e in solvers.ENGINES]
+        assert len(set(names)) == len(names) and len(set(pairs)) == len(pairs)
 
     def test_every_engine_names_its_result(self):
         """Every ENGINES row's result carries the row's name, on a yes, a no
