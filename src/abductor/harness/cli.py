@@ -14,19 +14,20 @@ import sys
 import time
 import traceback
 
-from ..core import FragmentError, StructureError, preprocess
+from ..core import AbductionInstance, preprocess
 from ..reductions import (CnfFormula, abd2cnf_to_cnfsat, abd_to_pabd_4cnf,
                           abd_to_simplesat, cnfsat_to_abd_lb,
                           eliminate_constants, kcnf_to_nae, negimp_to_pos)
-from ..satenum import LanguageContractError
-from ..solvers import ENGINES, OracleCapError
+from ..satenum import SimpleSatInstance
+from ..solvers import ENGINES
 from . import bench, generators, io, verify
 
-USAGE_ERRORS = (FragmentError, StructureError, OracleCapError,
-                LanguageContractError, io.ParseError, ValueError, OSError)
+# every error the library raises on bad input subclasses ValueError
+USAGE_ERRORS = (ValueError, OSError)
 
-GEN_INT_FLAGS = ("n", "m", "k", "colors", "per_color", "num_x", "num_y",
-                 "terms", "clauses", "width")
+# gen's flags: every keyword of generators.FAMILIES, typed by its default
+GEN_FLAGS = {name: type(param.default) for family in generators.FAMILIES.values()
+             for name, param in inspect.signature(family).parameters.items()}
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -47,19 +48,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.family not in generators.FAMILIES:
-        print(f"error: unknown family '{args.family}' "
-              f"(known: {', '.join(sorted(generators.FAMILIES))})", file=sys.stderr)
-        return 2
     family = generators.FAMILIES[args.family]
-    params = {k: getattr(args, k) for k in GEN_INT_FLAGS + ("edge_prob",)
-              if getattr(args, k) is not None}
+    params = {k: getattr(args, k) for k in GEN_FLAGS if getattr(args, k) is not None}
     unused = [k for k in params if k not in inspect.signature(family).parameters]
     if unused:
         print(f"error: family '{args.family}' does not use "
               f"{', '.join('--' + k.replace('_', '-') for k in unused)}", file=sys.stderr)
         return 2
-    inst = family(seed=args.seed, **params)
+    inst = family(**params)
     text = io.write_text(inst)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -101,41 +97,45 @@ def _read_dimacs(path: str) -> CnfFormula:
     return CnfFormula(num_vars, tuple(map(tuple, clauses)))
 
 
+def _read_instance(path: str) -> AbductionInstance:
+    """The preprocessed instance: the input every instance reduction takes."""
+    return preprocess(io.parse(path)).instance
+
+
+def _write_simplesat(simple: SimpleSatInstance, path: str) -> None:
+    blob = {
+        "num_vars": simple.num_vars, "p": simple.p,
+        "positive_clauses": [sorted(c) for c in simple.positive_clauses],
+        "negative_dnfs": [[sorted(t) for t in d] for d in simple.negative_dnfs],
+    }
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(blob, fh, sort_keys=True)
+        fh.write("\n")
+
+
+# name -> (read the input file, reduce, write the output file)
+REDUCTIONS = {
+    "negimp-to-pos": (_read_instance, negimp_to_pos, io.write),
+    "abd-to-simplesat": (_read_instance, abd_to_simplesat, _write_simplesat),
+    "abd-to-pabd-4cnf": (_read_instance, abd_to_pabd_4cnf, io.write),
+    "eliminate-constants": (_read_instance, eliminate_constants, io.write),
+    "kcnf-to-nae": (_read_instance, kcnf_to_nae, io.write),
+    "cnfsat-to-abd": (_read_dimacs, cnfsat_to_abd_lb, io.write),
+    "abd2cnf-to-cnfsat": (_read_instance, abd2cnf_to_cnfsat, _write_dimacs),
+}
+
+
 def cmd_reduce(args: argparse.Namespace) -> int:
-    name = args.reduction
-    if name == "cnfsat-to-abd":
-        out, report = cnfsat_to_abd_lb(_read_dimacs(args.input))
-        io.write(out, args.output)
-    elif name == "abd2cnf-to-cnfsat":
-        out, report = abd2cnf_to_cnfsat(io.parse(args.input))
-        _write_dimacs(out, args.output)
-    elif name == "abd-to-simplesat":
-        simple, report = abd_to_simplesat(preprocess(io.parse(args.input)).instance)
-        blob = {
-            "num_vars": simple.num_vars, "p": simple.p,
-            "positive_clauses": [sorted(c) for c in simple.positive_clauses],
-            "negative_dnfs": [[sorted(t) for t in d] for d in simple.negative_dnfs],
-        }
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(blob, fh, sort_keys=True)
-            fh.write("\n")
-    else:
-        transforms = {
-            "negimp-to-pos": negimp_to_pos,
-            "abd-to-pabd-4cnf": abd_to_pabd_4cnf,
-            "eliminate-constants": eliminate_constants,
-            "kcnf-to-nae": kcnf_to_nae,
-        }
-        if name not in transforms:
-            print(f"error: unknown reduction '{name}'", file=sys.stderr)
-            return 2
-        out, report = transforms[name](io.parse(args.input))
-        io.write(out, args.output)
+    read, reduce, write = REDUCTIONS[args.reduction]
+    out, report = reduce(read(args.input))
+    write(out, args.output)
     print(io.to_json(io.report_dict(report)))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.dump_limit < 0:
+        raise ValueError(f"--dump-limit must be >= 0, got {args.dump_limit}")
     report = verify.run_verify(suite=args.suite, per_family=args.per_family,
                                max_n=args.max_n, seed=args.seed,
                                progress=lambda s: print(s, file=sys.stderr))
@@ -191,16 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("gen", help="generate an instance")
-    p.add_argument("--family", required=True)
+    p.add_argument("--family", required=True, choices=list(generators.FAMILIES))
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
-    for flag in GEN_INT_FLAGS:
-        p.add_argument(f"--{flag.replace('_', '-')}", type=int, default=None)
-    p.add_argument("--edge-prob", type=float, default=None)
+    for flag, kind in GEN_FLAGS.items():
+        p.add_argument(f"--{flag.replace('_', '-')}", type=kind)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("reduce", help="apply a reduction construction")
-    p.add_argument("--reduction", required=True)
+    p.add_argument("--reduction", required=True, choices=list(REDUCTIONS))
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_reduce)

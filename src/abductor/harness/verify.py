@@ -113,7 +113,7 @@ def check_reductions(inst: AbductionInstance) -> tuple[list[Finding], list[Findi
     width = None if clauses is None else max((len(signs) for signs, _ in clauses), default=0)
 
     if is_neg_imp_formula(inst.kb):
-        out, _rep = negimp_to_pos(inst)
+        out, _rep = negimp_to_pos(pre)
         if out.num_vars <= REDUCTION_OUT_CAP:
             out_abd, _ = _oracle_pair(out)
             for mode, truth in (("abd", in_abd), ("pabd", in_pabd)):

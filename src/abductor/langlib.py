@@ -206,8 +206,8 @@ def derive_inequality(lang: ConstraintLanguage) -> InequalityGadget:
         t = rel.codes[0]  # any member tuple; cannot be constant here
         pattern = tuple(b + 1 for b in decode_tuple(t, rel.arity))
         got = minor(rel, pattern, 2)
-        if got != NEQ:  # complement-invariance makes this unreachable
-            raise LanguageError(f"identification of {rel} did not give inequality")
+        if got != NEQ:  # complement-invariance makes this unreachable: a bug, not a language
+            raise RuntimeError(f"identification of {rel} did not give inequality")
         return InequalityGadget(got, rel, pattern)
     raise LanguageError("no relation avoiding both constant tuples")
 

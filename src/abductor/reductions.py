@@ -2,9 +2,12 @@
 and the generators that turn cliques, two-level QBFs, and CNF-SAT instances
 into hard abduction instances.
 
-Every transformer returns (output, ReductionReport); building the report
-checks its variable accounting, so a contract violation raises instead of
-silently shipping a wrong instance.
+An instance transformer takes the preprocessed instance,
+core.preprocess(inst).instance, and its caller supplies it, so `verify` and
+`abductor reduce` hand every transformer the same input.  Every transformer
+returns (output, ReductionReport); building the report checks its variable
+accounting, so a contract violation raises instead of silently shipping a
+wrong instance.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Sequence
 
 from .core import (AbductionInstance, BOT, Constraint, FragmentError, Formula,
                    Relation, FALSE0, StructureError, TOP, decode_tuple,
-                   hyp_mask, preprocess, truth_table)
+                   hyp_mask, truth_table)
 from .langlib import (ConstraintLanguage, InequalityGadget, clause_relation,
                       derive_inequality, imp, nae)
 from .satenum import SimpleSatInstance, compile_kb, decide
@@ -132,8 +135,6 @@ def negimp_to_pos(inst: AbductionInstance) -> tuple[AbductionInstance, Reduction
     """
     if not is_neg_imp_formula(inst.kb):
         raise FragmentError("knowledge base is not negative-clauses + implications")
-    pre = preprocess(inst)
-    inst = pre.instance
     n0 = inst.num_vars
     kb, hyp, man = inst.kb, set(inst.hypotheses), set(inst.manifestations)
     added = 0
@@ -511,7 +512,8 @@ def abd2cnf_to_cnfsat(inst: AbductionInstance) -> tuple[CnfFormula, ReductionRep
     man = inst.manifestations
     partners: dict[int, list[int]] = {m: [] for m in sorted(man)}
     kept: list[tuple[int, ...]] = []
-    for signs, scope in formula_as_clauses(inst.kb) or []:
+    in_clauses = formula_as_clauses(inst.kb)
+    for signs, scope in in_clauses:
         lits = tuple(v if s == 0 else -v for s, v in zip(signs, scope))
         pos_m = [l for l in lits if l > 0 and l in man]
         if len(lits) == 2 and pos_m:
@@ -526,6 +528,8 @@ def abd2cnf_to_cnfsat(inst: AbductionInstance) -> tuple[CnfFormula, ReductionRep
     report = ReductionReport("abd2cnf-to-cnfsat", inst.num_vars, inst.num_vars,
                              len(clauses), 0, CV,
                              notes={"merged": len(merged)})
-    if len(clauses) > inst.num_vars ** 2:
-        raise ReductionContractError("merged output exceeded n^2 clauses")
+    # each input clause is kept or merged away, and each m adds one clause
+    if len(clauses) > len(in_clauses) + len(man):
+        raise ReductionContractError(
+            "merged output exceeded the input's clauses plus one per manifestation")
     return out, report

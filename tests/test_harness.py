@@ -1,18 +1,22 @@
 import itertools
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from abductor.core import (TRIVIALLY_NO, AbductionInstance, Explanation, Relation, formula,
-                           is_explanation, preprocess)
+from abductor.core import (TRIVIALLY_NO, AbductionInstance, Explanation, Formula, Relation,
+                           formula, is_explanation, preprocess)
+from abductor import langlib
 from abductor.langlib import one_in_k
-from abductor.satenum import EnumStats
+from abductor.reductions import CnfFormula, abd2cnf_to_cnfsat
+from abductor.satenum import EnumStats, SimpleSatInstance, solve_simple_sat
 from abductor import solvers
 from abductor.solvers import (ENGINES, AbdResult, Engine, _oracle_sets, explained,
                               oracle_full_explanations, oracle_positive_explanations)
 from abductor.harness import bench, generators, io, verify
+from abductor.harness.cli import REDUCTIONS, _read_dimacs, _write_dimacs
 from abductor.harness.cli import main as cli_main
 
 from test_core import example1_instance
@@ -221,6 +225,16 @@ class TestVerifySweeps:
         assert reads[0] == preprocess(inst).instance
         assert len(reads) == len(set(reads)) == 4
 
+    def test_an_internal_failure_of_derive_inequality_is_not_skipped(self, monkeypatch):
+        """check_reductions skips the constant probe only for a language with
+        no inequality gadget (LanguageError); a wrong identification minor is
+        a bug, so the check raises instead of judging nothing."""
+        inst = generators.gen_nae3(6, 0)
+        assert verify.check_reductions(inst) == ([], [])
+        monkeypatch.setattr(langlib, "minor", lambda rel, pattern, k: Relation(2, (0, 3)))
+        with pytest.raises(RuntimeError, match="did not give inequality"):
+            verify.check_reductions(inst)
+
     def test_minimizer_shrinks(self):
         inst = generators.gen_xsat(8, 2)
         target = solvers.oracle_abd(inst).answer
@@ -268,6 +282,21 @@ class TestBench:
     def test_baseline_family_base_two(self):
         sweep = bench.run_bench("baseline-full-h", [7, 8, 9, 10, 11], seeds=1)
         assert abs(sweep.base - 2.0) <= 0.1
+
+    def test_xsat_random_cli_matches_the_golden_file(self, capsys):
+        """`bench --family xsat-random` runs the seeds 0..4 of the golden
+        file's xsat-random entries, so its per-size runs and medians are theirs."""
+        path = pathlib.Path(__file__).resolve().parent.parent / "BENCH_nodes.json"
+        golden: dict[int, list[int]] = {}
+        for e in json.loads(path.read_text(encoding="utf-8"))["entries"]:
+            if e["family"] == "xsat-random":
+                golden.setdefault(e["n"], []).append(e["branch_nodes"])
+        assert cli_main(["bench", "--family", "xsat-random", "--grid", "10:24:2"]) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        assert [p["n"] for p in points] == sorted(golden)
+        for p in points:
+            assert p["runs"] == golden[p["n"]]
+            assert p["median_nodes"] == sorted(golden[p["n"]])[2]
 
 
 class TestCli:
@@ -449,6 +478,20 @@ class TestCli:
         assert err.startswith("error:") and "max_n >= 4" in err
         assert "internal" not in err and "\n" not in err
 
+    def test_verify_negative_dump_limit_is_a_usage_error(self, capsys):
+        assert self.run("verify", "--dump-limit", "-1") == 2
+        out = capsys.readouterr()
+        assert not out.out
+        assert out.err == "error: --dump-limit must be >= 0, got -1\n"
+
+    def test_unknown_names_are_usage_errors(self, capsys):
+        for argv in (("gen", "--family", "nope"),
+                     ("reduce", "--reduction", "nope", "-i", "x", "-o", "y")):
+            with pytest.raises(SystemExit) as exc:
+                self.run(*argv)
+            assert exc.value.code == 2
+            assert "invalid choice: 'nope'" in capsys.readouterr().err
+
     def test_verify_per_family_below_one_is_a_usage_error(self, capsys):
         for value in ("0", "-3"):
             assert self.run("verify", "--per-family", value) == 2
@@ -491,3 +534,68 @@ class TestCliDimacs:
         code, out = self.reduce(tmp_path, "p cnf 2 2\n1 2 0\n-1 0\n%\n0\n\n")
         assert code == 0 and out == self.expected(2, [(1, 2), (-1,)])
         assert solvers.oracle_abd(out).answer  # satisfiable, so an explanation exists
+
+
+def _pair(inst):
+    """The (symmetric, positive) oracle answers."""
+    return solvers.oracle_abd(inst).answer, solvers.oracle_pabd(inst).answer
+
+
+def _simplesat_answer(path):
+    blob = json.loads(path.read_text())
+    return solve_simple_sat(SimpleSatInstance(**blob))[0] is not None
+
+
+# each row of cli.REDUCTIONS: (its input, what the input answers, what the
+# file the row writes answers), where the answers are the ones the
+# construction keeps
+REDUCE_CASES = {
+    "negimp-to-pos": (generators.gen_kcnf_neg_imp(6, 1), _pair,
+                      lambda path: (solvers.oracle_abd(io.parse(path)).answer,) * 2),
+    "abd-to-simplesat": (generators.gen_kcnf_pos(6, 1, k=2),
+                         lambda inst: solvers.oracle_abd(inst).answer, _simplesat_answer),
+    "abd-to-pabd-4cnf": (generators.gen_2cnf(5, 1),
+                         lambda inst: solvers.oracle_abd(inst).answer,
+                         lambda path: solvers.oracle_pabd(io.parse(path)).answer),
+    "eliminate-constants": (verify._with_constants(generators.gen_nae3(6, 0)), _pair,
+                            lambda path: _pair(io.parse(path))),
+    "kcnf-to-nae": (generators.gen_2cnf(5, 2), _pair, lambda path: _pair(io.parse(path))),
+    "cnfsat-to-abd": (generators.gen_cnf_formula(3, 5, 3, 0), CnfFormula.satisfiable,
+                      lambda path: _pair(io.parse(path))[0]),
+    # not answer-preserving (verify only logs it): the file is the construction's formula
+    "abd2cnf-to-cnfsat": (generators.gen_2cnf(5, 1),
+                          lambda inst: abd2cnf_to_cnfsat(inst)[0], _read_dimacs),
+}
+
+
+class TestCliReduce:
+    """Every row of cli.REDUCTIONS end to end through `main`, on the
+    preprocessed instance, the input that verify's check_reductions checks."""
+
+    def reduce(self, tmp_path, capsys, name, given):
+        src, dst = tmp_path / "in", tmp_path / "out"
+        if isinstance(given, CnfFormula):
+            _write_dimacs(given, str(src))
+        else:
+            io.write(given, str(src))
+        assert cli_main(["reduce", "--reduction", name, "-i", str(src), "-o", str(dst)]) == 0
+        assert json.loads(capsys.readouterr().out)["name"] == name
+        return dst
+
+    @pytest.mark.parametrize("name", list(REDUCTIONS))
+    def test_every_reduction(self, name, tmp_path, capsys):
+        given, answer_in, answer_out = REDUCE_CASES[name]
+        dst = self.reduce(tmp_path, capsys, name, given)
+        assert answer_out(dst) == answer_in(given)
+
+    def test_reduce_preprocesses_its_input(self, tmp_path, capsys):
+        """A hypothesis outside var(KB) is dropped and a self-explained
+        manifestation leaves H and M before kcnf-to-nae runs, and the
+        written instance keeps both answers of the file as given."""
+        inst = generators.gen_2cnf(5, 2)
+        given = AbductionInstance(Formula(7, inst.kb.constraints),
+                                  inst.hypotheses | {6, 7}, inst.manifestations | {7})
+        assert preprocess(given).instance != given
+        out = io.parse(str(self.reduce(tmp_path, capsys, "kcnf-to-nae", given)))
+        assert not {6, 7} & (out.hypotheses | out.manifestations)
+        assert _pair(out) == _pair(given)

@@ -372,3 +372,24 @@ class TestAbd2CnfToCnfSat:
         inst = inst_of(3, [(clause_relation((0, 0, 0)), (1, 2, 3))], {1}, {2})
         with pytest.raises(FragmentError):
             abd2cnf_to_cnfsat(inst)
+
+
+def test_cnfsat_empty_clause_has_no_explanation():
+    """An empty clause makes the formula unsatisfiable; the construction
+    keeps it as the 0-ary false constraint, so no explanation exists."""
+    phi = CnfFormula(2, ((1, 2), ()))
+    assert not phi.satisfiable()
+    out, _rep = cnfsat_to_abd_lb(phi)
+    assert not oracle_abd(out).answer and not oracle_pabd(out).answer
+
+
+def test_abd2cnf_keeps_a_dense_2cnf():
+    """Over n variables there are 2n^2 distinct clauses of width <= 2, so an
+    input may hold more than n^2 of them; the output is bounded by the
+    input's clauses plus one merged clause per manifestation."""
+    cons = [(clause_relation((0,)), (1,)), (clause_relation((0,)), (2,)),
+            (clause_relation((0, 0)), (1, 2)), (clause_relation((1, 0)), (1, 2)),
+            (clause_relation((1, 1)), (1, 2))]
+    out, rep = abd2cnf_to_cnfsat(inst_of(2, cons, {1}, ()))
+    assert out.clauses == ((1,), (2,), (1, 2), (-1, 2), (-1, -2))
+    assert rep.output_constraints == 5 and not out.satisfiable()
