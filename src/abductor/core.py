@@ -26,7 +26,16 @@ A SAT call asks KB ∧ E or KB ∧ E ∧ ¬m as sat(KB, pos, neg) on a KB compil
 once by satenum.compile_kb, with E as the variable-bit masks of its positive
 and negated literals (literal_masks converts a literal list); entails asks
 sat(kb, pos, neg | bit(m)) per manifestation m.  Formula is a plain frozen
-dataclass: no engine state hangs off it.
+dataclass and stores nothing: no engine state and no derived fact hangs off
+it.
+
+A Relation carries the facts derived from its codes, each computed at most
+once, on first use (a functools.cached_property, outside eq, hash and
+fields): clause_signs, its sign pattern when it is a clause relation, which
+the reductions' fragment tests read, and table_terms, the tuples truth_table
+ORs.  langlib.clause_relation and langlib.nae return one shared Relation per
+key, so these facts are computed once per relation, not once per clause per
+call.
 
 truth_table is the bit-parallel form of evaluate, which stays the definition:
 one Python int per variable column (bit s holds the variable's value in
@@ -218,6 +227,30 @@ class Relation:
     def renamed(self, name: str | None) -> "Relation":
         return Relation(self.arity, self.codes, name)
 
+    # The derived facts (see the module docstring): each is computed on first
+    # use and kept in the instance's __dict__, outside eq, hash and fields.
+
+    @functools.cached_property
+    def clause_signs(self) -> tuple[int, ...] | None:
+        """The sign pattern of the clause this relation is (its one missing
+        tuple, as langlib.clause_relation builds it), or None if it is not a
+        clause relation."""
+        k = self.arity
+        if k < 1 or len(self.codes) != (1 << k) - 1:
+            return None
+        # the codes are distinct in 0..2^k-1: the missing one is 2^k(2^k-1)/2 less their sum
+        return decode_tuple((1 << k) * ((1 << k) - 1) // 2 - sum(self.codes), k)
+
+    @functools.cached_property
+    def table_terms(self) -> tuple[bool, tuple[tuple[int, ...], ...]]:
+        """(flip, terms): the tuples truth_table ORs, as 0/1 tuples.  A
+        relation holding more than half of {0,1}^k gives its missing tuples
+        and flip = True, so truth_table complements their OR."""
+        flip = 2 * len(self.codes) > 1 << self.arity
+        codes = ([c for c in range(1 << self.arity) if c not in self._codeset]
+                 if flip else self.codes)
+        return flip, tuple(decode_tuple(c, self.arity) for c in codes)
+
 
 # The unary constants and their 0-ary cousins (the four constant relations).
 BOT = Relation(1, (0,), "BOT")
@@ -308,20 +341,19 @@ def truth_table(phi: Formula) -> int:
     """Bit s is set iff assignment s satisfies phi: the AND over the
     constraints of the OR over their tuples of the AND of the matching
     columns.  A relation holding more than half of {0,1}^k is built from its
-    missing tuples and complemented, so wide clauses stay cheap."""
+    missing tuples and complemented (Relation.table_terms), so wide clauses
+    stay cheap."""
     cols = columns(phi.num_vars)
     full = (1 << (1 << phi.num_vars)) - 1
     table = full
     for con in phi.constraints:
-        rel = con.relation
-        flip = 2 * len(rel) > 1 << rel.arity
-        codes = [c for c in range(1 << rel.arity) if c not in rel] if flip else rel.codes
+        flip, terms = con.relation.table_terms
         pairs = [cols[v - 1] for v in con.scope]
         col = 0
-        for code in codes:
+        for bits in terms:
             term = full
-            for i, pair in enumerate(pairs):
-                term &= pair[(code >> i) & 1]
+            for pair, b in zip(pairs, bits):
+                term &= pair[b]
             col |= term
         table &= full ^ col if flip else col
         if not table:

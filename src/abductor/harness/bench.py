@@ -147,6 +147,8 @@ BENCH_FAMILIES: dict[str, tuple[Callable[[int, int], int], bool]] = {
 def run_bench(family: str, grid: list[int], seeds: int = 5) -> BenchSweep:
     if family not in BENCH_FAMILIES:
         raise ValueError(f"unknown bench family '{family}'")
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
     runner, randomized = BENCH_FAMILIES[family]
     points = []
     for n in grid:

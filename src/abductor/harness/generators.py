@@ -227,7 +227,7 @@ def gen_cnf_formula(num_vars: int, num_clauses: int, width: int, seed: int) -> C
 
 # each family takes exactly the keyword parameters it reads
 FAMILIES: dict[str, Callable[..., AbductionInstance]] = {
-    "xsat-chain": lambda seed=0, m=3: gen_xsat_chain(m),
+    "xsat-chain": lambda m=3: gen_xsat_chain(m),
     "xsat": lambda seed=0, n=10: gen_xsat(n, seed),
     "equations": lambda seed=0, n=10: gen_equations(n, seed),
     "aff": lambda seed=0, n=10: gen_aff(n, seed),

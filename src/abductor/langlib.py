@@ -216,14 +216,44 @@ def derive_inequality(lang: ConstraintLanguage) -> InequalityGadget:
 # built-in language constructors
 # ---------------------------------------------------------------------------
 
+# The shared-relation table: clause_relation and nae build one Relation per
+# key and return that object on every later call, so a relation is built and
+# validated once, and its derived facts (Relation.clause_signs,
+# Relation.table_terms) are computed once.  The table is emptied whenever the
+# relations it holds pass _RELATION_TABLE_CODES codes in all, as core's
+# restriction table is; a relation built before a clear stays valid and
+# equal to the one built after it.
+_RELATION_TABLE_CODES = 1 << 16
+_relation_table: dict[tuple, Relation] = {}
+_relation_table_held = 0
+
+
+def _share(key: tuple, rel: Relation) -> Relation:
+    """Enter rel into the shared-relation table under key and return it."""
+    global _relation_table_held
+    if _relation_table_held > _RELATION_TABLE_CODES:
+        _relation_table.clear()
+        _relation_table_held = 0
+    _relation_table[key] = rel
+    _relation_table_held += len(rel.codes) + 1
+    return rel
+
+
 def clause_relation(signs: Sequence[int], name: str | None = None) -> Relation:
     """Relation of the clause whose i-th literal is positive iff signs[i]==0.
 
-    The single falsifying point is the tuple equal to the sign pattern.
+    The single falsifying point is the tuple equal to the sign pattern.  One
+    shared Relation per (signs, name), from the shared-relation table.
     """
-    bad = encode_tuple(signs)
-    codes = tuple(c for c in range(1 << len(signs)) if c != bad)
-    return Relation(len(signs), codes, name or f"CL{''.join(map(str, signs))}")
+    signs = tuple(signs)
+    key = ("CL", signs, name)
+    rel = _relation_table.get(key)
+    if rel is None:
+        bad = encode_tuple(signs)
+        codes = tuple(c for c in range(1 << len(signs)) if c != bad)
+        rel = _share(key, Relation(len(signs), codes,
+                                   name or f"CL{''.join(map(str, signs))}"))
+    return rel
 
 
 def _clauses(k: int, keep: Callable[[tuple[int, ...]], bool],
@@ -329,14 +359,21 @@ def xsat_family(max_k: int) -> ConstraintLanguage:
 
 
 def nae(signs: Sequence[int]) -> Relation:
-    """Not-all-equal under a sign pattern: forbids the pattern and its complement."""
-    k = len(signs)
-    if k < 1:
-        raise LanguageError("sign pattern must be non-empty")
-    zero_s = encode_tuple(signs)
-    one_s = ((1 << k) - 1) ^ zero_s
-    codes = tuple(c for c in range(1 << k) if c not in (zero_s, one_s))
-    return Relation(k, codes, f"NAE{''.join(map(str, signs))}")
+    """Not-all-equal under a sign pattern: forbids the pattern and its
+    complement.  One shared Relation per pattern, from the shared-relation
+    table."""
+    signs = tuple(signs)
+    key = ("NAE", signs)
+    rel = _relation_table.get(key)
+    if rel is None:
+        k = len(signs)
+        if k < 1:
+            raise LanguageError("sign pattern must be non-empty")
+        zero_s = encode_tuple(signs)
+        one_s = ((1 << k) - 1) ^ zero_s
+        codes = tuple(c for c in range(1 << k) if c not in (zero_s, one_s))
+        rel = _share(key, Relation(k, codes, f"NAE{''.join(map(str, signs))}"))
+    return rel
 
 
 def k_nae(k: int) -> ConstraintLanguage:

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import (AbductionInstance, BOT, Constraint, FragmentError, Formula,
-                   Relation, FALSE0, StructureError, TOP, decode_tuple,
-                   hyp_mask, truth_table)
+                   FALSE0, StructureError, TOP, hyp_mask, truth_table)
 from .langlib import (ConstraintLanguage, InequalityGadget, clause_relation,
                       derive_inequality, imp, nae)
 from .satenum import SimpleSatInstance, compile_kb, decide
@@ -57,23 +56,15 @@ class ReductionReport:
 # fragment recognizers
 # ---------------------------------------------------------------------------
 
-def clause_signs(rel: Relation) -> tuple[int, ...] | None:
-    """Sign pattern of a clause relation (the unique forbidden point), if any."""
-    k = rel.arity
-    if k < 1 or len(rel) != (1 << k) - 1:
-        return None
-    # the codes are distinct in 0..2^k-1: the missing one is 2^k(2^k-1)/2 less their sum
-    return decode_tuple((1 << k) * ((1 << k) - 1) // 2 - sum(rel.codes), k)
-
-
 IMP_REL = imp()
 
 
 def formula_as_clauses(phi: Formula) -> list[tuple[tuple[int, ...], tuple[int, ...]]] | None:
-    """Each constraint as (signs, scope) if the formula is pure CNF."""
+    """Each constraint as (signs, scope) if the formula is pure CNF, with the
+    signs of Relation.clause_signs."""
     out = []
     for con in phi.constraints:
-        signs = clause_signs(con.relation)
+        signs = con.relation.clause_signs
         if signs is None:
             return None
         out.append((signs, con.scope))
@@ -96,7 +87,7 @@ def is_neg_imp_formula(phi: Formula) -> bool:
     for con in phi.constraints:
         if con.relation == IMP_REL:
             continue
-        signs = clause_signs(con.relation)
+        signs = con.relation.clause_signs
         if signs is None or not all(signs):
             return False
     return True
@@ -191,6 +182,12 @@ def abd_to_simplesat(inst: AbductionInstance) -> tuple[SimpleSatInstance, Reduct
     if not is_kcnf_formula(inst.kb, positive=True):
         raise FragmentError("knowledge base is not a positive CNF")
     if not inst.is_normalized():
+        # preprocess leaves these in M when it answers trivially-no
+        unexplainable = inst.manifestations - inst.kb.used_vars() - inst.hypotheses
+        if unexplainable:
+            raise FragmentError(
+                f"manifestations {sorted(unexplainable)} are outside var(KB) and not in H: "
+                "nothing can explain them, so the instance is trivially no")
         raise FragmentError("instance must be preprocessed with H and M disjoint")
     hyp, man = inst.hypotheses, inst.manifestations
     positive: list[frozenset[int]] = []
@@ -438,7 +435,7 @@ def kcnf_to_nae(inst: AbductionInstance) -> tuple[AbductionInstance, ReductionRe
     v0, v1 = n0 + 1, n0 + 2
     cons: list[Constraint] = []
     for signs, scope in clauses:
-        cons.append(Constraint(nae(tuple(signs) + (0,)), tuple(scope) + (v0,)))
+        cons.append(Constraint(nae(signs + (0,)), scope + (v0,)))
     cons.append(Constraint(nae((0, 0, 0)), (v0, v0, v1)))
     out = AbductionInstance(Formula(n0 + 2, tuple(cons)),
                             inst.hypotheses | {v1},

@@ -1,11 +1,12 @@
+import dataclasses
 import itertools
 
 import pytest
 
 from abductor.core import (AbductionInstance, Constraint, Formula, Relation,
                            StructureError, TRIVIALLY_NO, TRIVIALLY_REDUCED,
-                           UNCHANGED, BOT, TOP, encode_tuple, entails,
-                           evaluate, formula, is_explanation,
+                           UNCHANGED, BOT, TOP, decode_tuple, encode_tuple,
+                           entails, evaluate, formula, is_explanation,
                            literal_masks, preprocess)
 from abductor.harness import io, verify
 from abductor.langlib import clause_relation, one_in_k
@@ -49,6 +50,30 @@ class TestRelation:
 
     def test_name_ignored_in_equality(self):
         assert Relation(2, (1, 2), "a") == Relation(2, (1, 2), "b")
+
+    def test_table_terms_are_a_direct_scan(self):
+        """On all 278 relations of arity <= 3, table_terms lists the member
+        tuples, or the missing ones with flip set when more than half of
+        {0,1}^k is in the relation; it is computed once."""
+        count = 0
+        for k in range(4):
+            for members in itertools.product((0, 1), repeat=1 << k):
+                rel = Relation(k, tuple(c for c, keep in enumerate(members) if keep))
+                flip = 2 * sum(members) > 1 << k
+                terms = tuple(decode_tuple(c, k) for c in range(1 << k) if members[c] != flip)
+                assert rel.table_terms == (flip, terms), rel
+                assert rel.table_terms is rel.__dict__["table_terms"]
+                count += 1
+        assert count == 278
+
+    def test_derived_facts_stay_out_of_eq_hash_and_fields(self):
+        fresh = clause_relation((0, 1))
+        warm = Relation(2, fresh.codes, "CL01")
+        assert warm.clause_signs == (0, 1) and warm.table_terms == (True, ((0, 1),))
+        assert [f.name for f in dataclasses.fields(Relation)] == [
+            "arity", "codes", "name", "_codeset"]
+        assert warm == fresh and hash(warm) == hash(Relation(2, fresh.codes))
+        assert repr(warm) == "Relation(arity=2, codes=(0, 1, 3), name='CL01')"
 
 
 class TestEvaluate:

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import pathlib
@@ -21,6 +22,16 @@ from abductor.harness.cli import main as cli_main
 
 from test_core import example1_instance
 
+# the generator families that read a seed
+SEEDED = {family: gen for family, gen in generators.FAMILIES.items()
+          if "seed" in inspect.signature(gen).parameters}
+
+
+def generate(family, seed):
+    """The family's instance, at `seed` if the family reads one."""
+    gen = generators.FAMILIES[family]
+    return gen(seed=seed) if family in SEEDED else gen()
+
 
 class TestInstanceFormat:
     def test_minimal_round_trip(self):
@@ -31,8 +42,8 @@ class TestInstanceFormat:
         assert io.parse_text(io.write_text(inst)) == inst
 
     def test_round_trip_all_generators(self):
-        for family, gen in generators.FAMILIES.items():
-            inst = gen(seed=3)
+        for family in generators.FAMILIES:
+            inst = generate(family, 3)
             assert io.parse_text(io.write_text(inst)) == inst, family
 
     def test_round_trip_zero_ary_and_empty(self):
@@ -93,16 +104,17 @@ class TestResultRecord:
 
 class TestGenerators:
     def test_seed_determinism(self):
-        for family, gen in generators.FAMILIES.items():
+        assert "xsat-chain" not in SEEDED  # the chain has no seed to read
+        for family, gen in SEEDED.items():
             a = io.write_text(gen(seed=7))
             b = io.write_text(gen(seed=7))
             c = io.write_text(gen(seed=8))
             assert a == b, family
-            assert a != c or family == "xsat-chain", family  # chain ignores seed
+            assert a != c, family
 
     def test_instances_are_normalized(self):
-        for family, gen in generators.FAMILIES.items():
-            inst = gen(seed=5)
+        for family in generators.FAMILIES:
+            inst = generate(family, 5)
             pre = preprocess(inst)
             assert pre.instance == inst, family  # already H,M inside var(KB)
             assert not (inst.hypotheses & inst.manifestations), family
@@ -386,6 +398,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert "--k" in err and "--width" in err
         assert self.run("gen", "--family", "cnfsat-lb", "--clauses", "3") == 0
+        capsys.readouterr()
+        assert self.run("gen", "--family", "xsat-chain", "--seed", "1") == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_solve_ignores_a_malformed_seed_variable(self, tmp_path, monkeypatch):
         # an environment the CLI does not read cannot turn an answer into exit 1
@@ -420,6 +435,28 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["fitted_base"] <= 1.65
         assert csv.exists()
+
+    @pytest.mark.parametrize("family", ["xsat-chain", "xsat-random"])
+    def test_bench_rejects_zero_seeds(self, family, capsys):
+        """A structured and a randomized family alike: one error line that
+        names the flag, and exit 2."""
+        assert self.run("bench", "--family", family, "--grid", "8:16:2", "--seeds", "0") == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.splitlines() == ["error: seeds must be >= 1, got 0"]
+
+    def test_reduce_to_simplesat_names_a_trivially_no_input(self, tmp_path, capsys):
+        """A manifestation outside var(KB) and not in H is what stops
+        abd-to-simplesat on this file, and the error says so."""
+        src = tmp_path / "no.abd"
+        src.write_text("abd 1\nvars 3\nrel OR2 2 01;10;11\ncon OR2 1 2\nhyp 1\nman 3\n")
+        assert self.run("reduce", "--reduction", "abd-to-simplesat",
+                        "-i", str(src), "-o", str(tmp_path / "out.json")) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: manifestations [3] are outside var(KB) and not in H: "
+            "nothing can explain them, so the instance is trivially no"]
+        assert self.run("solve", str(src), "--algo", "simplesat", "--mode", "abd") == 1
 
     def test_verify_cli_small(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

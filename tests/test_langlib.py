@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from abductor.core import FALSE0, Relation, TRUE0, decode_tuple
+from abductor import langlib
+from abductor.core import FALSE0, Relation, StructureError, TRUE0, decode_tuple
 from abductor.langlib import (NEGATION, ONE, LanguageError, NEQ,
                               SparsityCertificate, aff, branching_closure,
                               check_sparsity, clause_relation,
@@ -295,6 +296,82 @@ class TestConstructors:
         fam = xsat_family(3)
         assert one_in_k(3) in fam and Relation(2, (0,)) in fam
         assert FALSE0 in fam and TRUE0 in fam
+
+
+SIGNS = [s for k in range(1, 4) for s in itertools.product((0, 1), repeat=k)]
+
+
+def fresh_clause(signs, name=None):
+    """The clause relation built from scratch, outside the shared table."""
+    bad = sum(b << i for i, b in enumerate(signs))
+    codes = tuple(c for c in range(1 << len(signs)) if c != bad)
+    return Relation(len(signs), codes, name or "CL" + "".join(map(str, signs)))
+
+
+def fresh_nae(signs):
+    zero = sum(b << i for i, b in enumerate(signs))
+    one = ((1 << len(signs)) - 1) ^ zero
+    codes = tuple(c for c in range(1 << len(signs)) if c not in (zero, one))
+    return Relation(len(signs), codes, "NAE" + "".join(map(str, signs)))
+
+
+@pytest.fixture
+def cold_relations(monkeypatch):
+    """An empty shared-relation table, restored after the test."""
+    monkeypatch.setattr(langlib, "_relation_table", {})
+    monkeypatch.setattr(langlib, "_relation_table_held", 0)
+    return langlib._relation_table
+
+
+def _held():
+    return sum(len(rel.codes) + 1 for rel in langlib._relation_table.values())
+
+
+class TestSharedRelations:
+    """clause_relation and nae return one shared Relation per key from the
+    shared-relation table, equal (name included) to one built afresh."""
+
+    def test_a_repeated_call_returns_the_same_object(self, cold_relations):
+        for signs in SIGNS:
+            for name in (None, "C"):
+                rel = clause_relation(signs, name)
+                assert clause_relation(list(signs), name) is rel
+                assert rel == fresh_clause(signs, name)
+                assert rel.name == fresh_clause(signs, name).name
+            rel = nae(signs)
+            assert nae(list(signs)) is rel
+            assert rel == fresh_nae(signs) and rel.name == fresh_nae(signs).name
+        assert len(cold_relations) == 3 * len(SIGNS)
+        assert _held() == langlib._relation_table_held
+
+    def test_the_name_is_part_of_the_key(self, cold_relations):
+        named, plain = clause_relation((0, 0), "OR2"), clause_relation((0, 0))
+        assert named is not plain and named == plain
+        assert (named.name, plain.name) == ("OR2", "CL00")
+
+    def test_bad_patterns_are_rejected_every_time(self, cold_relations):
+        for _ in range(2):
+            with pytest.raises(StructureError):
+                clause_relation((0, 2))
+            with pytest.raises(LanguageError):
+                nae(())
+        assert not cold_relations
+
+    def test_the_table_clears_past_its_budget(self, cold_relations, monkeypatch):
+        bound = 20  # an entry adds at most 8: an arity-3 clause's 7 codes, plus 1
+        monkeypatch.setattr(langlib, "_RELATION_TABLE_CODES", bound)
+        first = {signs: clause_relation(signs) for signs in SIGNS}
+        assert 0 < _held() == langlib._relation_table_held <= bound + 8
+        assert len(cold_relations) < len(SIGNS)  # it was cleared on the way
+        for _ in range(2):
+            for signs in SIGNS:
+                again = clause_relation(signs)
+                assert again == first[signs] == fresh_clause(signs)
+                assert again.name == first[signs].name
+                assert again.clause_signs == signs
+                assert nae(signs) == fresh_nae(signs)
+                assert _held() == langlib._relation_table_held <= bound + 8
+        assert any(clause_relation(signs) is not first[signs] for signs in SIGNS)
 
 
 def clause_sign(rel):

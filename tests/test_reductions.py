@@ -10,7 +10,7 @@ from abductor.reductions import (CV, LV, SHRINKING, CnfFormula, ColoredGraph,
                                  IMP_REL, QbfInstance, ReductionContractError,
                                  ReductionReport,
                                  abd2cnf_to_cnfsat, abd_to_pabd_4cnf,
-                                 abd_to_simplesat, clause_signs, clique_to_abd,
+                                 abd_to_simplesat, clique_to_abd,
                                  cnfsat_to_abd_lb, colorful_clique_exists,
                                  eliminate_constants, kcnf_to_nae,
                                  negimp_to_pos, qbf_to_abd4cnf, qbf_truth)
@@ -27,17 +27,20 @@ def inst_of(n, cons, hyp, man):
 
 
 def test_clause_signs_is_the_one_missing_tuple():
-    """clause_signs finds the missing code by a sum; it must agree with the
-    set difference on every relation of arity 1..3."""
-    clauses = 0
-    for k in (1, 2, 3):
+    """Relation.clause_signs finds the missing code by a sum; it must agree
+    with a search for the one missing tuple on all 278 relations of arity
+    0..3 (a 0-ary relation is no clause), and it is computed once."""
+    relations = clauses = 0
+    for k in (0, 1, 2, 3):
         for members in itertools.product((0, 1), repeat=1 << k):
             rel = Relation(k, tuple(c for c, keep in enumerate(members) if keep))
-            missing = set(range(1 << k)) - set(rel.codes)
-            want = decode_tuple(missing.pop(), k) if len(missing) == 1 else None
-            assert clause_signs(rel) == want, rel
+            missing = [c for c in range(1 << k) if c not in rel.codes]
+            want = decode_tuple(missing[0], k) if k and len(missing) == 1 else None
+            assert rel.clause_signs == want, rel
+            assert rel.clause_signs is rel.__dict__["clause_signs"]
+            relations += 1
             clauses += want is not None
-    assert clauses == 2 + 4 + 8
+    assert (relations, clauses) == (278, 2 + 4 + 8)
 
 
 class TestNegImpToPos:
