@@ -227,9 +227,6 @@ class Relation:
     def renamed(self, name: str | None) -> "Relation":
         return Relation(self.arity, self.codes, name)
 
-    # The derived facts (see the module docstring): each is computed on first
-    # use and kept in the instance's __dict__, outside eq, hash and fields.
-
     @functools.cached_property
     def clause_signs(self) -> tuple[int, ...] | None:
         """The sign pattern of the clause this relation is (its one missing
