@@ -30,18 +30,27 @@ dataclass and stores nothing: no engine state and no derived fact hangs off
 it.
 
 A Relation carries the facts derived from its codes, each computed at most
-once, on first use (a functools.cached_property, outside eq, hash and
-fields): clause_signs, its sign pattern when it is a clause relation, which
-the reductions' fragment tests read, and table_terms, the tuples truth_table
-ORs.  langlib.clause_relation and langlib.nae return one shared Relation per
-key, so these facts are computed once per relation, not once per clause per
-call.
+once and kept outside eq, hash and fields: clause_signs, its sign pattern
+when it is a clause relation, which the reductions' fragment tests read,
+and table_terms, the tuples truth_table ORs, each on first use (a
+functools.cached_property); its hash, hash((arity, codes)) as a frozen
+dataclass computes it, on construction; and language_facts, langlib's memo
+of invariant's answer per operation and of derive_inequality's gadget, a
+dict made on construction and filled as langlib asks.  The last two are set
+in __post_init__ so that every relation's __dict__ gets its keys in one
+order and Python keeps sharing them; a key added later unshares the
+__dict__ it is added to.  langlib.clause_relation and langlib.nae
+return one shared Relation per key, so these facts are computed once per
+relation, not once per clause per call.  Constraint and Formula check their
+scopes with one min or max per scope and keep a tuple they are given as it
+is.
 
 truth_table is the bit-parallel form of evaluate, which stays the definition:
 one Python int per variable column (bit s holds the variable's value in
 assignment s), so each big-int AND or OR works on all 2^n assignments at once
-(Knuth, TAOCP 4A, 7.1.3).  The brute-force oracles and CnfFormula.satisfiable
-build their tables from these columns.
+(Knuth, TAOCP 4A, 7.1.3).  The brute-force oracles build their tables from
+these columns, and CnfFormula.satisfiable ANDs the OR of each clause's
+literal columns.
 
 preprocess returns an instance that is already normalised (H ∪ M ⊆ var(KB))
 as it is, the same object, after one used_vars scan.
@@ -195,6 +204,11 @@ class Relation:
         if self.codes and not (0 <= self.codes[0] and self.codes[-1] < (1 << self.arity)):
             raise StructureError("tuple code out of range for arity")
         object.__setattr__(self, "_codeset", frozenset(self.codes))
+        # the hash a frozen dataclass computes, and langlib's memo (see the
+        # module docstring): set here, not on first use, to keep the keys of
+        # every relation's __dict__ in one order
+        object.__setattr__(self, "_hash", hash((self.arity, self.codes)))
+        object.__setattr__(self, "language_facts", {})
 
     @classmethod
     def from_tuples(cls, arity: int, tuples: Iterable[Iterable[int]], name: str | None = None) -> "Relation":
@@ -226,6 +240,9 @@ class Relation:
 
     def renamed(self, name: str | None) -> "Relation":
         return Relation(self.arity, self.codes, name)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @functools.cached_property
     def clause_signs(self) -> tuple[int, ...] | None:
@@ -262,11 +279,14 @@ class Constraint:
     scope: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scope", tuple(self.scope))
-        if len(self.scope) != self.relation.arity:
+        scope = self.scope
+        if type(scope) is not tuple:
+            scope = tuple(scope)
+            object.__setattr__(self, "scope", scope)
+        if len(scope) != self.relation.arity:
             raise StructureError(
-                f"scope length {len(self.scope)} != arity {self.relation.arity}")
-        if any(v < 1 for v in self.scope):
+                f"scope length {len(scope)} != arity {self.relation.arity}")
+        if scope and min(scope) < 1:
             raise StructureError("scope variables must be >= 1")
 
 
@@ -278,13 +298,14 @@ class Formula:
     constraints: tuple[Constraint, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        if self.num_vars < 0:
+        if type(self.constraints) is not tuple:
+            object.__setattr__(self, "constraints", tuple(self.constraints))
+        n = self.num_vars
+        if n < 0:
             raise StructureError("num_vars must be non-negative")
         for con in self.constraints:
-            if any(v > self.num_vars for v in con.scope):
-                raise StructureError(
-                    f"scope {con.scope} exceeds num_vars={self.num_vars}")
+            if con.scope and max(con.scope) > n:
+                raise StructureError(f"scope {con.scope} exceeds num_vars={n}")
 
     def used_vars(self) -> frozenset[int]:
         out: set[int] = set()

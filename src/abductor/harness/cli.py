@@ -76,7 +76,8 @@ def _read_dimacs(path: str) -> CnfFormula:
     """DIMACS CNF: `c` comment lines and a `p cnf` header, then the clauses as
     one stream of literals, each clause ended by a 0 wherever lines break.  A
     line starting with `%` (the SATLIB trailer) ends the clauses, and the last
-    clause may omit its 0."""
+    clause may omit its 0.  A header that is not `p cnf <vars> <clauses>`
+    raises ValueError."""
     num_vars = 0
     clauses: list[list[int]] = [[]]
     with open(path, encoding="utf-8") as fh:
@@ -85,7 +86,12 @@ def _read_dimacs(path: str) -> CnfFormula:
             if line.startswith("%"):
                 break
             if line.startswith("p"):
-                num_vars = int(line.split()[2])
+                fields = line.split()
+                if (len(fields) != 4 or fields[1] != "cnf"
+                        or not all(f.isdecimal() for f in fields[2:])):
+                    raise ValueError(f"malformed DIMACS header {line!r}: "
+                                     "expected 'p cnf <vars> <clauses>'")
+                num_vars = int(fields[2])
             elif line and not line.startswith("c"):
                 for lit in map(int, line.split()):
                     if lit:

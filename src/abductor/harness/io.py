@@ -11,7 +11,9 @@ Instance files are line-oriented UTF-8 with LF endings:
     # comment
 
 Tuples are bit-strings (coordinate 1 first); a relation with no tuples writes
-"." and the 0-ary satisfied tuple writes "e".  parse(write(inst)) == inst.
+"." and the 0-ary satisfied tuple writes "e".  A relation is written under
+its name when that is one whitespace-free token and as R<i> otherwise, with
+a _2, _3, ... suffix where names repeat.  parse(write(inst)) == inst.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ def write_text(inst: AbductionInstance) -> str:
         rel = con.relation
         if rel in names:
             continue
-        base = rel.name or f"R{len(names)}"
+        # a name that is not one whitespace-free token would not parse back
+        base = rel.name if rel.name and rel.name.split() == [rel.name] else f"R{len(names)}"
         name = base
         i = 2
         while name in used:

@@ -15,8 +15,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from ..core import (AbductionInstance, Constraint, Formula, Relation,
-                    BOT, TOP, TRIVIALLY_NO, is_explanation, preprocess)
+from ..core import (AbductionInstance, Constraint, Formula, PreprocessResult,
+                    Relation, BOT, TOP, TRIVIALLY_NO, is_explanation, preprocess)
 from ..langlib import LanguageError, clause_relation, nae, one_in_k, parity
 from ..reductions import (IMP_REL, abd2cnf_to_cnfsat, abd_to_pabd_4cnf,
                           clique_to_abd, cnfsat_to_abd_lb,
@@ -96,7 +96,11 @@ def check_solvers(inst: AbductionInstance) -> list[Finding]:
 
 def _oracle_pair(inst: AbductionInstance) -> tuple[bool, bool]:
     """(oracle_abd(inst).answer, oracle_pabd(inst).answer) from one explained read."""
-    pre = preprocess(inst)
+    return _preprocessed_pair(preprocess(inst))
+
+
+def _preprocessed_pair(pre: PreprocessResult) -> tuple[bool, bool]:
+    """_oracle_pair of the instance that preprocess turned into pre."""
     if pre.verdict == TRIVIALLY_NO:
         return False, False
     _, full, positive = explained(pre.instance)
@@ -106,8 +110,9 @@ def _oracle_pair(inst: AbductionInstance) -> tuple[bool, bool]:
 def check_reductions(inst: AbductionInstance) -> tuple[list[Finding], list[Finding]]:
     fails: list[Finding] = []
     logged: list[Finding] = []
-    in_abd, in_pabd = _oracle_pair(inst)
-    pre = preprocess(inst).instance
+    pre_result = preprocess(inst)
+    in_abd, in_pabd = _preprocessed_pair(pre_result)
+    pre = pre_result.instance
     # the widest clause of a CNF KB, or None: the k-CNF gates of the reductions
     clauses = formula_as_clauses(inst.kb)
     width = None if clauses is None else max((len(signs) for signs, _ in clauses), default=0)

@@ -161,11 +161,21 @@ def invariant(lang: ConstraintLanguage, op: tuple[int, Callable[..., int]]) -> b
     the tuple op gives on k tuple codes of one relation, full = 2^arity - 1.
     A constant is 0-ary, so it asks every relation to hold its constant
     tuple, and an empty relation is not invariant under it.
+
+    Each relation's answer is a fact of the relation (Jeavons, TCS 200,
+    1998): it is computed once per relation and operation and kept in
+    Relation.language_facts under the key op, so an operation should be a
+    long-lived value such as ONE or NEGATION, not a tuple built per call.
     """
-    k, f = op
     for r in lang.relations:
-        full = (1 << r.arity) - 1
-        if any(f(full, *t) not in r for t in itertools.product(r.codes, repeat=k)):
+        facts = r.language_facts
+        closed = facts.get(op)
+        if closed is None:
+            k, f = op
+            full = (1 << r.arity) - 1
+            closed = facts[op] = all(f(full, *t) in r
+                                     for t in itertools.product(r.codes, repeat=k))
+        if not closed:
             return False
     return True
 
@@ -188,27 +198,40 @@ class InequalityGadget:
 NEQ = Relation(2, (1, 2), "NEQ")  # {(1,0),(0,1)} bit-encoded
 
 
-def derive_inequality(lang: ConstraintLanguage) -> InequalityGadget:
-    """Extract the binary inequality relation by identifying coordinates.
-
-    Requires a complement-invariant language with some nonempty member that
-    avoids both constant tuples; identifying its coordinates along any
-    non-constant tuple yields exactly {(0,1),(1,0)}.
-    """
-    if not invariant(lang, NEGATION):
-        raise LanguageError("language is not complement-invariant")
-    for rel in sorted(lang.relations, key=lambda r: (r.arity, r.codes)):
-        if rel.is_empty or rel.arity == 0:
-            continue
-        full = (1 << rel.arity) - 1
-        if 0 in rel or full in rel:
-            continue
+def _gadget(rel: Relation) -> InequalityGadget | None:
+    """The inequality gadget of one complement-invariant relation, or None if
+    it is empty, 0-ary or holds a constant tuple; built once per relation and
+    kept in Relation.language_facts under the key NEQ."""
+    facts = rel.language_facts
+    if NEQ in facts:
+        return facts[NEQ]
+    gadget = None
+    full = (1 << rel.arity) - 1
+    if rel.arity and not rel.is_empty and 0 not in rel and full not in rel:
         t = rel.codes[0]  # any member tuple; cannot be constant here
         pattern = tuple(b + 1 for b in decode_tuple(t, rel.arity))
         got = minor(rel, pattern, 2)
         if got != NEQ:  # complement-invariance makes this unreachable: a bug, not a language
             raise RuntimeError(f"identification of {rel} did not give inequality")
-        return InequalityGadget(got, rel, pattern)
+        gadget = InequalityGadget(got, rel, pattern)
+    facts[NEQ] = gadget
+    return gadget
+
+
+def derive_inequality(lang: ConstraintLanguage) -> InequalityGadget:
+    """Extract the binary inequality relation by identifying coordinates.
+
+    Requires a complement-invariant language with some nonempty member that
+    avoids both constant tuples; identifying its coordinates along any
+    non-constant tuple yields exactly {(0,1),(1,0)}.  The gadget comes from
+    the first such member in (arity, codes) order.
+    """
+    if not invariant(lang, NEGATION):
+        raise LanguageError("language is not complement-invariant")
+    for rel in sorted(lang.relations, key=lambda r: (r.arity, r.codes)):
+        gadget = _gadget(rel)
+        if gadget is not None:
+            return gadget
     raise LanguageError("no relation avoiding both constant tuples")
 
 
@@ -219,10 +242,11 @@ def derive_inequality(lang: ConstraintLanguage) -> InequalityGadget:
 # The shared-relation table: clause_relation and nae build one Relation per
 # key and return that object on every later call, so a relation is built and
 # validated once, and its derived facts (Relation.clause_signs,
-# Relation.table_terms) are computed once.  The table is emptied whenever the
-# relations it holds pass _RELATION_TABLE_CODES codes in all, as core's
-# restriction table is; a relation built before a clear stays valid and
-# equal to the one built after it.
+# Relation.table_terms, Relation.language_facts) are computed once.  The
+# table is emptied whenever the relations it holds pass
+# _RELATION_TABLE_CODES codes in all, as core's restriction table is; a
+# relation built before a clear stays valid and equal to the one built
+# after it.
 _RELATION_TABLE_CODES = 1 << 16
 _relation_table: dict[tuple, Relation] = {}
 _relation_table_held = 0

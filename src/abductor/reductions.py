@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import (AbductionInstance, BOT, Constraint, FragmentError, Formula,
-                   FALSE0, StructureError, TOP, hyp_mask, truth_table)
+                   FALSE0, StructureError, TOP, columns, hyp_mask)
 from .langlib import (ConstraintLanguage, InequalityGadget, clause_relation,
                       derive_inequality, imp, nae)
 from .satenum import SimpleSatInstance, compile_kb, decide
@@ -97,11 +97,8 @@ def is_neg_imp_formula(phi: Formula) -> bool:
 # Lemma-22 style: negative clauses + implications  ->  positive clauses
 # ---------------------------------------------------------------------------
 
-def _imp_closure(phi: Formula, start: int) -> set[int]:
-    adj: dict[int, list[int]] = {}
-    for con in phi.constraints:
-        if con.relation == IMP_REL:
-            adj.setdefault(con.scope[0], []).append(con.scope[1])
+def _imp_closure(adj: dict[int, list[int]], start: int) -> set[int]:
+    """The variables reachable from start in the implication digraph adj."""
     seen = {start}
     work = [start]
     while work:
@@ -143,10 +140,14 @@ def negimp_to_pos(inst: AbductionInstance) -> tuple[AbductionInstance, Reduction
     k = max([con.relation.arity for con in kb.constraints
              if con.relation != IMP_REL] + [2])
 
+    adj: dict[int, list[int]] = {}
+    for con in kb.constraints:
+        if con.relation == IMP_REL:
+            adj.setdefault(con.scope[0], []).append(con.scope[1])
     out_cons: list[Constraint] = []
     seen: set[tuple[int, ...]] = set()
     for h in sorted(hyp):
-        reach = _imp_closure(kb, h)
+        reach = _imp_closure(adj, h)
         for m in sorted(man):
             if m in reach:
                 scope = (h, m)
@@ -458,10 +459,18 @@ class CnfFormula:
                 raise StructureError("clause literal out of range")
 
     def satisfiable(self) -> bool:
-        """Brute force: the truth table of core (core.truth_table) over the
-        clauses as constraints, tautologies dropped, is nonzero."""
-        cons = [c for c in map(_clause_constraint, self.clauses) if c is not None]
-        return truth_table(Formula(self.num_vars, tuple(cons))) != 0
+        """Brute force: the AND over the clauses of the OR of their literals'
+        columns (core.columns, one bit per assignment) is nonzero."""
+        cols = columns(self.num_vars)
+        table = (1 << (1 << self.num_vars)) - 1
+        for cl in self.clauses:
+            col = 0
+            for l in cl:
+                col |= cols[l - 1][1] if l > 0 else cols[-l - 1][0]
+            table &= col
+            if not table:
+                return False
+        return True
 
 
 def cnfsat_to_abd_lb(phi: CnfFormula) -> tuple[AbductionInstance, ReductionReport]:

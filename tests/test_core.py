@@ -76,6 +76,51 @@ class TestRelation:
         assert repr(warm) == "Relation(arity=2, codes=(0, 1, 3), name='CL01')"
 
 
+    def test_hash_is_the_dataclass_hash_of_arity_and_codes(self):
+        """Relation.__hash__ is computed once, on construction, and is the
+        value a frozen dataclass computes over its compared fields, whatever
+        the name."""
+        for rel in (Relation(2, (1, 2), "NEQ"), Relation(2, (2, 1), "other"),
+                    Relation(2, (1, 2)), clause_relation((0, 1, 1)), Relation(0, ())):
+            assert hash(rel) == hash((rel.arity, rel.codes))
+            assert hash(rel) == hash(rel) == rel.__dict__["_hash"]
+        assert hash(Relation(2, (1, 2), "a")) == hash(Relation(2, (1, 2), "b"))
+        assert len({Relation(2, (1, 2), "a"), Relation(2, (2, 1), "b")}) == 1
+
+
+class TestScopeChecks:
+    """Constraint and Formula reject a variable below 1, a scope of the wrong
+    length and a variable past num_vars, and take any iterable as a scope."""
+
+    @pytest.mark.parametrize("scope", [(0, 1), (1, 0), (-2, 1), (1, -1)])
+    def test_a_variable_below_one(self, scope):
+        with pytest.raises(StructureError, match="must be >= 1"):
+            Constraint(one_in_k(2), scope)
+
+    @pytest.mark.parametrize("scope", [(), (1,), (1, 2, 3)])
+    def test_a_wrong_length(self, scope):
+        with pytest.raises(StructureError, match=f"scope length {len(scope)} != arity 2"):
+            Constraint(one_in_k(2), scope)
+
+    def test_a_variable_past_num_vars(self):
+        for scope in ((1, 3), (3, 1)):
+            with pytest.raises(StructureError, match="exceeds num_vars=2"):
+                Formula(2, (Constraint(one_in_k(2), scope),))
+        assert Formula(3, [Constraint(one_in_k(2), (1, 3))]).constraints[0].scope == (1, 3)
+
+    def test_list_and_generator_scopes(self):
+        for scope in ([2, 1], (v for v in (2, 1)), (2, 1)):
+            con = Constraint(one_in_k(2), scope)
+            assert con.scope == (2, 1) and type(con.scope) is tuple
+        given = (2, 1)
+        assert Constraint(one_in_k(2), given).scope is given
+        assert Constraint(Relation(0, (0,)), []).scope == ()
+        cons = [Constraint(one_in_k(2), (1, 2))]
+        phi = Formula(2, (c for c in cons))
+        assert type(phi.constraints) is tuple and phi.constraints == tuple(cons)
+        assert Formula(0, ()).constraints == ()
+
+
 class TestEvaluate:
     def test_neq_examples(self):
         neq = one_in_k(2)

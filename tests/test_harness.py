@@ -59,6 +59,19 @@ class TestInstanceFormat:
         inst = AbductionInstance(kb, frozenset(), frozenset())
         assert io.parse_text(io.write_text(inst)) == inst
 
+    def test_names_that_are_not_one_token_are_generated(self):
+        """A name holding whitespace, or empty, is written as R<i>; one token
+        is kept as it is, and R<i> never clashes with it."""
+        rels = [Relation(2, (0, 3), "R1"), Relation(2, (1, 2), "NE Q"),
+                Relation(1, (1,), "tab\there"), Relation(2, (0, 1, 2), ""),
+                Relation(1, (0,), "a\u2028b"), Relation(3, (1, 2, 4), "X1OF3")]
+        kb = formula(3, [(r, (1, 2, 3)[:r.arity]) for r in rels])
+        inst = AbductionInstance(kb, frozenset({1}), frozenset({3}))
+        text = io.write_text(inst)
+        assert io.parse_text(text) == inst
+        names = [line.split()[1] for line in text.splitlines() if line.startswith("rel ")]
+        assert names == ["R1", "R1_2", "R2", "R3", "R4", "X1OF3"]
+
     def test_comments_and_blanks(self):
         text = "abd 1\n\n# hello\nvars 1\nrel T 1 1\ncon T 1\nhyp\nman 1\n"
         inst = io.parse_text(text)
@@ -244,6 +257,9 @@ class TestVerifySweeps:
         inst = generators.gen_nae3(6, 0)
         assert verify.check_reductions(inst) == ([], [])
         monkeypatch.setattr(langlib, "minor", lambda rel, pattern, k: Relation(2, (0, 3)))
+        # a relation's gadget is built once: drop those the first check built
+        for rel in inst.kb.relations():
+            rel.language_facts.clear()
         with pytest.raises(RuntimeError, match="did not give inequality"):
             verify.check_reductions(inst)
 
@@ -566,6 +582,14 @@ class TestCliDimacs:
     def test_several_clauses_on_one_line(self, tmp_path):
         code, out = self.reduce(tmp_path, "p cnf 3 2\n1 2 0 -3 0\n")
         assert code == 0 and out == self.expected(3, [(1, 2), (-3,)])
+
+    @pytest.mark.parametrize("header", ["p cnf", "p cnf 3", "p cnf x 1", "p dnf 3 1",
+                                        "p cnf 3 1 7", "p"])
+    def test_a_malformed_header_is_a_usage_error(self, tmp_path, capsys, header):
+        code, _ = self.reduce(tmp_path, f"{header}\n1 2 0\n")
+        err = capsys.readouterr().err
+        assert code == 2 and err.splitlines() == [
+            f"error: malformed DIMACS header {header!r}: expected 'p cnf <vars> <clauses>'"]
 
     def test_satlib_trailer_ends_the_clauses(self, tmp_path):
         code, out = self.reduce(tmp_path, "p cnf 2 2\n1 2 0\n-1 0\n%\n0\n\n")

@@ -15,6 +15,8 @@ from abductor.langlib import (NEGATION, ONE, LanguageError, NEQ,
 
 OR3 = clause_relation((0, 0, 0))
 ZERO = (0, lambda full: 0)  # the constant 0 as a 0-ary operation
+CONJ = (2, lambda full, a, b: a & b)
+DISJ = (2, lambda full, a, b: a | b)
 
 
 class TestSubstitute:
@@ -168,6 +170,45 @@ class TestPredicates:
         assert len(empty) == 4
         assert not any(invariant(language([r]), op) for r in empty for op in (ZERO, ONE))
 
+    def test_the_invariance_memo_is_the_definition_asked_twice(self):
+        """On all 278 relations of arity <= 3, each asked twice, the answer
+        of invariant, the one it keeps in Relation.language_facts, is the
+        definition on tuples, for both constants, negation and conjunction."""
+        rels = [Relation(k, tuple(c for c in range(1 << k) if s >> c & 1))
+                for k in range(4) for s in range(1 << (1 << k))]
+        assert len(rels) == 278
+        for rel in rels:
+            tuples = {decode_tuple(c, rel.arity) for c in rel.codes}
+            want = {
+                ZERO: (0,) * rel.arity in tuples,
+                ONE: (1,) * rel.arity in tuples,
+                NEGATION: all(tuple(1 - x for x in t) in tuples for t in tuples),
+                CONJ: all(tuple(x & y for x, y in zip(t, u)) in tuples
+                          for t in tuples for u in tuples),
+            }
+            for _ in range(2):
+                for op, answer in want.items():
+                    assert invariant(language([rel]), op) is answer, (rel, op)
+            assert rel.language_facts == want, rel
+
+    def test_the_memo_is_what_invariant_reads(self):
+        rel = Relation(2, (1, 2))
+        assert invariant(language([rel]), NEGATION)
+        rel.language_facts[NEGATION] = False
+        assert not invariant(language([rel]), NEGATION)
+        assert invariant(language([Relation(2, (1, 2))]), NEGATION)  # an equal relation asks anew
+
+    def test_operations_of_equal_arity_keep_separate_answers(self):
+        zero_only = Relation(1, (0,))
+        or2 = clause_relation((0, 0))
+        for _ in range(2):
+            assert invariant(language([zero_only]), ZERO)
+            assert not invariant(language([zero_only]), ONE)
+            assert not invariant(language([or2]), CONJ)
+            assert invariant(language([or2]), DISJ)
+        assert zero_only.language_facts == {ZERO: True, ONE: False}
+        assert or2.language_facts[CONJ] is False and or2.language_facts[DISJ] is True
+
     def test_invariant_under_operations_of_more_arguments(self):
         # Horn clauses are closed under conjunction, a positive 2-clause is not
         conj = (2, lambda full, a, b: a & b)
@@ -219,6 +260,19 @@ class TestDeriveInequality:
         got = derive_inequality(language([nae((0, 0, 0))]))
         assert got.relation == NEQ
         assert sorted(got.pattern) in ([1, 1, 2], [1, 2, 2])
+
+    def test_the_gadget_is_built_once_per_relation(self):
+        """A relation's gadget is kept in its language_facts: asked again it
+        is the same object, and an equal relation under another name builds
+        its own, whose base keeps that name."""
+        base = nae((0, 0, 0))
+        got = derive_inequality(language([base]))
+        assert derive_inequality(language([base])) is got and got.base is base
+        assert base.language_facts[NEQ] is got
+        other = base.renamed("TWIN")
+        twin = derive_inequality(language([other]))
+        assert twin is not got and twin.base is other and twin.base.name == "TWIN"
+        assert twin == got
 
     def test_from_neq_directly(self):
         got = derive_inequality(language([NEQ]))

@@ -2,7 +2,8 @@
 models the definition (core.evaluate, assignment by assignment) accepts, the
 oracle view over it (solvers.explained) and the four oracle entry points read
 the explanations the definition (oracle_general) reads, and the CNF table of
-CnfFormula.satisfiable agrees with a literal-by-literal scan."""
+CnfFormula.satisfiable agrees with a literal-by-literal scan and with
+core.evaluate."""
 
 import random
 
@@ -12,6 +13,7 @@ from abductor.core import (BOT, FALSE0, TOP, TRUE0, AbductionInstance,
                            Formula, OracleCapError, Relation, columns, evaluate,
                            formula, table_models, truth_table)
 from abductor.harness import verify
+from abductor.langlib import clause_relation
 from abductor.harness.generators import gen_xsat
 from abductor.reductions import CnfFormula
 from abductor.satenum import EnumStats
@@ -190,3 +192,46 @@ def test_cnf_table_matches_a_literal_scan():
     assert not CnfFormula(3, ((),)).satisfiable()
     assert not CnfFormula(1, ((1,), (-1,))).satisfiable()
 
+
+
+def cnf_by_evaluate(phi: CnfFormula) -> bool:
+    """Some assignment satisfies, by core.evaluate, the formula with one
+    clause_relation constraint per clause over its literals' variables as
+    written, repeats and complementary pairs included (an empty clause is
+    the empty 0-ary relation)."""
+    cons = [(clause_relation(tuple(int(l < 0) for l in cl)), tuple(abs(l) for l in cl))
+            for cl in phi.clauses]
+    kb = formula(phi.num_vars, cons)
+    return any(evaluate(kb, s) for s in range(1 << phi.num_vars))
+
+
+def test_cnf_table_matches_evaluate_on_tautologies_repeats_and_empty_clauses():
+    rng = random.Random(11)
+    kinds = {"tautology": 0, "repeat": 0, "empty": 0}
+    checked = {True: 0, False: 0}
+    for n in range(8):
+        for _ in range(30):
+            clauses = []
+            for _ in range(rng.randrange(7)):
+                roll = rng.random()
+                if not n or roll < 0.1:
+                    clauses.append(())
+                    kinds["empty"] += 1
+                    continue
+                lits = [rng.choice((1, -1)) * rng.randrange(1, n + 1)
+                        for _ in range(rng.randrange(1, 4))]
+                if roll < 0.4:
+                    lits.append(-lits[0])
+                    kinds["tautology"] += 1
+                elif roll < 0.7:
+                    lits.append(lits[-1])
+                    kinds["repeat"] += 1
+                rng.shuffle(lits)
+                clauses.append(tuple(lits))
+            phi = CnfFormula(n, tuple(clauses))
+            want = cnf_by_evaluate(phi)
+            assert phi.satisfiable() == want, phi
+            checked[want] += 1
+    assert min(kinds.values()) > 40 and min(checked.values()) > 40, (kinds, checked)
+    assert CnfFormula(0, ()).satisfiable() and not CnfFormula(0, ((),)).satisfiable()
+    assert CnfFormula(2, ((1, -1), (2, 2, -1, 1))).satisfiable()
