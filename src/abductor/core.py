@@ -7,20 +7,26 @@ tuple maps to bit i-1), so relation equality and set algebra are exact.
 encode_tuple, decode_tuple, gather, restrict and submasks are the one place
 that packs, unpacks, restricts and walks these codes.
 
-The restriction table is a module-level memo from (codes, arity, fixed
-positions, their values) to the restricted codes, the kept positions and the
-classification of the result: EMPTY, FULL, UNIT (one kept position, forced to
-the value of the one code left) or OPEN.  A search meets the same few hundred
-patterns again and again, so each is filtered tuple by tuple once.
-restriction reads an entry by its key, as satenum's search does with the
-fixed positions gathered from a node's masks on a miss of its per-constraint
-memo; restrict is the same lookup keyed by a scope and a {variable: value}
-map.  The table is emptied whenever the code sets it holds pass
+The restriction table is core's one bounded memo table.  It maps (codes,
+arity, fixed positions, their values) to the restricted codes, the kept
+positions and the classification of the result: EMPTY, FULL, UNIT (one kept
+position, forced to the value of the one code left) or OPEN.  A search meets
+the same few hundred patterns again and again, so each is filtered tuple by
+tuple once.  restriction reads an entry by its key, as satenum's search does
+with the fixed positions gathered from a node's masks on a miss of its
+per-constraint memo; restrict is the same lookup keyed by a scope and a
+{variable: value} map.  The same table holds langlib's shared relations
+under ("CL", signs, name) and ("NAE", signs): shared(key, build, *args)
+returns the Relation held under key, or builds and enters it, so
+clause_relation and nae build one Relation per key.  The keys of the two
+kinds differ in length and cannot meet.  The table is emptied whenever the
+code sets it holds, restricted and shared alike, pass
 _RESTRICT_TABLE_CODES codes in all, which bounds the table's own memory
-whatever the arity of the relations.  A search's memos keep the entries they
-read past a clear: at most 3^k' per constraint with k' distinct scope
-variables, for as long as the search lives (a compiled KB lives for one
-solver call).
+whatever the arity of the relations.  A value read before a clear stays
+valid and equal to the one built after it.  A search's memos keep the
+entries they read past a clear: at most 3^k' per constraint with k'
+distinct scope variables, for as long as the search lives (a compiled KB
+lives for one solver call).
 
 A SAT call asks KB ∧ E or KB ∧ E ∧ ¬m as sat(KB, pos, neg) on a KB compiled
 once by satenum.compile_kb, with E as the variable-bit masks of its positive
@@ -33,17 +39,11 @@ A Relation carries the facts derived from its codes, each computed at most
 once and kept outside eq, hash and fields: clause_signs, its sign pattern
 when it is a clause relation, which the reductions' fragment tests read,
 and table_terms, the tuples truth_table ORs, each on first use (a
-functools.cached_property); its hash, hash((arity, codes)) as a frozen
-dataclass computes it, on construction; and language_facts, langlib's memo
-of invariant's answer per operation and of derive_inequality's gadget, a
-dict made on construction and filled as langlib asks.  The last two are set
-in __post_init__ so that every relation's __dict__ gets its keys in one
-order and Python keeps sharing them; a key added later unshares the
-__dict__ it is added to.  langlib.clause_relation and langlib.nae
-return one shared Relation per key, so these facts are computed once per
-relation, not once per clause per call.  Constraint and Formula check their
-scopes with one min or max per scope and keep a tuple they are given as it
-is.
+functools.cached_property); and its hash, hash((arity, codes)) as a frozen
+dataclass computes it, on construction.  Since clause_relation and nae
+share one Relation per key, these facts are computed once per relation,
+not once per clause per call.  Constraint and Formula check their scopes
+with one min or max per scope and keep a tuple they are given as it is.
 
 truth_table is the bit-parallel form of evaluate, which stays the definition:
 one Python int per variable column (bit s holds the variable's value in
@@ -99,11 +99,23 @@ def gather(sigma: Assignment, scope: Iterable[int]) -> int:
 
 
 # The restriction table (see the module docstring): (codes, arity, hit, want)
-# -> (restricted codes, kept positions, classification), and the codes its
-# entries hold.
+# -> (restricted codes, kept positions, classification), and langlib's shared
+# relations; and the codes its values hold.
 _RESTRICT_TABLE_CODES = 1 << 16
-_restrict_table: dict[tuple, tuple[frozenset[int], tuple[int, ...], int]] = {}
+_restrict_table: dict[tuple, Any] = {}
 _restrict_table_held = 0
+
+
+def _enter(key: tuple, value: Any, size: int) -> None:
+    """Enter value, which holds `size` codes, into the table under key, after
+    emptying the table if it holds more than _RESTRICT_TABLE_CODES codes."""
+    global _restrict_table_held
+    if _restrict_table_held > _RESTRICT_TABLE_CODES:
+        _restrict_table.clear()
+        _restrict_table_held = 0
+    _restrict_table[key] = value
+    _restrict_table_held += size + 1
+
 
 # the classification of a restricted constraint
 EMPTY, FULL, UNIT, OPEN = range(4)
@@ -138,17 +150,22 @@ def restriction(codes: frozenset[int] | tuple[int, ...], arity: int, hit: int,
     """The table entry of a constraint over `codes` whose positions in the
     mask `hit` are fixed to the bits of `want`: (restricted codes, kept
     positions, EMPTY/FULL/UNIT/OPEN)."""
-    global _restrict_table_held
     key = (codes, arity, hit, want)
     entry = _restrict_table.get(key)
     if entry is None:
         entry = _restrict_codes(codes, arity, hit, want)
-        if _restrict_table_held > _RESTRICT_TABLE_CODES:
-            _restrict_table.clear()
-            _restrict_table_held = 0
-        _restrict_table[key] = entry
-        _restrict_table_held += len(entry[0]) + 1
+        _enter(key, entry, len(entry[0]))
     return entry
+
+
+def shared(key: tuple, build: Callable[..., Relation], *args: Any) -> Relation:
+    """The Relation the table holds under key, or build(*args), entered under
+    key: one shared Relation per key until the table is emptied."""
+    rel = _restrict_table.get(key)
+    if rel is None:
+        rel = build(*args)
+        _enter(key, rel, len(rel.codes))
+    return rel
 
 
 def restrict(codes: frozenset[int] | tuple[int, ...], scope: tuple[int, ...],
@@ -204,11 +221,8 @@ class Relation:
         if self.codes and not (0 <= self.codes[0] and self.codes[-1] < (1 << self.arity)):
             raise StructureError("tuple code out of range for arity")
         object.__setattr__(self, "_codeset", frozenset(self.codes))
-        # the hash a frozen dataclass computes, and langlib's memo (see the
-        # module docstring): set here, not on first use, to keep the keys of
-        # every relation's __dict__ in one order
+        # the hash a frozen dataclass computes (see the module docstring)
         object.__setattr__(self, "_hash", hash((self.arity, self.codes)))
-        object.__setattr__(self, "language_facts", {})
 
     @classmethod
     def from_tuples(cls, arity: int, tuples: Iterable[Iterable[int]], name: str | None = None) -> "Relation":

@@ -169,14 +169,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    parts = [int(x) for x in args.grid.split(":")]
-    if len(parts) == 2:
-        grid = list(range(parts[0], parts[1] + 1))
-    elif len(parts) == 3:
-        grid = list(range(parts[0], parts[1] + 1, parts[2]))
-    else:
-        print("error: grid must be a:b or a:b:step", file=sys.stderr)
+    try:
+        parts = [int(x) for x in args.grid.split(":")]
+    except ValueError:
+        parts = []
+    if len(parts) not in (2, 3) or 0 in parts[2:]:
+        print("error: --grid must be a:b or a:b:step of integers, step nonzero",
+              file=sys.stderr)
         return 2
+    grid = list(range(parts[0], parts[1] + 1, *parts[2:]))
     sweep = bench.run_bench(args.family, grid, seeds=args.seeds)
     print(io.to_json(sweep.as_dict()))
     if args.csv:

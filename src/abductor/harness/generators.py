@@ -40,9 +40,16 @@ def _blocks(rng: random.Random, n: int, sizes: tuple[int, ...]) -> list[list[int
     return out
 
 
+def _at_least(what: str, name: str, value: int, bound: int) -> None:
+    """Raise ValueError naming the parameter and its bound if value < bound."""
+    if value < bound:
+        raise ValueError(f"{what} need {name} >= {bound}, got {value}")
+
+
 def _pick_hm(rng: random.Random, n: int,
              m_size: int | None = None) -> tuple[frozenset[int], frozenset[int]]:
-    """M of m_size (random if None) and H of half the rest, at least one."""
+    """M of m_size (random if None) and H of half the rest: at least one
+    variable when any is left outside M, none otherwise."""
     vs = list(range(1, n + 1))
     rng.shuffle(vs)
     m_size = m_size if m_size is not None else rng.choice((1, 1, 2))
@@ -65,6 +72,7 @@ def gen_xsat_chain(m: int) -> AbductionInstance:
 
 def gen_xsat(n: int, seed: int) -> AbductionInstance:
     """Exactly-one blocks plus one exactly-one constraint across them."""
+    _at_least("xsat instances", "n", n, 1)
     rng = _rng("xsat", n, seed)
     cons = []
     for block in _blocks(rng, n, (2, 2, 3)):
@@ -87,6 +95,7 @@ def gen_xsat_disjoint(n: int, seed: int) -> AbductionInstance:
 
 
 def gen_equations(n: int, seed: int) -> AbductionInstance:
+    _at_least("equations instances", "n", n, 1)
     rng = _rng("equations", n, seed)
     cons = []
     for block in _blocks(rng, n, tuple(range(2, MAX_K + 1))):
@@ -102,6 +111,7 @@ def gen_equations(n: int, seed: int) -> AbductionInstance:
 
 
 def gen_aff(n: int, seed: int) -> AbductionInstance:
+    _at_least("aff instances", "n", n, 2)
     rng = _rng("aff", n, seed)
     cons = []
     for block in _blocks(rng, n, tuple(range(1, MAX_K + 1))):
@@ -115,6 +125,8 @@ def gen_aff(n: int, seed: int) -> AbductionInstance:
 
 
 def gen_kcnf_pos(n: int, seed: int, k: int = 3) -> AbductionInstance:
+    _at_least("kcnf-pos instances", "n", n, 2)
+    _at_least("kcnf-pos instances", "k", k, 2)
     rng = _rng("kcnf+", n, seed, k)
     cons = []
     covered: set[int] = set()
@@ -132,6 +144,8 @@ def gen_kcnf_pos(n: int, seed: int, k: int = 3) -> AbductionInstance:
 
 
 def gen_kcnf_neg_imp(n: int, seed: int, k: int = 2) -> AbductionInstance:
+    _at_least("kcnf-neg-imp instances", "n", n, 2)
+    _at_least("kcnf-neg-imp instances", "k", k, 2)
     rng = _rng("negimp", n, seed, k)
     cons = []
     covered: set[int] = set()
@@ -157,9 +171,8 @@ def gen_nae3(n: int, seed: int) -> AbductionInstance:
     qualifies for inequality derivation / constant elimination (mixed sign
     patterns contain both constant tuples).
     """
+    _at_least("NAE-3 instances", "n", n, 3)
     rng = _rng("nae3", n, seed)
-    if n < 3:
-        raise ValueError("NAE-3 instances need n >= 3")
     cons = [Constraint(nae((0, 0, 0)), tuple(rng.sample(range(1, n + 1), 3)))]
     covered: set[int] = set(cons[0].scope)
     for _ in range(max(1, n - 2)):
@@ -177,6 +190,7 @@ def gen_nae3(n: int, seed: int) -> AbductionInstance:
 
 def gen_2cnf(n: int, seed: int) -> AbductionInstance:
     """General-polarity 2-CNF (the clause-merging reduction's domain)."""
+    _at_least("2cnf instances", "n", n, 2)
     rng = _rng("2cnf", n, seed)
     cons = []
     covered: set[int] = set()
@@ -205,6 +219,8 @@ def gen_colored_graph(num_colors: int, per_color: int, seed: int,
 
 
 def gen_qbf_instance(num_x: int, num_y: int, num_terms: int, seed: int) -> QbfInstance:
+    if num_terms > 0:
+        _at_least("QBF terms", "num_x + num_y", num_x + num_y, 1)
     rng = _rng("qbf", num_x, num_y, num_terms, seed)
     n = num_x + num_y
     terms = []
@@ -215,14 +231,17 @@ def gen_qbf_instance(num_x: int, num_y: int, num_terms: int, seed: int) -> QbfIn
     return QbfInstance(num_x, num_y, tuple(terms))
 
 
-def gen_cnf_formula(num_vars: int, num_clauses: int, width: int, seed: int) -> CnfFormula:
-    rng = _rng("cnf", num_vars, num_clauses, width, seed)
+def gen_cnf_formula(n: int, num_clauses: int, width: int, seed: int) -> CnfFormula:
+    if num_clauses > 0:
+        _at_least("CNF clauses", "n", n, 1)
+        _at_least("CNF clauses", "width", width, 1)
+    rng = _rng("cnf", n, num_clauses, width, seed)
     clauses = []
     for _ in range(num_clauses):
-        size = rng.randint(1, min(width, num_vars))
-        vs = rng.sample(range(1, num_vars + 1), size)
+        size = rng.randint(1, min(width, n))
+        vs = rng.sample(range(1, n + 1), size)
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
-    return CnfFormula(num_vars, tuple(clauses))
+    return CnfFormula(n, tuple(clauses))
 
 
 # each family takes exactly the keyword parameters it reads

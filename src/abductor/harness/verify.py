@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from ..core import (AbductionInstance, Constraint, Formula, PreprocessResult,
+from ..core import (AbductionInstance, Constraint, Formula, ORACLE_MAX_VARS,
                     Relation, BOT, TOP, TRIVIALLY_NO, is_explanation, preprocess)
 from ..langlib import LanguageError, clause_relation, nae, one_in_k, parity
 from ..reductions import (IMP_REL, abd2cnf_to_cnfsat, abd_to_pabd_4cnf,
@@ -96,11 +96,7 @@ def check_solvers(inst: AbductionInstance) -> list[Finding]:
 
 def _oracle_pair(inst: AbductionInstance) -> tuple[bool, bool]:
     """(oracle_abd(inst).answer, oracle_pabd(inst).answer) from one explained read."""
-    return _preprocessed_pair(preprocess(inst))
-
-
-def _preprocessed_pair(pre: PreprocessResult) -> tuple[bool, bool]:
-    """_oracle_pair of the instance that preprocess turned into pre."""
+    pre = preprocess(inst)
     if pre.verdict == TRIVIALLY_NO:
         return False, False
     _, full, positive = explained(pre.instance)
@@ -110,9 +106,9 @@ def _preprocessed_pair(pre: PreprocessResult) -> tuple[bool, bool]:
 def check_reductions(inst: AbductionInstance) -> tuple[list[Finding], list[Finding]]:
     fails: list[Finding] = []
     logged: list[Finding] = []
-    pre_result = preprocess(inst)
-    in_abd, in_pabd = _preprocessed_pair(pre_result)
-    pre = pre_result.instance
+    # preprocess keeps the verdict, so pre's oracle answers are inst's
+    pre = preprocess(inst).instance
+    in_abd, in_pabd = _oracle_pair(pre)
     # the widest clause of a CNF KB, or None: the k-CNF gates of the reductions
     clauses = formula_as_clauses(inst.kb)
     width = None if clauses is None else max((len(signs) for signs, _ in clauses), default=0)
@@ -252,6 +248,8 @@ def random_instances(per_family: int, max_n: int = 12,
                      seed: int = 0) -> Iterator[tuple[str, AbductionInstance]]:
     if max_n < 4:
         raise ValueError(f"random instances need max_n >= 4, got {max_n}")
+    if max_n > ORACLE_MAX_VARS:
+        raise ValueError(f"random instances need max_n <= {ORACLE_MAX_VARS}, got {max_n}")
     if per_family < 1:
         raise ValueError(f"random instances need per_family >= 1, got {per_family}")
     sizes = list(range(4, max_n + 1))

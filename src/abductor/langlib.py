@@ -10,7 +10,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import Relation, StructureError, decode_tuple, encode_tuple, gather, restrict
+from .core import (Relation, StructureError, decode_tuple, encode_tuple, gather,
+                   restrict, shared)
 
 
 class LanguageError(ValueError):
@@ -161,21 +162,11 @@ def invariant(lang: ConstraintLanguage, op: tuple[int, Callable[..., int]]) -> b
     the tuple op gives on k tuple codes of one relation, full = 2^arity - 1.
     A constant is 0-ary, so it asks every relation to hold its constant
     tuple, and an empty relation is not invariant under it.
-
-    Each relation's answer is a fact of the relation (Jeavons, TCS 200,
-    1998): it is computed once per relation and operation and kept in
-    Relation.language_facts under the key op, so an operation should be a
-    long-lived value such as ONE or NEGATION, not a tuple built per call.
     """
+    k, f = op
     for r in lang.relations:
-        facts = r.language_facts
-        closed = facts.get(op)
-        if closed is None:
-            k, f = op
-            full = (1 << r.arity) - 1
-            closed = facts[op] = all(f(full, *t) in r
-                                     for t in itertools.product(r.codes, repeat=k))
-        if not closed:
+        full = (1 << r.arity) - 1
+        if any(f(full, *t) not in r for t in itertools.product(r.codes, repeat=k)):
             return False
     return True
 
@@ -198,26 +189,6 @@ class InequalityGadget:
 NEQ = Relation(2, (1, 2), "NEQ")  # {(1,0),(0,1)} bit-encoded
 
 
-def _gadget(rel: Relation) -> InequalityGadget | None:
-    """The inequality gadget of one complement-invariant relation, or None if
-    it is empty, 0-ary or holds a constant tuple; built once per relation and
-    kept in Relation.language_facts under the key NEQ."""
-    facts = rel.language_facts
-    if NEQ in facts:
-        return facts[NEQ]
-    gadget = None
-    full = (1 << rel.arity) - 1
-    if rel.arity and not rel.is_empty and 0 not in rel and full not in rel:
-        t = rel.codes[0]  # any member tuple; cannot be constant here
-        pattern = tuple(b + 1 for b in decode_tuple(t, rel.arity))
-        got = minor(rel, pattern, 2)
-        if got != NEQ:  # complement-invariance makes this unreachable: a bug, not a language
-            raise RuntimeError(f"identification of {rel} did not give inequality")
-        gadget = InequalityGadget(got, rel, pattern)
-    facts[NEQ] = gadget
-    return gadget
-
-
 def derive_inequality(lang: ConstraintLanguage) -> InequalityGadget:
     """Extract the binary inequality relation by identifying coordinates.
 
@@ -229,9 +200,15 @@ def derive_inequality(lang: ConstraintLanguage) -> InequalityGadget:
     if not invariant(lang, NEGATION):
         raise LanguageError("language is not complement-invariant")
     for rel in sorted(lang.relations, key=lambda r: (r.arity, r.codes)):
-        gadget = _gadget(rel)
-        if gadget is not None:
-            return gadget
+        full = (1 << rel.arity) - 1
+        if rel.is_empty or rel.arity == 0 or 0 in rel or full in rel:
+            continue
+        t = rel.codes[0]  # any member tuple; cannot be constant here
+        pattern = tuple(b + 1 for b in decode_tuple(t, rel.arity))
+        got = minor(rel, pattern, 2)
+        if got != NEQ:  # complement-invariance makes this unreachable: a bug, not a language
+            raise RuntimeError(f"identification of {rel} did not give inequality")
+        return InequalityGadget(got, rel, pattern)
     raise LanguageError("no relation avoiding both constant tuples")
 
 
@@ -239,45 +216,20 @@ def derive_inequality(lang: ConstraintLanguage) -> InequalityGadget:
 # built-in language constructors
 # ---------------------------------------------------------------------------
 
-# The shared-relation table: clause_relation and nae build one Relation per
-# key and return that object on every later call, so a relation is built and
-# validated once, and its derived facts (Relation.clause_signs,
-# Relation.table_terms, Relation.language_facts) are computed once.  The
-# table is emptied whenever the relations it holds pass
-# _RELATION_TABLE_CODES codes in all, as core's restriction table is; a
-# relation built before a clear stays valid and equal to the one built
-# after it.
-_RELATION_TABLE_CODES = 1 << 16
-_relation_table: dict[tuple, Relation] = {}
-_relation_table_held = 0
-
-
-def _share(key: tuple, rel: Relation) -> Relation:
-    """Enter rel into the shared-relation table under key and return it."""
-    global _relation_table_held
-    if _relation_table_held > _RELATION_TABLE_CODES:
-        _relation_table.clear()
-        _relation_table_held = 0
-    _relation_table[key] = rel
-    _relation_table_held += len(rel.codes) + 1
-    return rel
-
-
 def clause_relation(signs: Sequence[int], name: str | None = None) -> Relation:
     """Relation of the clause whose i-th literal is positive iff signs[i]==0.
 
     The single falsifying point is the tuple equal to the sign pattern.  One
-    shared Relation per (signs, name), from the shared-relation table.
+    shared Relation per (signs, name), from core's table.
     """
     signs = tuple(signs)
-    key = ("CL", signs, name)
-    rel = _relation_table.get(key)
-    if rel is None:
-        bad = encode_tuple(signs)
-        codes = tuple(c for c in range(1 << len(signs)) if c != bad)
-        rel = _share(key, Relation(len(signs), codes,
-                                   name or f"CL{''.join(map(str, signs))}"))
-    return rel
+    return shared(("CL", signs, name), _clause, signs, name)
+
+
+def _clause(signs: tuple[int, ...], name: str | None) -> Relation:
+    bad = encode_tuple(signs)
+    codes = tuple(c for c in range(1 << len(signs)) if c != bad)
+    return Relation(len(signs), codes, name or f"CL{''.join(map(str, signs))}")
 
 
 def _clauses(k: int, keep: Callable[[tuple[int, ...]], bool],
@@ -384,20 +336,19 @@ def xsat_family(max_k: int) -> ConstraintLanguage:
 
 def nae(signs: Sequence[int]) -> Relation:
     """Not-all-equal under a sign pattern: forbids the pattern and its
-    complement.  One shared Relation per pattern, from the shared-relation
-    table."""
+    complement.  One shared Relation per pattern, from core's table."""
     signs = tuple(signs)
-    key = ("NAE", signs)
-    rel = _relation_table.get(key)
-    if rel is None:
-        k = len(signs)
-        if k < 1:
-            raise LanguageError("sign pattern must be non-empty")
-        zero_s = encode_tuple(signs)
-        one_s = ((1 << k) - 1) ^ zero_s
-        codes = tuple(c for c in range(1 << k) if c not in (zero_s, one_s))
-        rel = _share(key, Relation(k, codes, f"NAE{''.join(map(str, signs))}"))
-    return rel
+    return shared(("NAE", signs), _nae, signs)
+
+
+def _nae(signs: tuple[int, ...]) -> Relation:
+    k = len(signs)
+    if k < 1:
+        raise LanguageError("sign pattern must be non-empty")
+    zero_s = encode_tuple(signs)
+    one_s = ((1 << k) - 1) ^ zero_s
+    codes = tuple(c for c in range(1 << k) if c not in (zero_s, one_s))
+    return Relation(k, codes, f"NAE{''.join(map(str, signs))}")
 
 
 def k_nae(k: int) -> ConstraintLanguage:

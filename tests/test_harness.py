@@ -257,9 +257,6 @@ class TestVerifySweeps:
         inst = generators.gen_nae3(6, 0)
         assert verify.check_reductions(inst) == ([], [])
         monkeypatch.setattr(langlib, "minor", lambda rel, pattern, k: Relation(2, (0, 3)))
-        # a relation's gadget is built once: drop those the first check built
-        for rel in inst.kb.relations():
-            rel.language_facts.clear()
         with pytest.raises(RuntimeError, match="did not give inequality"):
             verify.check_reductions(inst)
 
@@ -418,6 +415,29 @@ class TestCli:
         assert self.run("gen", "--family", "xsat-chain", "--seed", "1") == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["kcnf-pos", "--n", "1"], "n >= 2, got 1"),
+        (["kcnf-pos", "--k", "1"], "k >= 2, got 1"),
+        (["kcnf-neg-imp", "--n", "1"], "n >= 2, got 1"),
+        (["kcnf-neg-imp", "--k", "1"], "k >= 2, got 1"),
+        (["aff", "--n", "1"], "n >= 2, got 1"),
+        (["2cnf", "--n", "1"], "n >= 2, got 1"),
+        (["cnfsat-lb", "--n", "0"], "n >= 1, got 0"),
+        (["cnfsat-lb", "--width", "0"], "width >= 1, got 0"),
+        (["qbf4cnf", "--num-x", "0", "--num-y", "0"], "num_x + num_y >= 1, got 0"),
+        (["equations", "--n", "0"], "n >= 1, got 0"),
+        (["xsat", "--n", "0"], "n >= 1, got 0"),
+        (["nae", "--n", "2"], "n >= 3, got 2"),
+    ])
+    def test_gen_below_a_family_minimum_names_the_flag(self, argv, named, capsys):
+        """A size below a family's minimum is one error line naming the
+        parameter and its bound, exit 2, and no instance."""
+        assert self.run("gen", "--family", *argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(named)
+
     def test_solve_ignores_a_malformed_seed_variable(self, tmp_path, monkeypatch):
         # an environment the CLI does not read cannot turn an answer into exit 1
         path = tmp_path / "y.abd"
@@ -460,6 +480,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert not captured.out
         assert captured.err.splitlines() == ["error: seeds must be >= 1, got 0"]
+
+    @pytest.mark.parametrize("grid", ["4:12:0", "a:b", "4", "4:8:2:1", "4:x:2", ""])
+    def test_bench_rejects_a_malformed_grid(self, grid, capsys):
+        assert self.run("bench", "--family", "xsat-chain", "--grid", grid) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.splitlines() == [
+            "error: --grid must be a:b or a:b:step of integers, step nonzero"]
 
     def test_reduce_to_simplesat_names_a_trivially_no_input(self, tmp_path, capsys):
         """A manifestation outside var(KB) and not in H is what stops
@@ -530,6 +558,15 @@ class TestCli:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and "max_n >= 4" in err
         assert "internal" not in err and "\n" not in err
+
+    def test_verify_max_n_above_the_oracle_cap_is_rejected_up_front(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(verify, "check_solvers", lambda inst: pytest.fail("swept"))
+        assert self.run("verify", "--per-family", "1", "--max-n", "21") == 2
+        out = capsys.readouterr()
+        assert not out.out
+        assert out.err == "error: random instances need max_n <= 20, got 21\n"
 
     def test_verify_negative_dump_limit_is_a_usage_error(self, capsys):
         assert self.run("verify", "--dump-limit", "-1") == 2

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from abductor import langlib
-from abductor.core import FALSE0, Relation, StructureError, TRUE0, decode_tuple
+from abductor import core
+from abductor.core import (FALSE0, Relation, StructureError, TRUE0, decode_tuple,
+                           restriction)
 from abductor.langlib import (NEGATION, ONE, LanguageError, NEQ,
                               SparsityCertificate, aff, branching_closure,
                               check_sparsity, clause_relation,
@@ -155,7 +156,8 @@ class TestPredicates:
         # every relation of arity <= 3, against the definitions on tuples:
         # the constant c holds iff the all-c tuple is a member, so an empty
         # relation fails both constants; negation holds iff the complement
-        # of every member is a member
+        # of every member is a member; conjunction holds iff the AND of
+        # every two members is a member
         rels = [Relation(k, tuple(c for c in range(1 << k) if s >> c & 1))
                 for k in range(4) for s in range(1 << (1 << k))]
         assert len(rels) == 278
@@ -166,37 +168,12 @@ class TestPredicates:
             assert invariant(lang, ONE) is ((1,) * rel.arity in tuples), rel
             assert invariant(lang, NEGATION) is all(
                 tuple(1 - x for x in t) in tuples for t in tuples), rel
+            assert invariant(lang, CONJ) is all(
+                tuple(x & y for x, y in zip(t, u)) in tuples
+                for t in tuples for u in tuples), rel
         empty = [r for r in rels if r.is_empty]
         assert len(empty) == 4
         assert not any(invariant(language([r]), op) for r in empty for op in (ZERO, ONE))
-
-    def test_the_invariance_memo_is_the_definition_asked_twice(self):
-        """On all 278 relations of arity <= 3, each asked twice, the answer
-        of invariant, the one it keeps in Relation.language_facts, is the
-        definition on tuples, for both constants, negation and conjunction."""
-        rels = [Relation(k, tuple(c for c in range(1 << k) if s >> c & 1))
-                for k in range(4) for s in range(1 << (1 << k))]
-        assert len(rels) == 278
-        for rel in rels:
-            tuples = {decode_tuple(c, rel.arity) for c in rel.codes}
-            want = {
-                ZERO: (0,) * rel.arity in tuples,
-                ONE: (1,) * rel.arity in tuples,
-                NEGATION: all(tuple(1 - x for x in t) in tuples for t in tuples),
-                CONJ: all(tuple(x & y for x, y in zip(t, u)) in tuples
-                          for t in tuples for u in tuples),
-            }
-            for _ in range(2):
-                for op, answer in want.items():
-                    assert invariant(language([rel]), op) is answer, (rel, op)
-            assert rel.language_facts == want, rel
-
-    def test_the_memo_is_what_invariant_reads(self):
-        rel = Relation(2, (1, 2))
-        assert invariant(language([rel]), NEGATION)
-        rel.language_facts[NEGATION] = False
-        assert not invariant(language([rel]), NEGATION)
-        assert invariant(language([Relation(2, (1, 2))]), NEGATION)  # an equal relation asks anew
 
     def test_operations_of_equal_arity_keep_separate_answers(self):
         zero_only = Relation(1, (0,))
@@ -206,8 +183,6 @@ class TestPredicates:
             assert not invariant(language([zero_only]), ONE)
             assert not invariant(language([or2]), CONJ)
             assert invariant(language([or2]), DISJ)
-        assert zero_only.language_facts == {ZERO: True, ONE: False}
-        assert or2.language_facts[CONJ] is False and or2.language_facts[DISJ] is True
 
     def test_invariant_under_operations_of_more_arguments(self):
         # Horn clauses are closed under conjunction, a positive 2-clause is not
@@ -261,17 +236,15 @@ class TestDeriveInequality:
         assert got.relation == NEQ
         assert sorted(got.pattern) in ([1, 1, 2], [1, 2, 2])
 
-    def test_the_gadget_is_built_once_per_relation(self):
-        """A relation's gadget is kept in its language_facts: asked again it
-        is the same object, and an equal relation under another name builds
-        its own, whose base keeps that name."""
+    def test_an_equal_relation_under_another_name_keeps_its_name(self):
+        """The gadget's base is the language's own member: an equal relation
+        under another name gets an equal gadget whose base keeps that name."""
         base = nae((0, 0, 0))
         got = derive_inequality(language([base]))
-        assert derive_inequality(language([base])) is got and got.base is base
-        assert base.language_facts[NEQ] is got
+        assert got.base is base
         other = base.renamed("TWIN")
         twin = derive_inequality(language([other]))
-        assert twin is not got and twin.base is other and twin.base.name == "TWIN"
+        assert twin.base is other and twin.base.name == "TWIN"
         assert twin == got
 
     def test_from_neq_directly(self):
@@ -371,19 +344,22 @@ def fresh_nae(signs):
 
 @pytest.fixture
 def cold_relations(monkeypatch):
-    """An empty shared-relation table, restored after the test."""
-    monkeypatch.setattr(langlib, "_relation_table", {})
-    monkeypatch.setattr(langlib, "_relation_table_held", 0)
-    return langlib._relation_table
+    """An empty table in core, restored after the test."""
+    monkeypatch.setattr(core, "_restrict_table", {})
+    monkeypatch.setattr(core, "_restrict_table_held", 0)
+    return core._restrict_table
 
 
 def _held():
-    return sum(len(rel.codes) + 1 for rel in langlib._relation_table.values())
+    """The codes core's table holds: each shared relation's codes and each
+    restriction entry's restricted codes, plus one per value."""
+    return sum((len(v.codes) if isinstance(v, Relation) else len(v[0])) + 1
+               for v in core._restrict_table.values())
 
 
 class TestSharedRelations:
-    """clause_relation and nae return one shared Relation per key from the
-    shared-relation table, equal (name included) to one built afresh."""
+    """clause_relation and nae return one shared Relation per key from core's
+    table, equal (name included) to one built afresh."""
 
     def test_a_repeated_call_returns_the_same_object(self, cold_relations):
         for signs in SIGNS:
@@ -396,7 +372,7 @@ class TestSharedRelations:
             assert nae(list(signs)) is rel
             assert rel == fresh_nae(signs) and rel.name == fresh_nae(signs).name
         assert len(cold_relations) == 3 * len(SIGNS)
-        assert _held() == langlib._relation_table_held
+        assert _held() == core._restrict_table_held
 
     def test_the_name_is_part_of_the_key(self, cold_relations):
         named, plain = clause_relation((0, 0), "OR2"), clause_relation((0, 0))
@@ -413,9 +389,9 @@ class TestSharedRelations:
 
     def test_the_table_clears_past_its_budget(self, cold_relations, monkeypatch):
         bound = 20  # an entry adds at most 8: an arity-3 clause's 7 codes, plus 1
-        monkeypatch.setattr(langlib, "_RELATION_TABLE_CODES", bound)
+        monkeypatch.setattr(core, "_RESTRICT_TABLE_CODES", bound)
         first = {signs: clause_relation(signs) for signs in SIGNS}
-        assert 0 < _held() == langlib._relation_table_held <= bound + 8
+        assert 0 < _held() == core._restrict_table_held <= bound + 8
         assert len(cold_relations) < len(SIGNS)  # it was cleared on the way
         for _ in range(2):
             for signs in SIGNS:
@@ -424,8 +400,24 @@ class TestSharedRelations:
                 assert again.name == first[signs].name
                 assert again.clause_signs == signs
                 assert nae(signs) == fresh_nae(signs)
-                assert _held() == langlib._relation_table_held <= bound + 8
+                assert _held() == core._restrict_table_held <= bound + 8
         assert any(clause_relation(signs) is not first[signs] for signs in SIGNS)
+
+    def test_restrictions_and_relations_count_against_one_budget(self, cold_relations,
+                                                                  monkeypatch):
+        """Shared relations and restriction entries count against the one
+        budget of core's table, so entering either kind can clear both."""
+        monkeypatch.setattr(core, "_RESTRICT_TABLE_CODES", 20)
+        rels = [clause_relation(signs) for signs in SIGNS[-3:]]  # 3 x (7 codes + 1)
+        assert _held() == core._restrict_table_held == 24
+        entry = restriction(rels[0].codes, 3, 0b001, 0)  # 4 codes + 1
+        assert list(cold_relations.values()) == [entry]
+        assert _held() == core._restrict_table_held == 5
+        assert clause_relation(SIGNS[-3]) is not rels[0]  # held 13
+        restriction(rels[0].codes, 3, 0, 0)  # 7 codes + 1: held 21
+        rel = clause_relation(SIGNS[-2])
+        assert list(cold_relations.values()) == [rel] and rel is not rels[1]
+        assert _held() == core._restrict_table_held == 8
 
 
 def clause_sign(rel):
