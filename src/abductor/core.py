@@ -98,9 +98,9 @@ def gather(sigma: Assignment, scope: Iterable[int]) -> int:
     return code
 
 
-# The restriction table (see the module docstring): (codes, arity, hit, want)
-# -> (restricted codes, kept positions, classification), and langlib's shared
-# relations; and the codes its values hold.
+# The restriction table (see the module docstring): restriction entries under
+# (codes, arity, hit, want), langlib's shared relations under their own keys,
+# and the codes its values hold.
 _RESTRICT_TABLE_CODES = 1 << 16
 _restrict_table: dict[tuple, Any] = {}
 _restrict_table_held = 0
