@@ -1,9 +1,13 @@
 """Seed-deterministic instance generators for the built-in families.
 
-Every generator covers all n variables with constraints (so H and M always
-live inside var(KB)) and keeps H and M disjoint.  The clique / QBF / CNF-SAT
-families build their combinatorial object first and route it through the
-matching reduction construction.
+Every generator keeps H and M disjoint, and every one but qbf4cnf covers all
+n variables with constraints, so H and M live inside var(KB).  qbf4cnf can
+leave some of H or M outside var(KB): `--num-x 3 --num-y 1 --terms 1 --seed
+0` writes `hyp 1 2 3`, but its constraints use only variables 2, 4 and 5.
+The clique / QBF / CNF-SAT families build their combinatorial object first
+and route it through the matching reduction construction.  Each generator
+checks its sizes before its first draw and raises ValueError naming the
+parameter and its bound.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ def _pick_hm(rng: random.Random, n: int,
 
 def gen_xsat_chain(m: int) -> AbductionInstance:
     """m disjoint exactly-one pairs: the model count is exactly 2^m (n = 2m)."""
+    _at_least("xsat-chain instances", "m", m, 0)
     n = 2 * m
     r12 = one_in_k(2)
     cons = [Constraint(r12, (2 * i - 1, 2 * i)) for i in range(1, m + 1)]
@@ -207,6 +212,10 @@ def gen_2cnf(n: int, seed: int) -> AbductionInstance:
 
 def gen_colored_graph(num_colors: int, per_color: int, seed: int,
                       edge_prob: float = 0.5) -> ColoredGraph:
+    """A random graph on num_colors * per_color vertices, each colour class
+    an independent set (the clique family reads num_colors as --colors)."""
+    _at_least("clique instances", "colors", num_colors, 1)
+    _at_least("clique instances", "per_color", per_color, 1)
     rng = _rng("clique", num_colors, per_color, seed)
     nv = num_colors * per_color
     colors = tuple(1 + (v - 1) // per_color for v in range(1, nv + 1))
@@ -219,6 +228,12 @@ def gen_colored_graph(num_colors: int, per_color: int, seed: int,
 
 
 def gen_qbf_instance(num_x: int, num_y: int, num_terms: int, seed: int) -> QbfInstance:
+    """A random DNF of num_terms terms of 1..3 literals over the num_x
+    existential and num_y universal variables (the qbf4cnf family reads
+    num_terms as --terms)."""
+    _at_least("QBF instances", "num_x", num_x, 0)
+    _at_least("QBF instances", "num_y", num_y, 0)
+    _at_least("QBF instances", "terms", num_terms, 0)
     if num_terms > 0:
         _at_least("QBF terms", "num_x + num_y", num_x + num_y, 1)
     rng = _rng("qbf", num_x, num_y, num_terms, seed)
@@ -232,6 +247,10 @@ def gen_qbf_instance(num_x: int, num_y: int, num_terms: int, seed: int) -> QbfIn
 
 
 def gen_cnf_formula(n: int, num_clauses: int, width: int, seed: int) -> CnfFormula:
+    """A random CNF of num_clauses clauses of 1..width literals over n
+    variables (the cnfsat-lb family reads num_clauses as --clauses)."""
+    _at_least("CNF formulas", "n", n, 0)
+    _at_least("CNF formulas", "clauses", num_clauses, 0)
     if num_clauses > 0:
         _at_least("CNF clauses", "n", n, 1)
         _at_least("CNF clauses", "width", width, 1)

@@ -76,6 +76,7 @@ while leaves may exceed branch_nodes).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .core import (EMPTY, OPEN, UNIT, Formula, StructureError, hyp_mask,
@@ -230,11 +231,11 @@ def _search(search: _Search, root, stats: EnumStats, tuples: bool = False,
                          order), in increasing code order; the branches
                          consume the constraint
 
-    The tuple rule reads each base, len(out) ** (1 / len(keep)), from a
-    table by those two lengths, and keeps one plan per picked constraint and
-    memo key: the kept variable bits, the constraints they touch and the
-    tuples' value offsets, so a branch is its parent's vmask OR an offset;
-    the table and the plans live as long as the call.  The search enters the
+    The tuple rule computes each base as len(out) ** (1 / len(keep)) and
+    keeps one plan per picked constraint and memo key: the kept variable
+    bits, the constraints they touch and the tuples' value offsets, so a
+    branch is its parent's vmask OR an offset; the plans live as long as the
+    call.  The search enters the
     first child directly and pushes the others in reverse, each as a stack
     entry: its masks, its parent's live bitmask and branch variable, its
     depth and the constraints its branch touches.  The counters are locals,
@@ -246,7 +247,7 @@ def _search(search: _Search, root, stats: EnumStats, tuples: bool = False,
     cons, vbits, occbits = search.cons, search.vbits, search.occbits
     smasks, memos, n = search.smasks, search.memos, search.n
     phase = search.cube[1] if search.cube else 0
-    bases, plans = {}, {}  # the tuple rule's base table and branch plans
+    plans = {}  # the tuple rule's branch plans
     var = 1
     depth = 0
     stack = []
@@ -315,10 +316,7 @@ def _search(search: _Search, root, stats: EnumStats, tuples: bool = False,
                         a = amask & smasks[i]
                         key = a << n | vmask & a
                         out, keep, _ = memos[i].get(key) or search.entry(i, amask, vmask)
-                        size = len(out), len(keep)
-                        base = bases.get(size)
-                        if base is None:
-                            base = bases[size] = size[0] ** (1.0 / size[1])
+                        base = len(out) ** (1.0 / len(keep))
                         if base < best:
                             best, pick, pkey = base, i, key
                     plan = plans.get((pick, pkey))
@@ -449,8 +447,9 @@ def enumerate_weight_ordered(phi: Formula, hypotheses: Iterable[int],
                              base: ModelStream | None = None) -> ModelStream:
     """All models sorted by non-increasing hypothesis weight w_H.
 
-    Materializes the base stream into one bucket per weight and reads the
-    buckets heaviest first, so equal weights keep the base emission order.
+    Still materializes the whole base stream, into one bucket per weight,
+    then streams the buckets in place, heaviest first, with no second copy
+    of the models, so equal weights keep the base emission order.
     """
     if base is None:
         base = enumerate_models(phi)
@@ -458,8 +457,7 @@ def enumerate_weight_ordered(phi: Formula, hypotheses: Iterable[int],
     buckets: list[list[int]] = [[] for _ in range(hmask.bit_count() + 1)]
     for sigma in base:
         buckets[(sigma & hmask).bit_count()].append(sigma)
-    models = [sigma for bucket in reversed(buckets) for sigma in bucket]
-    return ModelStream(iter(models), base.stats, WEIGHT_ORDERED)
+    return ModelStream(chain.from_iterable(reversed(buckets)), base.stats, WEIGHT_ORDERED)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,19 @@ def _full(mask: int, hyp: Iterable[int]) -> frozenset[int]:
     return frozenset(h if (mask >> (h - 1)) & 1 else -h for h in hyp)
 
 
+def _literal_sets(patterns: Iterable[int], hyp: Iterable[int],
+                  full: bool) -> frozenset[frozenset[int]]:
+    """The literal set of each pattern over hyp: _full's when full, else
+    _positive's.  The call makes one (-h, h) pair per hypothesis, so each
+    literal is one int object shared by every set it builds."""
+    pairs = [(h - 1, (-h, h)) for h in hyp]
+    if full:
+        return frozenset(frozenset([lit[p >> b & 1] for b, lit in pairs])
+                         for p in patterns)
+    return frozenset(frozenset([lit[1] for b, lit in pairs if p >> b & 1])
+                     for p in patterns)
+
+
 def _maximal(patterns: Iterable[int]) -> list[int]:
     """The subset-maximal bit patterns, widest first."""
     maximal: list[int] = []
@@ -226,9 +239,9 @@ def _oracle_sets(inst: AbductionInstance) -> tuple[_Sets, _Sets, _Sets]:
     hyp = sorted(inst.hypotheses)
     _, full, positive = explained(inst)
     all_ok = table_models(positive)
-    return (frozenset(_full(p, hyp) for p in table_models(full)),
-            frozenset(_positive(p, hyp) for p in all_ok),
-            frozenset(_positive(p, hyp) for p in _maximal(all_ok)))
+    return (_literal_sets(table_models(full), hyp, True),
+            _literal_sets(all_ok, hyp, False),
+            _literal_sets(_maximal(all_ok), hyp, False))
 
 
 def oracle_full_explanations(inst: AbductionInstance) -> _Sets:
@@ -301,7 +314,7 @@ def enum_abd(inst: AbductionInstance,
             potential.discard(proj)
     hyp = sorted(inst.hypotheses)
     return (_Answer(_full(min(potential), hyp) if potential else None, stream.stats),
-            ExplanationSet(frozenset(_full(p, hyp) for p in potential)))
+            ExplanationSet(_literal_sets(potential, hyp, True)))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +446,7 @@ def pabd_enum(inst: AbductionInstance,
     maximal = _maximal(survivors)  # widest first, so [0] has the highest popcount
     hyp = sorted(inst.hypotheses)
     return (_Answer(_positive(maximal[0], hyp) if maximal else None, stream.stats),
-            ExplanationSet(frozenset(_positive(p, hyp) for p in maximal)))
+            ExplanationSet(_literal_sets(maximal, hyp, False)))
 
 
 # ---------------------------------------------------------------------------

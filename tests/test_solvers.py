@@ -16,7 +16,7 @@ from abductor.harness import io, verify
 from abductor.harness.cli import main as cli_main
 from abductor.harness.generators import (gen_2cnf, gen_aff, gen_equations,
                                          gen_kcnf_neg_imp, gen_kcnf_pos,
-                                         gen_nae3, gen_xsat)
+                                         gen_nae3, gen_xsat, gen_xsat_chain)
 
 from oracle_general import oracle_abd_general
 from test_core import example1_instance
@@ -141,6 +141,33 @@ class TestOracles:
         inst = example1_instance()
         res = oracle_pabd(inst)
         assert res.witness.literals == frozenset({1, 4, 5})
+
+
+class TestExplanationSets:
+    @staticmethod
+    def literal_objects(sets) -> int:
+        return len({id(lit) for e in sets for lit in e})
+
+    def test_the_sets_share_their_literal_objects(self):
+        """On an xsat chain, enum_abd's set is the oracle's, and each holds
+        at most one object per literal over H."""
+        inst = gen_xsat_chain(8)
+        _, eset = enum_abd(inst)
+        oracle = oracle_full_explanations(inst)
+        assert eset.explanations == oracle and len(oracle) == 128
+        for sets in (eset.explanations, oracle):
+            assert self.literal_objects(sets) <= 2 * len(inst.hypotheses)
+
+    def test_literal_sets_are_full_and_positive(self):
+        """_literal_sets builds _full's and _positive's sets of every pattern,
+        one object per literal, past the ints Python caches too."""
+        hyp = [300, 400]
+        patterns = [0, 1 << 299, 1 << 399, 1 << 299 | 1 << 399]
+        full = solvers._literal_sets(patterns, hyp, True)
+        positive = solvers._literal_sets(patterns, hyp, False)
+        assert full == {solvers._full(p, hyp) for p in patterns}
+        assert positive == {solvers._positive(p, hyp) for p in patterns}
+        assert self.literal_objects(full) == 4 and self.literal_objects(positive) == 2
 
 
 class TestEmptyEdges:
