@@ -15,7 +15,10 @@ drops as self-explained to the body's witness, and names the AbdResult.  So
 each body is the procedure alone, and each witness passes
 core.is_explanation on the instance the caller passed.  The explanation sets
 (of enum_abd, pabd_enum and the oracle_*_explanations functions) are over
-preprocess(inst).instance.
+preprocess(inst).instance, and _literal_sets builds all of them: per call it
+makes one (-h, h) pair per hypothesis h, and each set is a frozenset of a
+list of those ints, so every set of one call shares its literal objects
+instead of holding a fresh -h per set.
 
 The oracles read the models of KB off its truth table, a cached bit-parallel
 table built from the variable columns (core.truth_table, one bit per
