@@ -215,7 +215,7 @@ def gen_colored_graph(num_colors: int, per_color: int, seed: int,
     """A random graph on num_colors * per_color vertices, each colour class
     an independent set (the clique family reads num_colors as --colors)."""
     _at_least("clique instances", "colors", num_colors, 1)
-    _at_least("clique instances", "per_color", per_color, 1)
+    _at_least("clique instances", "per-color", per_color, 1)
     rng = _rng("clique", num_colors, per_color, seed)
     nv = num_colors * per_color
     colors = tuple(1 + (v - 1) // per_color for v in range(1, nv + 1))
@@ -231,8 +231,8 @@ def gen_qbf_instance(num_x: int, num_y: int, num_terms: int, seed: int) -> QbfIn
     """A random DNF of num_terms terms of 1..3 literals over the num_x
     existential and num_y universal variables (the qbf4cnf family reads
     num_terms as --terms)."""
-    _at_least("QBF instances", "num_x", num_x, 0)
-    _at_least("QBF instances", "num_y", num_y, 0)
+    _at_least("QBF instances", "num-x", num_x, 0)
+    _at_least("QBF instances", "num-y", num_y, 0)
     _at_least("QBF instances", "terms", num_terms, 0)
     if num_terms > 0:
         _at_least("QBF terms", "num_x + num_y", num_x + num_y, 1)

@@ -15,10 +15,10 @@ drops as self-explained to the body's witness, and names the AbdResult.  So
 each body is the procedure alone, and each witness passes
 core.is_explanation on the instance the caller passed.  The explanation sets
 (of enum_abd, pabd_enum and the oracle_*_explanations functions) are over
-preprocess(inst).instance, and _literal_sets builds all of them: per call it
-makes one (-h, h) pair per hypothesis h, and each set is a frozenset of a
-list of those ints, so every set of one call shares its literal objects
-instead of holding a fresh -h per set.
+preprocess(inst).instance.  _full and _positive build every literal set
+from the pairs of _lit_pairs, one (-h, h) pair per hypothesis h made once
+per call, so every set of one call shares its literal objects instead of
+holding a fresh -h per set.
 
 The oracles read the models of KB off its truth table, a cached bit-parallel
 table built from the variable columns (core.truth_table, one bit per
@@ -126,27 +126,21 @@ def _engine(name: str, mode: str, algo: str, explanations: str | None = None,
     return wrap
 
 
-def _positive(mask: int, hyp: Iterable[int]) -> frozenset[int]:
+def _lit_pairs(hyp: Iterable[int]) -> list[tuple[int, tuple[int, int]]]:
+    """One (bit, (-h, h)) pair per hypothesis h, made once per call, so every
+    literal set that _full and _positive build from it shares its ints."""
+    return [(h - 1, (-h, h)) for h in hyp]
+
+
+def _positive(mask: int, lits: list[tuple[int, tuple[int, int]]]) -> frozenset[int]:
     """The hypotheses whose bits are set in the variable-bit mask."""
-    return frozenset(h for h in hyp if (mask >> (h - 1)) & 1)
+    return frozenset([lit[1] for b, lit in lits if mask >> b & 1])
 
 
-def _full(mask: int, hyp: Iterable[int]) -> frozenset[int]:
-    """The full literal set over hyp that the mask picks: h if set, else ¬h."""
-    return frozenset(h if (mask >> (h - 1)) & 1 else -h for h in hyp)
-
-
-def _literal_sets(patterns: Iterable[int], hyp: Iterable[int],
-                  full: bool) -> frozenset[frozenset[int]]:
-    """The literal set of each pattern over hyp: _full's when full, else
-    _positive's.  The call makes one (-h, h) pair per hypothesis, so each
-    literal is one int object shared by every set it builds."""
-    pairs = [(h - 1, (-h, h)) for h in hyp]
-    if full:
-        return frozenset(frozenset([lit[p >> b & 1] for b, lit in pairs])
-                         for p in patterns)
-    return frozenset(frozenset([lit[1] for b, lit in pairs if p >> b & 1])
-                     for p in patterns)
+def _full(mask: int, lits: list[tuple[int, tuple[int, int]]]) -> frozenset[int]:
+    """The full literal set over the hypotheses that the mask picks: h if
+    set, else ¬h."""
+    return frozenset([lit[mask >> b & 1] for b, lit in lits])
 
 
 def _maximal(patterns: Iterable[int]) -> list[int]:
@@ -214,7 +208,7 @@ def oracle_abd(inst: AbductionInstance) -> _Answer:
     a full one does)."""
     models, full, _ = explained(inst)
     lowest = full & -full
-    return _Answer(_full(lowest.bit_length() - 1, sorted(inst.hypotheses)) if full else None,
+    return _Answer(_full(lowest.bit_length() - 1, _lit_pairs(inst.hypotheses)) if full else None,
                    _oracle_stats(inst.kb, models))
 
 
@@ -225,7 +219,7 @@ def oracle_pabd(inst: AbductionInstance) -> _Answer:
     the first pattern of highest popcount that explains."""
     models, _, positive = explained(inst)
     best = max(table_models(positive), key=int.bit_count, default=None)
-    return _Answer(None if best is None else _positive(best, sorted(inst.hypotheses)),
+    return _Answer(None if best is None else _positive(best, _lit_pairs(inst.hypotheses)),
                    _oracle_stats(inst.kb, models))
 
 
@@ -239,12 +233,12 @@ def _oracle_sets(inst: AbductionInstance) -> tuple[_Sets, _Sets, _Sets]:
     if pre.verdict == TRIVIALLY_NO:
         return frozenset(), frozenset(), frozenset()
     inst = pre.instance
-    hyp = sorted(inst.hypotheses)
+    lits = _lit_pairs(inst.hypotheses)
     _, full, positive = explained(inst)
     all_ok = table_models(positive)
-    return (_literal_sets(table_models(full), hyp, True),
-            _literal_sets(all_ok, hyp, False),
-            _literal_sets(_maximal(all_ok), hyp, False))
+    return (frozenset(_full(p, lits) for p in table_models(full)),
+            frozenset(_positive(p, lits) for p in all_ok),
+            frozenset(_positive(p, lits) for p in _maximal(all_ok)))
 
 
 def oracle_full_explanations(inst: AbductionInstance) -> _Sets:
@@ -274,7 +268,8 @@ def _baseline(inst: AbductionInstance, sat: SatDecider, full: bool) -> _Answer:
             continue
         stats.leaves += len(inst.manifestations)
         if entails(kb, mask, neg, inst.manifestations, sat):
-            return _Answer((_full if full else _positive)(mask, inst.hypotheses), stats)
+            return _Answer((_full if full else _positive)(mask, _lit_pairs(inst.hypotheses)),
+                           stats)
     return _Answer(None, stats)
 
 
@@ -315,9 +310,9 @@ def enum_abd(inst: AbductionInstance,
         else:
             discarded.add(proj)
             potential.discard(proj)
-    hyp = sorted(inst.hypotheses)
-    return (_Answer(_full(min(potential), hyp) if potential else None, stream.stats),
-            ExplanationSet(_literal_sets(potential, hyp, True)))
+    lits = _lit_pairs(inst.hypotheses)
+    return (_Answer(_full(min(potential), lits) if potential else None, stream.stats),
+            ExplanationSet(frozenset(_full(p, lits) for p in potential)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +356,7 @@ def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
     kb = compile_kb(inst.kb)
     hmask = hyp_mask(inst.hypotheses)
     man = sorted(inst.manifestations)
+    lits = _lit_pairs(inst.hypotheses)
     stack: list[tuple[int, int, int]] = []
     d, delta = hmask, 0
     while True:
@@ -370,7 +366,7 @@ def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
         e = d | delta
         if audit is not None:
             audit.max_frame_cells = max(audit.max_frame_cells, d.bit_count() + delta.bit_count())
-            visit = _positive(e, inst.hypotheses)
+            visit = _positive(e, lits)
             audit.duplicate_visits += visit in audit.visited
             audit.visited.add(visit)
         if not entails(kb, e, hmask ^ e, man, sat):
@@ -378,7 +374,7 @@ def pabd_recursive(inst: AbductionInstance, sat: SatDecider = decide,
         elif sat(kb, e, hmask ^ e):
             stats.leaves += 1
             if entails(kb, e, 0, man, sat):
-                return _Answer(_positive(e, inst.hypotheses), stats)
+                return _Answer(_positive(e, lits), stats)
             # else a superset pattern violates M: the whole subtree is dead
         elif d:
             stack.append((d, delta, d))
@@ -447,9 +443,9 @@ def pabd_enum(inst: AbductionInstance,
     survivors = [e for e in potential
                  if not any(e & b == e for b in bad_patterns)]
     maximal = _maximal(survivors)  # widest first, so [0] has the highest popcount
-    hyp = sorted(inst.hypotheses)
-    return (_Answer(_positive(maximal[0], hyp) if maximal else None, stream.stats),
-            ExplanationSet(_literal_sets(maximal, hyp, False)))
+    lits = _lit_pairs(inst.hypotheses)
+    return (_Answer(_positive(maximal[0], lits) if maximal else None, stream.stats),
+            ExplanationSet(frozenset(_positive(p, lits) for p in maximal)))
 
 
 # ---------------------------------------------------------------------------

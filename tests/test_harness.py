@@ -442,18 +442,18 @@ class TestCli:
         ("xsat-chain", "m", -1, 0, []),
         ("cnfsat-lb", "n", -1, 0, ["--clauses", "0"]),
         ("cnfsat-lb", "clauses", -1, 0, []),
-        ("qbf4cnf", "num_x", -1, 0, ["--num-y", "2"]),
-        ("qbf4cnf", "num_y", -1, 0, []),
+        ("qbf4cnf", "num-x", -1, 0, ["--num-y", "2"]),
+        ("qbf4cnf", "num-y", -1, 0, []),
         ("qbf4cnf", "terms", -1, 0, []),
         ("clique", "colors", 0, 1, []),
-        ("clique", "per_color", 0, 1, []),
+        ("clique", "per-color", 0, 1, []),
     ])
     def test_gen_out_of_range_sizes_name_the_flag(self, family, flag, bad, bound,
                                                   others, capsys):
         """A size below its bound in a family that draws nothing at that
         size is one error line naming the flag, exit 2; the bound itself
         writes an instance that parses."""
-        argv = ["gen", "--family", family, *others, f"--{flag.replace('_', '-')}"]
+        argv = ["gen", "--family", family, *others, f"--{flag}"]
         assert self.run(*argv, str(bad)) == 2
         captured = capsys.readouterr()
         assert not captured.out

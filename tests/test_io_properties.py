@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from abductor.core import AbductionInstance, Relation, formula
 from abductor.harness import io
 
-from test_search_properties import relations, scoped
-
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+from test_search_properties import PROPERTY, relations, scoped
 
 # names the writer keeps, one it rewrites (empty, or not one token) and
 # names that clash with the R<i> it generates

@@ -158,17 +158,6 @@ class TestExplanationSets:
         for sets in (eset.explanations, oracle):
             assert self.literal_objects(sets) <= 2 * len(inst.hypotheses)
 
-    def test_literal_sets_are_full_and_positive(self):
-        """_literal_sets builds _full's and _positive's sets of every pattern,
-        one object per literal, past the ints Python caches too."""
-        hyp = [300, 400]
-        patterns = [0, 1 << 299, 1 << 399, 1 << 299 | 1 << 399]
-        full = solvers._literal_sets(patterns, hyp, True)
-        positive = solvers._literal_sets(patterns, hyp, False)
-        assert full == {solvers._full(p, hyp) for p in patterns}
-        assert positive == {solvers._positive(p, hyp) for p in patterns}
-        assert self.literal_objects(full) == 4 and self.literal_objects(positive) == 2
-
 
 class TestEmptyEdges:
     def test_empty_hypotheses_kb_entails(self):
