@@ -235,10 +235,9 @@ def _search(search: _Search, root, stats: EnumStats, tuples: bool = False,
     keeps one plan per picked constraint and memo key: the kept variable
     bits, the constraints they touch and the tuples' value offsets, so a
     branch is its parent's vmask OR an offset; the plans live as long as the
-    call.  The search enters the
-    first child directly and pushes the others in reverse, each as a stack
-    entry: its masks, its parent's live bitmask and branch variable, its
-    depth and the constraints its branch touches.  The counters are locals,
+    call.  The search enters the first child directly and pushes the others
+    in reverse, each as a stack entry: its masks, its parent's live bitmask
+    and branch variable, its depth and the constraints its branch touches.  The counters are locals,
     written to `stats` before every yield and when the search ends, so
     `stats` is exact whenever the stream is paused.
     """
