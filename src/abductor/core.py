@@ -463,12 +463,18 @@ def entails(kb, pos: int, neg: int, manifestations: Iterable[int],
     return True
 
 
-def is_explanation(inst: AbductionInstance, lits: Iterable[Literal]) -> bool:
-    """Check the two defining conditions: KB∧E satisfiable and KB∧E entails M."""
-    from .satenum import compile_kb, decide  # local import to avoid a cycle
+def hyp_literal_masks(inst: AbductionInstance, lits: Iterable[Literal]) -> tuple[int, int]:
+    """literal_masks(lits), which must all be literals over the hypotheses."""
     pos, neg = literal_masks(lits)
     if (pos | neg) & ~hyp_mask(inst.hypotheses):
         raise StructureError("a literal is not over the hypothesis set")
+    return pos, neg
+
+
+def is_explanation(inst: AbductionInstance, lits: Iterable[Literal]) -> bool:
+    """Check the two defining conditions: KB∧E satisfiable and KB∧E entails M."""
+    from .satenum import compile_kb, decide  # local import to avoid a cycle
+    pos, neg = hyp_literal_masks(inst, lits)
     kb = compile_kb(inst.kb)
     return decide(kb, pos, neg) and entails(kb, pos, neg, inst.manifestations, decide)
 

@@ -112,12 +112,16 @@ def parse_text(text: str) -> AbductionInstance:
         kind = fields[0]
         try:
             if kind == "vars":
+                if len(fields) != 2:
+                    raise ParseError(lineno, f"'vars' takes 1 field, got {len(fields) - 1}")
                 if num_vars is not None:
                     raise ParseError(lineno, "repeated 'vars' line")
                 num_vars = int(fields[1])
                 if num_vars < 0:
                     raise ParseError(lineno, "vars must be non-negative")
             elif kind == "rel":
+                if len(fields) not in (3, 4):
+                    raise ParseError(lineno, f"'rel' takes 2 or 3 fields, got {len(fields) - 1}")
                 if num_vars is None:
                     raise ParseError(lineno, "'rel' before 'vars'")
                 name, arity = fields[1], int(fields[2])

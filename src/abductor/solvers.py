@@ -22,13 +22,16 @@ holding a fresh -h per set.
 
 The oracles read the models of KB off its truth table, a cached bit-parallel
 table built from the variable columns (core.truth_table, one bit per
-assignment), and brute_models is that cache.  explained is their one view of
-it, read once per call: a candidate explains iff some model extends it (∃)
-and every model that extends it satisfies M (∀), and both quantifiers, over
-the variables outside H and then over the supersets of each H pattern, are
-shifts and masks of the table.  Two caps bound the oracles: n <=
-core.ORACLE_MAX_VARS (2^n-bit tables, enforced where they are built) and
-|H| <= ORACLE_MAX_HYP (2^|H| patterns read out).
+assignment), and brute_models is that cache.  Two functions read it.
+explained is the oracles' one view of it, read once per call: a candidate
+explains iff some model extends it (∃) and every model that extends it
+satisfies M (∀), and both quantifiers, over the variables outside H and then
+over the supersets of each H pattern, are shifts and masks of the table.
+oracle_explains checks one given literal set the same way, by ANDing its
+literal columns into the table, so verify checks witnesses without running
+satenum.decide.  Two caps bound the oracles: n <= core.ORACLE_MAX_VARS
+(2^n-bit tables, enforced where they are built) and |H| <= ORACLE_MAX_HYP
+(2^|H| patterns read out).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
 from .core import (AbductionInstance, Explanation, FragmentError, Formula,
-                   OracleCapError, TRIVIALLY_NO, entails,
+                   OracleCapError, TRIVIALLY_NO, entails, hyp_literal_masks,
                    preprocess, submasks, SatDecider, columns,
                    table_models, truth_table)
 from .langlib import ONE, ConstraintLanguage, invariant
@@ -194,6 +197,20 @@ def explained(inst: AbductionInstance) -> tuple[int, int, int]:
         f |= (f >> shift) & keep
         g |= (g >> shift) & keep
     return table.bit_count(), full, f & ~g
+
+
+def oracle_explains(inst: AbductionInstance, lits: Iterable[int]) -> bool:
+    """core.is_explanation read off the truth table of KB instead of decided
+    by search: the models that set every literal of E exist, and none of
+    them sets some m in M false.  Raises StructureError as is_explanation
+    does, and OracleCapError above core.ORACLE_MAX_VARS variables."""
+    pos, neg = hyp_literal_masks(inst, lits)
+    table = brute_models(inst.kb)
+    cols = columns(inst.num_vars)
+    for side, mask in ((1, pos), (0, neg)):
+        for b in table_models(mask):
+            table &= cols[b][side]
+    return table != 0 and not any(table & cols[m - 1][0] for m in inst.manifestations)
 
 
 def _oracle_stats(phi: Formula, models: int) -> EnumStats:

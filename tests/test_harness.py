@@ -8,10 +8,11 @@ import sys
 import pytest
 
 from abductor.core import (TRIVIALLY_NO, AbductionInstance, Explanation, Formula, Relation,
-                           formula, is_explanation, preprocess)
+                           formula, hyp_mask, is_explanation, preprocess)
 from abductor import langlib
 from abductor.langlib import one_in_k
 from abductor.reductions import CnfFormula, abd2cnf_to_cnfsat
+from abductor import satenum
 from abductor.satenum import EnumStats, SimpleSatInstance, solve_simple_sat
 from abductor import solvers
 from abductor.solvers import (ENGINES, AbdResult, Engine, _oracle_sets, explained,
@@ -86,6 +87,8 @@ class TestInstanceFormat:
         ("abd 1\nvars 2\nrel A 1 0\nrel A 1 1\n", "duplicate"),
         ("abd 1\nvars 2\nrel A 2 01\ncon A 1\n", "scope length"),
         ("abd 1\nvars 1\nhyp 5\n", "out of range"),
+        ("abd 1\nvars 2 7\n", "line 2: 'vars' takes 1 field, got 2"),
+        ("abd 1\nvars 2\nrel R 2 01 10\n", "line 3: 'rel' takes 2 or 3 fields, got 4"),
     ])
     def test_parse_errors(self, text, msg):
         with pytest.raises(io.ParseError) as err:
@@ -168,15 +171,37 @@ class TestVerifySweeps:
 
         def counted(inst, lits):
             checks.append(lits)
-            return is_explanation(inst, lits)
+            return solvers.oracle_explains(inst, lits)
 
         monkeypatch.setattr(verify, "ENGINES", (Engine("bad-one", "abd", "one", solve),
                                                 Engine("bad-two", "abd", "two", solve)))
-        monkeypatch.setattr(verify, "is_explanation", counted)
+        monkeypatch.setattr(verify, "oracle_explains", counted)
         fails = verify.check_solvers(inst)
         assert [f.kind for f in fails] == ["bad-one", "bad-two"]
         assert all("is not an explanation" in f.detail for f in fails)
         assert checks == [bad]
+
+    def test_a_bad_witness_is_found_when_decide_is_wrong(self, monkeypatch):
+        """The witness check does not run the search that the sweep judges:
+        with a decide that calls every check of a negated manifestation
+        unsatisfiable, is_explanation accepts {3, 5}, and the sweep still
+        finds it bad."""
+        inst = generators.gen_xsat(5, 2)
+        witness = frozenset({3, 5})
+        assert solvers.oracle_abd(inst).answer and not is_explanation(inst, witness)
+        decide, man = satenum.decide, hyp_mask(inst.manifestations)
+
+        def wrong(kb, pos=0, neg=0):
+            return not neg & man and decide(kb, pos, neg)
+
+        def solve(inst):
+            return AbdResult(True, Explanation(witness), EnumStats(), "stub")
+
+        monkeypatch.setattr(satenum, "decide", wrong)
+        assert is_explanation(inst, witness)
+        monkeypatch.setattr(verify, "ENGINES", (Engine("stub", "abd", "stub", solve),))
+        assert [(f.kind, f.detail) for f in verify.check_solvers(inst)] == [
+            ("stub", "witness [3, 5] is not an explanation")]
 
     def test_a_yes_without_a_witness_is_a_finding(self, monkeypatch):
         inst = example1_instance()
