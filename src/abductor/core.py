@@ -31,9 +31,18 @@ lives for one solver call).
 A SAT call asks KB ∧ E or KB ∧ E ∧ ¬m as sat(KB, pos, neg) on a KB compiled
 once by satenum.compile_kb, with E as the variable-bit masks of its positive
 and negated literals (literal_masks converts a literal list); entails asks
-sat(kb, pos, neg | bit(m)) per manifestation m.  Formula is a plain frozen
-dataclass and stores nothing: no engine state and no derived fact hangs off
-it.
+sat(kb, pos, neg | bit(m)) per manifestation m.
+
+A Formula is a frozen dataclass that computes four structure facts on
+construction, in its scope-validation loop, and keeps them outside eq, hash
+and fields: its hash, hash((num_vars, constraints)) as a frozen dataclass
+computes it; used_vars(), a frozenset; per constraint i its scope mask
+_smasks[i], the OR of its scope's variable bits; and per variable v the
+bitmask _occbits[v] of the constraints whose scope holds v (_occbits[0] is
+0).  Every engine on the same formula reads these instead of rebuilding
+them, and a brute_models cache lookup hashes no constraint.  They are facts
+of the formula, not engine state: no engine stores anything on a formula,
+and every search's memos, cube and conflict live in its own compiled KB.
 
 A Relation carries the facts derived from its codes, each computed at most
 once and kept outside eq, hash and fields: clause_signs, its sign pattern
@@ -53,7 +62,7 @@ these columns, and CnfFormula.satisfiable ANDs the OR of each clause's
 literal columns.
 
 preprocess returns an instance that is already normalised (H ∪ M ⊆ var(KB))
-as it is, the same object, after one used_vars scan.
+as it is, the same object, after two subset tests against used_vars().
 """
 
 from __future__ import annotations
@@ -317,22 +326,36 @@ class Formula:
         n = self.num_vars
         if n < 0:
             raise StructureError("num_vars must be non-negative")
+        # the structure facts (see the module docstring), with the scope checks
+        used: set[int] = set()
+        smasks = []
+        occbits = [0] * (n + 1)
+        cbit = 1
         for con in self.constraints:
-            if con.scope and max(con.scope) > n:
-                raise StructureError(f"scope {con.scope} exceeds num_vars={n}")
+            scope = con.scope
+            if scope and max(scope) > n:
+                raise StructureError(f"scope {scope} exceeds num_vars={n}")
+            used.update(scope)
+            smask = 0
+            for v in scope:
+                smask |= 1 << (v - 1)
+                occbits[v] |= cbit
+            smasks.append(smask)
+            cbit <<= 1
+        object.__setattr__(self, "_used", frozenset(used))
+        object.__setattr__(self, "_smasks", tuple(smasks))
+        object.__setattr__(self, "_occbits", tuple(occbits))
+        object.__setattr__(self, "_hash", hash((n, self.constraints)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def used_vars(self) -> frozenset[int]:
-        out: set[int] = set()
-        for con in self.constraints:
-            out.update(con.scope)
-        return frozenset(out)
+        return self._used
 
     def relations(self) -> list[Relation]:
-        seen: list[Relation] = []
-        for con in self.constraints:
-            if con.relation not in seen:
-                seen.append(con.relation)
-        return seen
+        """The distinct relations, in order of first occurrence."""
+        return list(dict.fromkeys(con.relation for con in self.constraints))
 
 
 def formula(num_vars: int, cons: Iterable[tuple[Relation, Iterable[int]]]) -> Formula:

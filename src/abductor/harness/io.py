@@ -98,6 +98,7 @@ def parse_text(text: str) -> AbductionInstance:
     cons: list[Constraint] = []
     hyp: set[int] = set()
     man: set[int] = set()
+    first: dict[int, int] = {}  # each H/M variable's first hyp/man line
     saw_header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -140,10 +141,11 @@ def parse_text(text: str) -> AbductionInstance:
                 if any(not 1 <= v <= (num_vars or 0) for v in scope):
                     raise ParseError(lineno, "scope variable out of range")
                 cons.append(Constraint(rel, scope))
-            elif kind == "hyp":
-                hyp.update(int(v) for v in fields[1:])
-            elif kind == "man":
-                man.update(int(v) for v in fields[1:])
+            elif kind in ("hyp", "man"):
+                vs = [int(v) for v in fields[1:]]
+                (hyp if kind == "hyp" else man).update(vs)
+                for v in vs:
+                    first.setdefault(v, lineno)
             else:
                 raise ParseError(lineno, f"unknown directive '{kind}'")
         except ParseError:
@@ -152,9 +154,9 @@ def parse_text(text: str) -> AbductionInstance:
             raise ParseError(lineno, str(exc)) from exc
     if num_vars is None:
         raise ParseError(0, "missing 'vars' line")
-    bad = [v for v in hyp | man if not 1 <= v <= num_vars]
+    bad = sorted(v for v in first if not 1 <= v <= num_vars)
     if bad:
-        raise ParseError(0, f"H/M variables out of range: {sorted(bad)}")
+        raise ParseError(min(first[v] for v in bad), f"H/M variables out of range: {bad}")
     return AbductionInstance(Formula(num_vars, tuple(cons)), frozenset(hyp), frozenset(man))
 
 

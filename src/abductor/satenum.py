@@ -26,7 +26,8 @@ values (want), gathered from the masks through the variables' bits; the memo
 keeps the table's entry, so it outlives the table's clears.  The entry also
 classifies the restriction as empty, full, a unit or open, so a check builds
 no dict and no scope.  A variable's occurrences (the constraints whose scope
-holds it), built once per search, and every set of touched constraints are
+holds it), which the Formula computes once on construction with each
+constraint's scope mask (core), and every set of touched constraints are
 bitmasks over constraint numbers, so a child is its masks, its parent's live
 bitmask and the bitmask of the constraints its branch touches, with nothing
 copied; a node checks only the live constraints touched since the last check
@@ -75,6 +76,7 @@ while leaves may exceed branch_nodes).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Iterable, Iterator
@@ -119,14 +121,26 @@ class ModelStream(Iterator[int]):
         return next(self._it)
 
 
+@functools.lru_cache(maxsize=64)
+def _vbits(n: int) -> tuple[int, ...]:
+    """The bit 1 << (v-1) of every variable v in 1..n, at index v: one
+    tuple per n, shared by every search over n variables."""
+    return (0,) + tuple([1 << v for v in range(n)])
+
+
 class _Search:
     """A formula compiled for the search: its constraints as (code set,
-    scope) pairs, and per variable v its bit 1 << (v-1) and occbits[v], the
-    bitmask of the constraints whose scope holds v.
+    scope) pairs, each variable v's bit vbits[v] = 1 << (v-1), shared by
+    every search over n variables, and the structure facts the Formula
+    computed on construction (core), read and never rebuilt: per variable v
+    the bitmask occbits[v] of the constraints whose scope holds v, and per
+    constraint i its scope mask smasks[i], the OR of its scope's variable
+    bits.  sparse_enumerate's constraints are minors over the same variable
+    sets, so the masks hold for them too.
 
-    Per constraint i it also keeps the scope mask smasks[i], the OR of its
-    scope's variable bits, and the memo memos[i] of the restriction entries
-    read so far, keyed by a << n | vmask & a with a = amask & smasks[i]
+    A search builds only its per-call state, fresh on every compile.  Per
+    constraint i it keeps the memo memos[i] of the restriction entries read
+    so far, keyed by a << n | vmask & a with a = amask & smasks[i]
     (injective, since vmask is a submask of amask in every node).  A check is
     one memo lookup; core's restriction table is the miss path.  A memo holds
     at most 3^k' keys, k' the number of distinct variables of the scope, and
@@ -142,24 +156,19 @@ class _Search:
     __slots__ = ("cons", "n", "vbits", "occbits", "smasks", "memos", "cube", "start",
                  "conflict")
 
-    def __init__(self, cons: list[tuple[frozenset[int], tuple[int, ...]]], n: int) -> None:
+    def __init__(self, phi: Formula, cons: list[tuple[frozenset[int], tuple[int, ...]]]) -> None:
         self.cons = cons
-        self.n = n
-        self.vbits = vbits = [0] + [1 << v for v in range(n)]
-        self.occbits = [0] * (n + 1)
-        self.smasks = [0] * len(cons)
+        self.n = phi.num_vars
+        self.vbits = _vbits(phi.num_vars)
+        self.occbits = phi._occbits
+        self.smasks = phi._smasks
         self.memos: list[dict[int, tuple]] = [{} for _ in cons]
         self.cube: tuple[int, int] | None = None
         self.conflict: int | None = None
-        for i, (_, scope) in enumerate(cons):
-            for v in set(scope):
-                self.occbits[v] |= 1 << i
-                self.smasks[i] |= vbits[v]
 
     @classmethod
     def of(cls, phi: Formula) -> "_Search":
-        return cls([(c.relation._codeset, c.scope) for c in phi.constraints],
-                   phi.num_vars)
+        return cls(phi, [(c.relation._codeset, c.scope) for c in phi.constraints])
 
     def root(self) -> tuple:
         """The unchecked root node: every constraint touched and live."""
@@ -437,7 +446,7 @@ def sparse_enumerate(phi: Formula, lang: ConstraintLanguage, r0: int = 1) -> Mod
                 "identification minor escapes the language; it is not branching-closed")
         start.append((rel._codeset, tuple(first)))
     stats = EnumStats()
-    search = _Search(start, phi.num_vars)
+    search = _Search(phi, start)
     return ModelStream(_models(search, search.root(), stats, tuples=True), stats,
                        UNORDERED)
 

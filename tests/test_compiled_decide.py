@@ -198,9 +198,12 @@ class TestCompiledDecide:
         assert decide(compiled, *literal_masks([-1, 3]))
         assert searches and all(s is compiled for s in searches)
 
-    def test_public_formula_stores_nothing(self):
+    def test_no_engine_stores_anything_on_a_formula(self):
+        """A formula holds its two fields and the structure facts it built on
+        construction, and no engine adds, replaces or drops any of them."""
         kb = formula(3, [(one_in_k(2), (1, 2))])
         public = Formula(3, kb.constraints + units([1, -2, 3]))
+        snapshots = {id(phi): dict(vars(phi)) for phi in (kb, public)}
         assert [f.name for f in dataclasses.fields(Formula)] == ["num_vars", "constraints"]
         assert decide(compile_kb(public))
         assert decide(compile_kb(kb), *literal_masks([1, -2, 3]))
@@ -209,7 +212,11 @@ class TestCompiledDecide:
             if engine.applies is None or engine.applies(inst):
                 engine.run(inst)
         for phi in (kb, public):
-            assert vars(phi) == {"num_vars": 3, "constraints": phi.constraints}
+            before = snapshots[id(phi)]
+            assert set(before) == {"num_vars", "constraints", "_used", "_smasks",
+                                   "_occbits", "_hash"}
+            assert vars(phi).keys() == before.keys()
+            assert all(vars(phi)[key] is value for key, value in before.items())
 
     def test_a_cube_hit_does_not_search(self, monkeypatch):
         kb = positive_chain()

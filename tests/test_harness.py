@@ -87,6 +87,9 @@ class TestInstanceFormat:
         ("abd 1\nvars 2\nrel A 1 0\nrel A 1 1\n", "duplicate"),
         ("abd 1\nvars 2\nrel A 2 01\ncon A 1\n", "scope length"),
         ("abd 1\nvars 1\nhyp 5\n", "out of range"),
+        ("abd 1\nvars 1\nhyp 5\n", "line 3: H/M variables out of range: [5]"),
+        ("abd 1\nhyp 1\nman 7 1\nvars 2\nhyp 3\n", "line 3: H/M variables out of range: [3, 7]"),
+        ("abd 1\nvars 2\nman 1\n\nman 2 0\n", "line 5: H/M variables out of range: [0]"),
         ("abd 1\nvars 2 7\n", "line 2: 'vars' takes 1 field, got 2"),
         ("abd 1\nvars 2\nrel R 2 01 10\n", "line 3: 'rel' takes 2 or 3 fields, got 4"),
     ])

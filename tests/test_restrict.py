@@ -12,7 +12,8 @@ import itertools
 import pytest
 
 from abductor import core
-from abductor.core import EMPTY, FULL, OPEN, UNIT, encode_tuple, restrict, submasks
+from abductor.core import (EMPTY, FULL, OPEN, UNIT, Constraint, Formula, Relation,
+                           encode_tuple, restrict, submasks)
 from abductor.langlib import (aff, branching_closure, clause_relation, imp,
                               language, nae, xsat_family)
 from abductor.satenum import _Search
@@ -81,13 +82,19 @@ def _kind(codes, keep):
     return UNIT if len(keep) == 1 else OPEN
 
 
+def _single(rel, scope):
+    """The search of the one-constraint formula rel(scope) over max(SCOPE)
+    variables."""
+    return _Search.of(Formula(max(SCOPE), (Constraint(rel, scope),)))
+
+
 def _mask_sweep():
     """Look every relation up, under every partial assignment of its scope's
     variables, through the search's (amask, vmask) gather."""
     checked = 0
     for rel in RELATIONS:
         for scope in [SCOPE[:rel.arity]] + REPEATED.get(rel.arity, []):
-            search = _Search([(rel._codeset, scope)], max(SCOPE))
+            search = _single(rel, scope)
             vs = sorted(set(scope))
             for signs in itertools.product((None, 0, 1), repeat=len(vs)):
                 values = {v: b for v, b in zip(vs, signs) if b is not None}
@@ -158,8 +165,8 @@ def test_mask_lookups_match_restrict_after_forced_clears(cold_table, monkeypatch
 
 
 def test_repeated_variable_fixes_both_positions(cold_table):
-    codes = frozenset({0b011, 0b100})  # x1 = x2 = not x3
-    search = _Search([(codes, (5, 5, 2))], 5)
+    rel = Relation(3, (0b011, 0b100))  # x1 = x2 = not x3
+    search = _Search.of(Formula(5, (Constraint(rel, (5, 5, 2)),)))
     # v5 = 1 fixes positions 0 and 1 and forces v2 = 0
     assert search.entry(0, 1 << 4, 1 << 4) == (frozenset({0}), (2,), UNIT)
     assert search.entry(0, 1 << 4, 0) == (frozenset({1}), (2,), UNIT)
@@ -171,7 +178,7 @@ def test_repeated_variable_fixes_both_positions(cold_table):
 def _searches():
     """One single-constraint search per relation and scope, repeated scope
     variables included."""
-    return [(rel, scope, _Search([(rel._codeset, scope)], max(SCOPE)))
+    return [(rel, scope, _single(rel, scope))
             for rel in RELATIONS for scope in [SCOPE[:rel.arity]] + REPEATED.get(rel.arity, [])]
 
 

@@ -13,6 +13,8 @@ tuple rule reuse its branch plans under other parent values.  On instances
 over the same formulas, every solver verify.check_solvers runs agrees with
 the brute-force oracle.  Derandomized, so tier-1 stays deterministic."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,9 +23,11 @@ from abductor import core
 from abductor.core import (BOT, FALSE0, TOP, TRUE0, AbductionInstance,
                            Constraint, Formula, Relation, columns, entails,
                            formula, literal_masks, table_models, truth_table)
-from abductor.langlib import aff, branching_closure, xsat_family
+from abductor.langlib import aff, branching_closure, clause_relation, xsat_family
 from abductor.harness import verify
-from abductor.satenum import compile_kb, decide, enumerate_models, sparse_enumerate
+from abductor.reductions import IMP_REL
+from abductor.satenum import (_Search, compile_kb, decide, enumerate_models,
+                              sparse_enumerate)
 
 XSAT_LANG = branching_closure(xsat_family(3))
 XSAT_RELATIONS = list(XSAT_LANG)
@@ -276,10 +280,10 @@ class TestSearchProperties:
 
 
 @st.composite
-def instances(draw) -> AbductionInstance:
+def instances(draw, kbs=formulas()) -> AbductionInstance:
     """H and M drawn independently, so they overlap, and may hold variables
     outside var(KB)."""
-    kb = draw(formulas())
+    kb = draw(kbs)
     var_sets = st.frozensets(st.integers(1, kb.num_vars)) if kb.num_vars else st.just(frozenset())
     return AbductionInstance(kb, draw(var_sets), draw(var_sets))
 
@@ -288,3 +292,50 @@ def instances(draw) -> AbductionInstance:
 @given(instances())
 def test_every_solver_agrees_with_the_oracle(inst):
     assert [(f.kind, f.detail) for f in verify.check_solvers(inst)] == []
+
+
+# clause relations of arity 1..3 and the implication: KBs on which the CNF
+# reductions of verify.check_reductions apply
+CNF_RELATIONS = [clause_relation(signs) for k in (1, 2, 3)
+                 for signs in itertools.product((0, 1), repeat=k)] + [IMP_REL]
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.one_of(instances(), instances(formulas(rels=st.sampled_from(CNF_RELATIONS)))))
+def test_every_reduction_preserves_the_oracle_answers(inst):
+    fails, _logged = verify.check_reductions(inst)
+    assert [(f.kind, f.detail) for f in fails] == []
+
+
+class TestFormulaFacts:
+    """The structure facts a Formula computes on construction are their
+    definitions over its constraints, and the search reads them as they are."""
+
+    @PROPERTY
+    @given(formulas())
+    def test_facts_are_their_definitions(self, phi):
+        n, cons = phi.num_vars, phi.constraints
+        assert phi.used_vars() == frozenset(v for con in cons for v in con.scope)
+        assert phi._smasks == tuple(sum(1 << (v - 1) for v in set(con.scope)) for con in cons)
+        assert phi._occbits == tuple(sum(1 << i for i, con in enumerate(cons) if v in con.scope)
+                                     for v in range(n + 1))
+        assert hash(phi) == hash((n, cons))
+        # the distinct relations in order of first occurrence, the first object kept
+        seen = []
+        for con in cons:
+            if con.relation not in seen:
+                seen.append(con.relation)
+        got = phi.relations()
+        assert got == seen and all(a is b for a, b in zip(got, seen))
+        search = _Search.of(phi)
+        assert search.smasks is phi._smasks and search.occbits is phi._occbits
+        assert search.vbits == tuple([0] + [1 << v for v in range(n)])
+
+    @PROPERTY
+    @given(formulas())
+    def test_a_rebuilt_formula_is_equal_and_hashes_equal(self, phi):
+        twin = Formula(phi.num_vars, [Constraint(Relation(c.relation.arity, c.relation.codes),
+                                                 list(c.scope)) for c in phi.constraints])
+        assert twin is not phi and twin == phi and hash(twin) == hash(phi)
+        assert (twin.used_vars(), twin._smasks, twin._occbits) == (
+            phi.used_vars(), phi._smasks, phi._occbits)
