@@ -11,7 +11,11 @@ touches, the search's bitmask walk, are those whose scope meets the set.
 Formulas over the parity closure that hold an arity-3 constraint make the
 tuple rule reuse its branch plans under other parent values.  On instances
 over the same formulas, every solver verify.check_solvers runs agrees with
-the brute-force oracle.  Derandomized, so tier-1 stays deterministic."""
+the brute-force oracle, and every instance reduction verify.check_reductions
+runs preserves the oracle answers, there and on KBs of clauses and
+implications.  The structure facts a Formula computes
+on construction equal their definitions over its constraints, and are the
+masks the search reads.  Derandomized, so tier-1 stays deterministic."""
 
 import itertools
 
