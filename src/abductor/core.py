@@ -4,18 +4,19 @@ Variables are dense 1-based integers; an assignment is an int whose bit v-1
 holds the value of variable v.  Literals are signed ints (+v / -v), and a
 relation stores its tuples as sorted bit-encoded codes (coordinate i of a
 tuple maps to bit i-1), so relation equality and set algebra are exact.
-encode_tuple, decode_tuple, gather, restrict and submasks are the one place
-that packs, unpacks, restricts and walks these codes.
+encode_tuple, decode_tuple, gather, restriction and submasks are the one
+place that packs, unpacks, gathers, restricts and walks these codes.
 
 The restriction table is core's one bounded memo table.  It maps (codes,
 arity, fixed positions, their values) to the restricted codes, the kept
 positions and the classification of the result: EMPTY, FULL, UNIT (one kept
 position, forced to the value of the one code left) or OPEN.  A search meets
 the same few hundred patterns again and again, so each is filtered tuple by
-tuple once.  restriction reads an entry by its key, as satenum's search does
-with the fixed positions gathered from a node's masks on a miss of its
-per-constraint memo; restrict is the same lookup keyed by a scope and a
-{variable: value} map.  The same table holds langlib's shared relations
+tuple once.  restriction, the table's one entry point, takes a code
+frozenset, a scope and the masks of the assigned variables and of their
+values, and gathers the fixed positions itself.  satenum's search calls it
+on a miss of its per-constraint memo and langlib.substitute over the scope
+1..arity, so one restriction is one entry.  The same table holds langlib's shared relations
 under ("CL", signs, name) and ("NAE", signs): shared(key, build, *args)
 returns the Relation held under key, or builds and enters it, so
 clause_relation and nae build one Relation per key.  The keys of the two
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator
 
 Assignment = int
 Literal = int
@@ -154,15 +155,25 @@ def _restrict_codes(codes: Iterable[int], arity: int, hit: int,
     return frozenset(out), keep, kind
 
 
-def restriction(codes: frozenset[int] | tuple[int, ...], arity: int, hit: int,
-                want: int) -> tuple[frozenset[int], tuple[int, ...], int]:
-    """The table entry of a constraint over `codes` whose positions in the
-    mask `hit` are fixed to the bits of `want`: (restricted codes, kept
-    positions, EMPTY/FULL/UNIT/OPEN)."""
-    key = (codes, arity, hit, want)
+def restriction(codes: frozenset[int], scope: tuple[int, ...], amask: int,
+                vmask: int) -> tuple[frozenset[int], tuple[int, ...], int]:
+    """The table entry of a constraint over `codes` and `scope` under the
+    masks of the assigned variables and of their values: (restricted codes,
+    kept positions, EMPTY/FULL/UNIT/OPEN), keyed by the positions the masks
+    set (hit) and their values (want)."""
+    hit = want = 0
+    p = 1
+    for v in scope:
+        b = 1 << (v - 1)
+        if amask & b:
+            hit |= p
+            if vmask & b:
+                want |= p
+        p <<= 1
+    key = (codes, len(scope), hit, want)
     entry = _restrict_table.get(key)
     if entry is None:
-        entry = _restrict_codes(codes, arity, hit, want)
+        entry = _restrict_codes(codes, len(scope), hit, want)
         _enter(key, entry, len(entry[0]))
     return entry
 
@@ -175,22 +186,6 @@ def shared(key: tuple, build: Callable[..., Relation], *args: Any) -> Relation:
         rel = build(*args)
         _enter(key, rel, len(rel.codes))
     return rel
-
-
-def restrict(codes: frozenset[int] | tuple[int, ...], scope: tuple[int, ...],
-             values: Mapping[int, int]) -> tuple[frozenset[int], tuple[int, ...]]:
-    """Restrict a constraint to the values of its variables set in `values`
-    and project those variables away, through the restriction table."""
-    hit = want = 0
-    bit = 1
-    for v in scope:
-        if v in values:
-            hit |= bit
-            if values[v]:
-                want |= bit
-        bit <<= 1
-    out, keep, _ = restriction(codes, len(scope), hit, want)
-    return out, tuple([scope[i] for i in keep])
 
 
 def hyp_mask(variables: Iterable[int]) -> int:

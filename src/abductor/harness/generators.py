@@ -93,6 +93,7 @@ def gen_xsat(n: int, seed: int) -> AbductionInstance:
 
 def gen_xsat_disjoint(n: int, seed: int) -> AbductionInstance:
     """Disjoint-scope exactly-one blocks only (the scaling benchmark family)."""
+    _at_least("xsat-random instances", "n", n, 1)
     rng = _rng("xsatd", n, seed)
     cons = [Constraint(one_in_k(len(b)), tuple(b)) for b in _blocks(rng, n, (2, 2, 3))]
     hyp, man = _pick_hm(rng, n)

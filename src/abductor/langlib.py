@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (Relation, StructureError, decode_tuple, encode_tuple, gather,
-                   restrict, shared)
+                   restriction, shared)
 
 
 class LanguageError(ValueError):
@@ -47,14 +47,17 @@ def language(rels: Iterable[Relation]) -> ConstraintLanguage:
 # ---------------------------------------------------------------------------
 
 def substitute(rel: Relation, f: Mapping[int, int]) -> Relation:
-    """Fix coordinates per f (1-based position -> 0/1) and project them away."""
+    """Fix coordinates per f (1-based position -> 0/1) and project them away:
+    the restriction table's entry over the scope 1..arity."""
+    amask = vmask = 0
     for pos, val in f.items():
         if not (1 <= pos <= rel.arity):
             raise StructureError(f"substitution position {pos} outside 1..{rel.arity}")
         if val not in (0, 1):
             raise StructureError("substitution values must be 0/1")
-    # the positions 1..arity act as the relation's scope
-    codes, _ = restrict(rel.codes, tuple(range(1, rel.arity + 1)), f)
+        amask |= 1 << (pos - 1)
+        vmask |= val << (pos - 1)
+    codes, _, _ = restriction(rel._codeset, tuple(range(1, rel.arity + 1)), amask, vmask)
     return Relation(rel.arity - len(f), tuple(sorted(codes)))
 
 
@@ -145,7 +148,7 @@ def check_sparsity(lang: ConstraintLanguage, c: float, r0: int) -> SparsityCerti
     if r0 < 1:
         raise LanguageError("r0 must be >= 1")
     top = lang.max_arity()
-    for rel in sorted(lang.relations, key=lambda r: (r.arity, r.codes)):
+    for rel in lang:
         if rel.arity >= r0 and not rel.is_trivial and len(rel) > c ** rel.arity:
             return rel
     return SparsityCertificate(c, r0, top)
@@ -199,7 +202,7 @@ def derive_inequality(lang: ConstraintLanguage) -> InequalityGadget:
     """
     if not invariant(lang, NEGATION):
         raise LanguageError("language is not complement-invariant")
-    for rel in sorted(lang.relations, key=lambda r: (r.arity, r.codes)):
+    for rel in lang:
         full = (1 << rel.arity) - 1
         if rel.is_empty or rel.arity == 0 or 0 in rel or full in rel:
             continue

@@ -20,9 +20,8 @@ consumed (as a unit or as a branched tuple).  A constraint is never stored
 restricted: a check of constraint i is one lookup in the search's memo for i,
 keyed by the node's masks under i's scope mask (the OR of its scope's
 variable bits).  The memo's miss path is core's one restriction table
-(bounded by core._RESTRICT_TABLE_CODES), keyed by the constraint's code set,
-its arity and the positions of its scope the node sets (hit) with their
-values (want), gathered from the masks through the variables' bits; the memo
+(bounded by core._RESTRICT_TABLE_CODES), read through core.restriction
+with the constraint's code set, its scope and the node's masks; the memo
 keeps the table's entry, so it outlives the table's clears.  The entry also
 classifies the restriction as empty, full, a unit or open, so a check builds
 no dict and no scope.  A variable's occurrences (the constraints whose scope
@@ -81,8 +80,8 @@ from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Iterable, Iterator
 
-from .core import (EMPTY, OPEN, UNIT, Formula, StructureError, hyp_mask,
-                   restriction, submasks)
+from .core import (EMPTY, OPEN, UNIT, Formula, StructureError, decode_tuple,
+                   hyp_mask, restriction, submasks)
 from .langlib import ConstraintLanguage, minor
 
 
@@ -142,9 +141,9 @@ class _Search:
     constraint i it keeps the memo memos[i] of the restriction entries read
     so far, keyed by a << n | vmask & a with a = amask & smasks[i]
     (injective, since vmask is a submask of amask in every node).  A check is
-    one memo lookup; core's restriction table is the miss path.  A memo holds
-    at most 3^k' keys, k' the number of distinct variables of the scope, and
-    lives as long as the search.
+    one memo lookup; core.restriction, under the node's masks, is the miss
+    path.  A memo holds at most 3^k' keys, k' the number of distinct
+    variables of the scope, and lives as long as the search.
 
     A KB compiled by compile_kb also holds start, its checked root
     (amask, vmask, live), or None on a conflict, and cube: None, or the
@@ -177,25 +176,14 @@ class _Search:
 
     def entry(self, i: int, amask: int, vmask: int):
         """Constraint i's restriction-table entry under the masks: its memo's,
-        or on a miss the table's, keyed by the positions of its scope the
-        masks set (hit) and their values (want)."""
+        or on a miss core.restriction's."""
         a = amask & self.smasks[i]
         key = a << self.n | vmask & a
         memo = self.memos[i]
         entry = memo.get(key)
         if entry is None:
             codes, scope = self.cons[i]
-            hit = want = 0
-            p = 1
-            vbits = self.vbits
-            for v in scope:
-                b = vbits[v]
-                if amask & b:
-                    hit |= p
-                    if vmask & b:
-                        want |= p
-                p <<= 1
-            entry = memo[key] = restriction(codes, len(scope), hit, want)
+            entry = memo[key] = restriction(codes, scope, amask, vmask)
         return entry
 
     def touched(self, bits: int) -> int:
@@ -331,7 +319,7 @@ def _search(search: _Search, root, stats: EnumStats, tuples: bool = False,
                     if plan is None:
                         out, keep, _ = memos[pick][pkey]
                         bits = [vbits[cons[pick][1][j]] for j in keep]
-                        offs = [sum(b for j, b in enumerate(bits) if code >> j & 1)
+                        offs = [sum(b for b, x in zip(bits, decode_tuple(code, len(bits))) if x)
                                 for code in sorted(out)]
                         plan = plans[pick, pkey] = sum(bits), search.touched(sum(bits)), offs
                     kept, touched, offs = plan

@@ -533,6 +533,14 @@ class TestCli:
         assert not captured.out
         assert captured.err.splitlines() == ["error: seeds must be >= 1, got 0"]
 
+    def test_bench_rejects_a_grid_below_the_family_minimum(self, capsys):
+        """xsat-random checks n before its first draw: one error line that
+        names n and its bound, and exit 2."""
+        assert self.run("bench", "--family", "xsat-random", "--grid=-4:0") == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.splitlines() == ["error: xsat-random instances need n >= 1, got -4"]
+
     @pytest.mark.parametrize("grid", ["4:12:0", "a:b", "4", "4:8:2:1", "4:x:2", ""])
     def test_bench_rejects_a_malformed_grid(self, grid, capsys):
         assert self.run("bench", "--family", "xsat-chain", "--grid", grid) == 2
@@ -560,6 +568,17 @@ class TestCli:
                         "--max-n", "7")
         out = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert code == 0 and out["ok"] is True
+
+    def test_verify_smoke_sweep_summary(self, tmp_path, capsys, monkeypatch):
+        """The sweep smoke: 120 instances, no failure, and 9 disagreements
+        of the clause-merging 2-CNF -> CNF-SAT reduction, logged only."""
+        monkeypatch.chdir(tmp_path)
+        code = self.run("verify", "--suite", "random", "--per-family", "20",
+                        "--max-n", "10", "--seed", "0")
+        assert code == 0
+        assert capsys.readouterr().out == (
+            '{"failures": 0, "instances": 120, "logged_disagreements": 9, '
+            '"ok": true, "suite": "random"}\n')
 
     def test_verify_dumps_a_finding(self, tmp_path, capsys, monkeypatch):
         def broken(inst):

@@ -410,11 +410,11 @@ class TestSharedRelations:
         monkeypatch.setattr(core, "_RESTRICT_TABLE_CODES", 20)
         rels = [clause_relation(signs) for signs in SIGNS[-3:]]  # 3 x (7 codes + 1)
         assert _held() == core._restrict_table_held == 24
-        entry = restriction(rels[0].codes, 3, 0b001, 0)  # 4 codes + 1
+        entry = restriction(rels[0]._codeset, (1, 2, 3), 0b001, 0)  # 4 codes + 1
         assert list(cold_relations.values()) == [entry]
         assert _held() == core._restrict_table_held == 5
         assert clause_relation(SIGNS[-3]) is not rels[0]  # held 13
-        restriction(rels[0].codes, 3, 0, 0)  # 7 codes + 1: held 21
+        restriction(rels[0]._codeset, (1, 2, 3), 0, 0)  # 7 codes + 1: held 21
         rel = clause_relation(SIGNS[-2])
         assert list(cold_relations.values()) == [rel] and rel is not rels[1]
         assert _held() == core._restrict_table_held == 8

@@ -1,11 +1,12 @@
-"""The restriction table behind core.restrict returns what a direct,
-uncached tuple-by-tuple restriction gives, on a cold table and after its
-bound has forced a clear.  The search reads the same table with the fixed
-positions gathered from a node's (amask, vmask); those lookups, and the
-classification each entry stores, must agree with restrict on the same
-assignment, repeated scope variables included.  So must the entries the
-search's per-constraint memo returns, cold or warm, when the variables
-outside the scope change and when the table has been cleared in between."""
+"""core.restriction, the restriction table's one entry point, returns what a
+direct, uncached tuple-by-tuple restriction gives, with the classification
+each entry stores, on a cold table and after its bound has forced a clear;
+so does langlib.substitute, which reads the same table.  The search's
+lookups from a node's (amask, vmask) must agree with the direct restriction
+on the same assignment, repeated scope variables included, and so must the
+entries the search's per-constraint memo returns, cold or warm, when the
+variables outside the scope change and when the table has been cleared in
+between.  One restriction is one table entry, whichever caller asks first."""
 
 import itertools
 
@@ -13,9 +14,9 @@ import pytest
 
 from abductor import core
 from abductor.core import (EMPTY, FULL, OPEN, UNIT, Constraint, Formula, Relation,
-                           encode_tuple, restrict, submasks)
+                           encode_tuple, restriction, submasks)
 from abductor.langlib import (aff, branching_closure, clause_relation, imp,
-                              language, nae, xsat_family)
+                              language, nae, one_in_k, substitute, xsat_family)
 from abductor.satenum import _Search
 
 MAX_ARITY = 4
@@ -59,16 +60,28 @@ def _patterns(arity):
             yield hit, want
 
 
+def _masks(values):
+    """The variable-bit masks of the variables set in `values` and of those
+    set to 1."""
+    amask = sum(1 << (v - 1) for v in values)
+    vmask = sum(1 << (v - 1) for v, b in values.items() if b)
+    return amask, vmask
+
+
 def _sweep():
+    """Restrict every relation under every pattern, through restriction on
+    SCOPE and through substitute on the positions 1..arity."""
     checked = 0
     for rel in RELATIONS:
         scope = SCOPE[:rel.arity]
         for hit, want in _patterns(rel.arity):
             values = {v: (want >> i) & 1 for i, v in enumerate(scope) if hit >> i & 1}
-            want_out = _direct(rel, scope, values)
-            # the search passes the relation's code set, substitute its code tuple
-            assert restrict(rel._codeset, scope, values) == want_out, (rel, values)
-            assert restrict(rel.codes, scope, values) == want_out, (rel, values)
+            want_codes, want_kept = _direct(rel, scope, values)
+            codes, keep, kind = restriction(rel._codeset, scope, *_masks(values))
+            assert (codes, tuple(scope[i] for i in keep)) == (want_codes, want_kept), (rel, values)
+            assert kind == _kind(codes, keep), (rel, values)
+            f = {i + 1: (want >> i) & 1 for i in range(rel.arity) if hit >> i & 1}
+            assert substitute(rel, f) == Relation(len(keep), tuple(sorted(want_codes))), (rel, f)
             checked += 1
     return checked
 
@@ -90,7 +103,7 @@ def _single(rel, scope):
 
 def _mask_sweep():
     """Look every relation up, under every partial assignment of its scope's
-    variables, through the search's (amask, vmask) gather."""
+    variables, through the search's (amask, vmask) entry."""
     checked = 0
     for rel in RELATIONS:
         for scope in [SCOPE[:rel.arity]] + REPEATED.get(rel.arity, []):
@@ -98,11 +111,8 @@ def _mask_sweep():
             vs = sorted(set(scope))
             for signs in itertools.product((None, 0, 1), repeat=len(vs)):
                 values = {v: b for v, b in zip(vs, signs) if b is not None}
-                amask = sum(1 << (v - 1) for v in values)
-                vmask = sum(1 << (v - 1) for v, b in values.items() if b)
-                codes, keep, kind = search.entry(0, amask, vmask)
+                codes, keep, kind = search.entry(0, *_masks(values))
                 kept = tuple(scope[i] for i in keep)
-                assert (codes, kept) == restrict(rel._codeset, scope, values), (rel, scope, values)
                 assert (codes, kept) == _direct(rel, scope, values), (rel, scope, values)
                 assert kind == _kind(codes, keep), (rel, scope, values)
                 checked += 1
@@ -141,11 +151,19 @@ def test_table_matches_direct_restriction_after_forced_clears(cold_table, monkey
     _sweep()
 
 
-def test_kept_scope_follows_the_caller_scope(cold_table):
-    codes = clause_relation((0, 1, 0))._codeset  # forbids x1=0, x2=1, x3=0
-    assert restrict(codes, (2, 9, 4), {9: 1}) == (frozenset({1, 2, 3}), (2, 4))
-    assert restrict(codes, (5, 6, 7), {6: 1}) == (frozenset({1, 2, 3}), (5, 7))
-    assert restrict(codes, (5, 6, 7), {6: 0, 7: 1}) == (frozenset({0, 1}), (5,))
+def test_substitute_and_search_share_one_entry(cold_table):
+    """substitute and a search that fix the same positions to the same
+    values read one table entry, whichever asks first."""
+    rel = one_in_k(3)
+    assert substitute(rel, {1: 1}) == Relation(2, (0,))
+    search = _Search.of(Formula(7, (Constraint(rel, (4, 2, 7)),)))
+    entry = search.entry(0, 1 << 3, 1 << 3)  # v4 = 1: the scope's position 1
+    assert list(cold_table.values()) == [entry] and entry[:2] == (frozenset({0}), (1, 2))
+    # the other order, on a pattern neither has read yet
+    search.entry(0, 1 << 3, 0)  # v4 = 0
+    assert len(cold_table) == 2
+    assert substitute(rel, {1: 0}) == Relation(2, (0b01, 0b10))
+    assert len(cold_table) == 2
 
 
 def test_mask_lookups_match_restrict_on_a_cold_table(cold_table):
@@ -185,20 +203,18 @@ def _searches():
 def _memo_pass(searches, outside=0):
     """Look every partial assignment of each search's scope variables up
     through the search's memo, with the variables of the mask `outside` that
-    are not in the scope also set to 1; check each entry against restrict and
-    the direct restriction, and return the entries in lookup order."""
+    are not in the scope also set to 1; check each entry against the direct
+    restriction, and return the entries in lookup order."""
     entries = []
     for rel, scope, search in searches:
         vs = sorted(set(scope))
         others = outside & ~sum(1 << (v - 1) for v in vs)
         for signs in itertools.product((None, 0, 1), repeat=len(vs)):
             values = {v: b for v, b in zip(vs, signs) if b is not None}
-            amask = sum(1 << (v - 1) for v in values)
-            vmask = sum(1 << (v - 1) for v, b in values.items() if b)
+            amask, vmask = _masks(values)
             entry = search.entry(0, amask | others, vmask | others)
             codes, keep, kind = entry
             kept = tuple(scope[i] for i in keep)
-            assert (codes, kept) == restrict(rel._codeset, scope, values), (rel, scope, values)
             assert (codes, kept) == _direct(rel, scope, values), (rel, scope, values)
             assert kind == _kind(codes, keep), (rel, scope, values)
             entries.append(entry)
