@@ -374,15 +374,21 @@ class OracleCapError(ValueError):
 def columns(n: int) -> tuple[tuple[int, int], ...]:
     """The (complement, column) pair of every variable over the 2^n
     assignments: bit s of columns(n)[v-1][1] holds bit v-1 of assignment s,
-    and [0] is its complement.  The one place that allocates 2^n-bit tables,
-    so it enforces the oracle cap on n."""
+    and [0] is its complement.  A column is one period, 2^(v-1) zeros then
+    as many ones, doubled until it spans the 2^n assignments, so a column
+    costs at most n shifts and ORs.  The one place that allocates 2^n-bit
+    tables, so it enforces the oracle cap on n."""
     if n > ORACLE_MAX_VARS:
         raise OracleCapError(f"n={n} exceeds oracle cap {ORACLE_MAX_VARS}")
-    full = (1 << (1 << n)) - 1
+    size = 1 << n
+    full = (1 << size) - 1
     out = []
     for v in range(n):
         h = 1 << v  # runs of h zeros then h ones, repeated
-        col = (((1 << h) - 1) << h) * (full // ((1 << 2 * h) - 1))
+        col, width = ((1 << h) - 1) << h, 2 * h  # one period
+        while width < size:
+            col |= col << width
+            width *= 2
         out.append((full ^ col, col))
     return tuple(out)
 

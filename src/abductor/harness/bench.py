@@ -53,10 +53,14 @@ class BenchSweep:
         return "\n".join(lines) + "\n"
 
 
+def _check_fit_size(count: int) -> None:
+    if count < 5:
+        raise ValueError("need at least 5 grid points for a fit")
+
+
 def fit_base(points: list[tuple[int, float]]) -> tuple[float, float]:
     """Least-squares slope of log2(nodes) against n; returns (2^slope, rms)."""
-    if len(points) < 5:
-        raise ValueError("need at least 5 grid points for a fit")
+    _check_fit_size(len(points))
     xs = [float(n) for n, _ in points]
     ys = [math.log2(max(v, 1.0)) for _, v in points]
     xbar = sum(xs) / len(xs)
@@ -87,6 +91,7 @@ def _run_sparse_xsat(inst: AbductionInstance) -> int:
 def _nodes_xsat_chain(n: int, seed: int) -> int:
     if n % 2:
         raise ValueError("chain family needs even n")
+    generators._at_least("xsat-chain instances", "n", n, 0)
     return _run_sparse_xsat(generators.gen_xsat_chain(n // 2))
 
 
@@ -149,6 +154,7 @@ def run_bench(family: str, grid: list[int], seeds: int = 5) -> BenchSweep:
         raise ValueError(f"unknown bench family '{family}'")
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
+    _check_fit_size(len(grid))
     runner, randomized = BENCH_FAMILIES[family]
     points = []
     for n in grid:

@@ -55,10 +55,11 @@ Lecoutre, Saïs, Tabary & Vidal, AIJ 173(18), 2009), since every model of KB
 
 A satisfied node has live == 0: every constraint is full under its masks, or
 was consumed as a unit or a branched tuple whose values the masks hold, so
-every completion of its masks is a model.  The search yields the (amask,
-vmask) of each satisfied node, and decide reads the first; for enumeration, a
-node that sets every variable emits its vmask inline, and one with
-unconstrained variables streams their completions in increasing order.
+every completion of its masks is a model.  decide and compile_kb read the
+search's satisfied nodes, as (amask, vmask); enumerate_models and
+sparse_enumerate return the search itself, which emits the models from its
+loop: a satisfied node that sets every variable emits its vmask, and one
+with unconstrained variables their completions, in increasing order.
 
 solve_simple_sat keeps its own iterative branch-and-reduce procedure for
 positive-clause/negative-DNF instances with the (1,...,p) clause branching.
@@ -81,7 +82,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from .core import (EMPTY, OPEN, UNIT, Formula, StructureError, decode_tuple,
-                   hyp_mask, restriction, submasks)
+                   hyp_mask, restriction)
 from .langlib import ConstraintLanguage, minor
 
 
@@ -141,9 +142,11 @@ class _Search:
     constraint i it keeps the memo memos[i] of the restriction entries read
     so far, keyed by a << n | vmask & a with a = amask & smasks[i]
     (injective, since vmask is a submask of amask in every node).  A check is
-    one memo lookup; core.restriction, under the node's masks, is the miss
-    path.  A memo holds at most 3^k' keys, k' the number of distinct
-    variables of the scope, and lives as long as the search.
+    one memo lookup; on a miss, fill takes the key the check computed, reads
+    core.restriction under the node's masks and stores its entry.  entry is
+    the lookup for a caller that holds no key.  A memo holds at most 3^k'
+    keys, k' the number of distinct variables of the scope, and lives as
+    long as the search.
 
     A KB compiled by compile_kb also holds start, its checked root
     (amask, vmask, live), or None on a conflict, and cube: None, or the
@@ -176,14 +179,16 @@ class _Search:
 
     def entry(self, i: int, amask: int, vmask: int):
         """Constraint i's restriction-table entry under the masks: its memo's,
-        or on a miss core.restriction's."""
+        or on a miss fill's."""
         a = amask & self.smasks[i]
         key = a << self.n | vmask & a
-        memo = self.memos[i]
-        entry = memo.get(key)
-        if entry is None:
-            codes, scope = self.cons[i]
-            entry = memo[key] = restriction(codes, scope, amask, vmask)
+        return self.memos[i].get(key) or self.fill(i, key, amask, vmask)
+
+    def fill(self, i: int, key: int, amask: int, vmask: int):
+        """The miss path: core.restriction's entry for constraint i under the
+        masks, stored in its memo under `key`, which the caller computed."""
+        codes, scope = self.cons[i]
+        entry = self.memos[i][key] = restriction(codes, scope, amask, vmask)
         return entry
 
     def touched(self, bits: int) -> int:
@@ -199,10 +204,12 @@ class _Search:
 
 
 def _search(search: _Search, root, stats: EnumStats, tuples: bool = False,
-            root_only: bool = False) -> Iterator[tuple[int, ...]]:
+            root_only: bool = False, models: bool = False) -> Iterator:
     """Depth-first search with an explicit stack, streaming the (amask, vmask)
     of every satisfied node; with `root_only`, only the (amask, vmask, live)
-    of the checked root, unless it conflicts.
+    of the checked root, unless it conflicts; with `models`, the total
+    models: a satisfied node's vmask if it sets every variable, else every
+    completion of it on the unset variables, in increasing order.
 
     A node is three ints, the masks of the assigned variables and of their
     values and the live bitmask over constraint numbers, plus the bitmask of
@@ -234,20 +241,25 @@ def _search(search: _Search, root, stats: EnumStats, tuples: bool = False,
     branch is its parent's vmask OR an offset; the plans live as long as the
     call.  The search enters the first child directly and pushes the others
     in reverse, each as a stack entry: its masks, its parent's live bitmask
-    and branch variable, its depth and the constraints its branch touches.  The counters are locals,
-    written to `stats` before every yield and when the search ends, so
-    `stats` is exact whenever the stream is paused.
+    and branch variable, its depth and the constraints its branch touches.
+    A memo miss hands the key the check or the tuple rule computed to
+    search.fill.  The counters are locals, written to `stats` before every
+    yield and when the search ends, so `stats` is exact whenever the stream
+    is paused; a model is one leaf.  A node-mode caller may add leaves of
+    its own while the search is paused, and the search reads them back.
     """
     touched, amask, vmask, live = root
     units = not tuples
     cons, vbits, occbits = search.cons, search.vbits, search.occbits
     smasks, memos, n = search.smasks, search.memos, search.n
+    full = (1 << n) - 1
     phase = search.cube[1] if search.cube else 0
     plans = {}  # the tuple rule's branch plans
     var = 1
     depth = 0
     stack = []
-    nodes, max_depth, leaves = stats.branch_nodes, stats.max_depth, 0
+    nodes, max_depth, leaves = stats.branch_nodes, stats.max_depth, stats.leaves
+    emitted = stats.models_emitted
     try:
         while True:
             # the bits of the variables forced in this pass, and of those forced to 1
@@ -258,7 +270,8 @@ def _search(search: _Search, root, stats: EnumStats, tuples: bool = False,
                 cbit = 1 << i
                 t ^= cbit
                 a = amask & smasks[i]
-                out, keep, kind = memos[i].get(a << n | vmask & a) or search.entry(i, amask, vmask)
+                key = a << n | vmask & a
+                out, keep, kind = memos[i].get(key) or search.fill(i, key, amask, vmask)
                 if kind == OPEN:
                     continue
                 if kind == EMPTY:
@@ -311,7 +324,7 @@ def _search(search: _Search, root, stats: EnumStats, tuples: bool = False,
                         i = low.bit_length() - 1
                         a = amask & smasks[i]
                         key = a << n | vmask & a
-                        out, keep, _ = memos[i].get(key) or search.entry(i, amask, vmask)
+                        out, keep, _ = memos[i].get(key) or search.fill(i, key, amask, vmask)
                         base = len(out) ** (1.0 / len(keep))
                         if base < best:
                             best, pick, pkey = base, i, key
@@ -330,32 +343,31 @@ def _search(search: _Search, root, stats: EnumStats, tuples: bool = False,
                     vmask |= offs[0]
                     continue
                 stats.branch_nodes, stats.max_depth = nodes, max_depth
-                stats.leaves += leaves
-                leaves = 0
-                yield amask, vmask
+                if not models:
+                    stats.leaves = leaves
+                    yield amask, vmask
+                    leaves = stats.leaves  # with the leaves of a caller's completions
+                elif amask == full:
+                    leaves += 1
+                    emitted += 1
+                    stats.leaves, stats.models_emitted = leaves, emitted
+                    yield vmask
+                else:  # every completion, in increasing order (core.submasks)
+                    free = full ^ amask
+                    sub = 0
+                    while True:
+                        leaves += 1
+                        emitted += 1
+                        stats.leaves, stats.models_emitted = leaves, emitted
+                        yield vmask | sub
+                        if sub == free:
+                            break
+                        sub = (sub - free) & free
             if not stack:
                 return
             amask, vmask, live, var, depth, touched = stack.pop()
     finally:
-        stats.branch_nodes, stats.max_depth = nodes, max_depth
-        stats.leaves += leaves
-
-
-def _models(search: _Search, root, stats: EnumStats, tuples: bool = False) -> Iterator[int]:
-    """The total models of _search's satisfied nodes: a node that sets every
-    variable is one model, emitted inline; one with unconstrained variables
-    is completed in every way on them, in increasing order."""
-    full = (1 << search.n) - 1
-    for amask, vmask in _search(search, root, stats, tuples):
-        if amask == full:
-            stats.models_emitted += 1
-            stats.leaves += 1
-            yield vmask
-        else:
-            for sub in submasks(full & ~amask):
-                stats.models_emitted += 1
-                stats.leaves += 1
-                yield vmask | sub
+        stats.branch_nodes, stats.max_depth, stats.leaves = nodes, max_depth, leaves
 
 
 def compile_kb(kb: Formula) -> _Search:
@@ -399,10 +411,11 @@ def decide(kb: _Search, pos: int = 0, neg: int = 0) -> bool:
 
 
 def enumerate_models(phi: Formula) -> ModelStream:
-    """Stream exactly the set of total models over 1..num_vars, each once."""
+    """Stream exactly the set of total models over 1..num_vars, each once:
+    the stream is the search, which emits each model from its loop."""
     stats = EnumStats()
     search = _Search.of(phi)
-    return ModelStream(_models(search, search.root(), stats), stats, UNORDERED)
+    return ModelStream(_search(search, search.root(), stats, models=True), stats, UNORDERED)
 
 
 def sparse_enumerate(phi: Formula, lang: ConstraintLanguage, r0: int = 1) -> ModelStream:
@@ -435,8 +448,8 @@ def sparse_enumerate(phi: Formula, lang: ConstraintLanguage, r0: int = 1) -> Mod
         start.append((rel._codeset, tuple(first)))
     stats = EnumStats()
     search = _Search(phi, start)
-    return ModelStream(_models(search, search.root(), stats, tuples=True), stats,
-                       UNORDERED)
+    return ModelStream(_search(search, search.root(), stats, tuples=True, models=True),
+                       stats, UNORDERED)
 
 
 def enumerate_weight_ordered(phi: Formula, hypotheses: Iterable[int],

@@ -327,6 +327,19 @@ class TestBench:
         with pytest.raises(ValueError):
             bench.fit_base([(1, 1.0), (2, 2.0)])
 
+    def test_a_short_grid_is_refused_before_any_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setitem(bench.BENCH_FAMILIES, "baseline-full-h",
+                            (lambda n, seed: calls.append(n) or 1, False))
+        with pytest.raises(ValueError, match="need at least 5 grid points for a fit"):
+            bench.run_bench("baseline-full-h", [16, 17, 18, 19], seeds=1)
+        assert calls == []
+
+    def test_a_negative_xsat_chain_size_names_n(self, capsys):
+        assert cli_main(["bench", "--family", "xsat-chain", "--grid=-8:0:2"]) == 2
+        err = capsys.readouterr().err
+        assert "need n >= 0, got -8" in err and "m >=" not in err
+
     def test_xsat_chain_sweep(self):
         sweep = bench.run_bench("xsat-chain", [8, 10, 12, 14, 16], seeds=1)
         assert 1.3 <= sweep.base <= 1.45

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from abductor.core import (BOT, FALSE0, TOP, TRUE0, AbductionInstance,
+from abductor.core import (BOT, FALSE0, ORACLE_MAX_VARS, TOP, TRUE0, AbductionInstance,
                            Formula, OracleCapError, Relation, columns, evaluate,
                            formula, table_models, truth_table)
 from abductor.harness import verify
@@ -57,6 +57,24 @@ def test_columns_hold_the_assignment_bits():
         for v, (neg, pos) in enumerate(columns(n), start=1):
             assert neg == full ^ pos
             assert table_models(pos) == [s for s in range(1 << n) if s >> (v - 1) & 1]
+
+
+def product_columns(n: int) -> tuple[tuple[int, int], ...]:
+    """The columns as a product: variable v's period, h = 2^(v-1) zeros then
+    h ones, times full // (2^(2h) - 1), whose bits 2h*j are set for every
+    period j."""
+    full = (1 << (1 << n)) - 1
+    out = []
+    for v in range(n):
+        h = 1 << v
+        col = (((1 << h) - 1) << h) * (full // ((1 << 2 * h) - 1))
+        out.append((full ^ col, col))
+    return tuple(out)
+
+
+def test_columns_are_the_product_up_to_the_cap():
+    for n in range(ORACLE_MAX_VARS + 1):
+        assert columns(n) == product_columns(n)
 
 
 def test_readout_lists_the_set_bits_in_increasing_order():

@@ -9,12 +9,14 @@ literals sit on distinct variables, every completion of the cube the
 compiled KB keeps is a model of the KB.  The constraints a set of variables
 touches, the search's bitmask walk, are those whose scope meets the set.
 Formulas over the parity closure that hold an arity-3 constraint make the
-tuple rule reuse its branch plans under other parent values.  On instances
-over the same formulas, every solver verify.check_solvers runs agrees with
-the brute-force oracle, and every instance reduction verify.check_reductions
-runs preserves the oracle answers, there and on KBs of clauses and
-implications.  The structure facts a Formula computes
-on construction equal their definitions over its constraints, and are the
+tuple rule reuse its branch plans under other parent values.  Under both
+branching rules, the models the search emits and the stats after each are
+those of the completion loop over its satisfied nodes (models_reference).
+On instances over the same formulas, every solver verify.check_solvers runs
+agrees with the brute-force oracle, and every instance reduction
+verify.check_reductions runs preserves the oracle answers, there and on KBs
+of clauses and implications.  The structure facts a Formula computes on
+construction equal their definitions over its constraints, and are the
 masks the search reads.  Derandomized, so tier-1 stays deterministic."""
 
 import itertools
@@ -32,6 +34,7 @@ from abductor.harness import verify
 from abductor.reductions import IMP_REL
 from abductor.satenum import (_Search, compile_kb, decide, enumerate_models,
                               sparse_enumerate)
+from models_reference import reference_stream
 
 XSAT_LANG = branching_closure(xsat_family(3))
 XSAT_RELATIONS = list(XSAT_LANG)
@@ -188,6 +191,17 @@ class TestSearchProperties:
             assert len(set(got)) == len(got)
             assert sorted(got) == table_models(truth_table(phi))
             assert stream.stats.models_emitted <= stream.stats.leaves
+
+    @settings(PROPERTY, max_examples=100)
+    @given(formulas(), formulas(rels=st.sampled_from(XSAT_RELATIONS)))
+    def test_emission_is_the_completion_loop(self, phi, xsat):
+        for make in (lambda: enumerate_models(phi), lambda: sparse_enumerate(xsat, XSAT_LANG)):
+            stream = make()
+            ref, ref_stats = reference_stream(make)
+            for got, want in itertools.zip_longest(stream, ref):
+                assert got == want
+                assert stream.stats == ref_stats
+            assert stream.stats == ref_stats
 
     @settings(PROPERTY, max_examples=100)
     @given(parity_formulas())
